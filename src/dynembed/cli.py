@@ -35,11 +35,11 @@ from .embedders import (
     omnibus_embed,
     select_dimension,
     separate_embed,
-    uase,
+    uase_from_svd,
 )
-from .linalg import MemoryBudgetError, truncated_svd
+from .linalg import MemoryBudgetError, save_matrix_csv, truncated_svd
 from .models import bundled_config_path, load_dsbm_config, sample_dsbm
-from .netseries import GraphSeries, ParseError, ingest_edge_list
+from .netseries import GraphSeries, ingest_edge_list
 from .stability import DEFAULT_GAP_THRESHOLD, stability_report
 
 EXIT_OK = 0
@@ -299,18 +299,26 @@ def cmd_embed(args) -> int:
     n = series.n_nodes
 
     t1 = time.perf_counter()
-    scree_len = min(SCREE_LENGTH, n, series.n_snapshots * n)
-    scree = truncated_svd(series.unfold(), scree_len, seed=args.seed).s
     dims = _parse_dims(args.dim, series.n_snapshots)
+    if isinstance(dims, list) and args.method in ("uase", "omnibus"):
+        raise DataError(f"--method {args.method} takes one dimension, not a list")
+    if isinstance(dims, int) and dims > n:
+        raise DataError(f"dimension {dims} out of range for {n} nodes")
+    # one decomposition of the unfolding serves both the scree and, for uase,
+    # the embedding (its top-d triplets)
+    scree_len = min(SCREE_LENGTH, n, series.n_snapshots * n)
+    rank = scree_len
+    if args.method == "uase" and dims is not None:
+        rank = max(scree_len, dims)
+    svd = truncated_svd(series.unfold(), rank, seed=args.seed)
+    scree = svd.s[:scree_len]
     if dims is None:
         dims, _ = select_dimension(scree)
-    if np.isscalar(dims) and not 1 <= int(dims) <= n:
-        raise DataError(f"dimension {dims} out of range for {n} nodes")
 
     if args.method == "uase":
-        emb = uase(series, int(dims), seed=args.seed)
+        emb = uase_from_svd(svd, dims, series.n_snapshots)
     elif args.method == "omnibus":
-        emb = omnibus_embed(series, int(dims), seed=args.seed)
+        emb = omnibus_embed(series, dims, seed=args.seed)
     elif args.method == "independent":
         emb = independent_ase(series, dims, seed=args.seed)
     else:
@@ -330,8 +338,6 @@ def cmd_embed(args) -> int:
             fh.write(f"{j + 1},{_fmt(s)}\n")
     outputs = [out / "embedding.csv", out / "scree.csv"]
     if emb.left is not None:
-        from .linalg import save_matrix_csv
-
         save_matrix_csv(out / "left.csv", emb.left)
         outputs.append(out / "left.csv")
     inputs = []
@@ -606,10 +612,7 @@ def main(argv=None) -> int:
     args.argv = words
     try:
         return args.func(args)
-    except (DataError, ParseError, FileNotFoundError, MemoryBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, ValueError, FileNotFoundError, MemoryBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,19 +15,18 @@ Four methods producing, for each snapshot, one point per node:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
 from .linalg import (
     MemoryBudgetError,
+    TruncatedSvd,
     memory_budget_entries,
-    save_matrix_csv,
     truncated_eigh,
     truncated_svd,
 )
-from .netseries import GraphSeries
+from .netseries import GraphSeries, unfold
 
 
 @dataclass
@@ -65,51 +64,6 @@ class Embedding:
             raise ValueError("snapshots have differing dimensions")
         return np.vstack(self.points)
 
-    def save(self, directory) -> None:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        for t, p in enumerate(self.points):
-            save_matrix_csv(directory / f"points_{t}.csv", p)
-        if self.left is not None:
-            save_matrix_csv(directory / "left.csv", self.left)
-        with open(directory / "meta.txt", "w", encoding="utf-8") as fh:
-            fh.write(f"method {self.method}\n")
-            fh.write(f"snapshots {self.n_snapshots}\n")
-            if self.signatures is not None:
-                for sig in self.signatures:
-                    fh.write(f"signature {sig[0]} {sig[1]}\n")
-
-    @classmethod
-    def load(cls, directory) -> "Embedding":
-        directory = Path(directory)
-        meta = {}
-        signatures = []
-        with open(directory / "meta.txt", encoding="utf-8") as fh:
-            for line in fh:
-                key, _, value = line.strip().partition(" ")
-                if key == "signature":
-                    pos, neg = value.split()
-                    signatures.append((int(pos), int(neg)))
-                else:
-                    meta[key] = value
-        t_count = int(meta["snapshots"])
-        points = [
-            np.atleast_2d(np.loadtxt(directory / f"points_{t}.csv", delimiter=","))
-            for t in range(t_count)
-        ]
-        left_path = directory / "left.csv"
-        left = (
-            np.atleast_2d(np.loadtxt(left_path, delimiter=","))
-            if left_path.exists()
-            else None
-        )
-        return cls(
-            points=points,
-            method=meta["method"],
-            left=left,
-            signatures=signatures or None,
-        )
-
 
 def _as_snapshot_list(series):
     if isinstance(series, GraphSeries):
@@ -127,13 +81,20 @@ def uase(series, d: int, seed: int = 0) -> Embedding:
     time-invariant point set.
     """
     snaps = _as_snapshot_list(series)
-    n = snaps[0].shape[0]
-    unfolded = sp.hstack([sp.csr_matrix(a) for a in snaps], format="csr")
-    res = truncated_svd(unfolded, d, seed)
-    scale = np.sqrt(res.s)
-    left = res.u * scale
-    right = res.v * scale
-    points = [right[t * n : (t + 1) * n] for t in range(len(snaps))]
+    return uase_from_svd(truncated_svd(unfold(snaps), d, seed), d, len(snaps))
+
+
+def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
+    """UASE from the top-d triplets of an SVD of the n x (T n) unfolding.
+
+    ``res`` may hold more than d triplets (e.g. a scree decomposition); only
+    the leading d are used, so one decomposition serves both.
+    """
+    scale = np.sqrt(res.s[:d])
+    left = res.u[:, :d] * scale
+    right = res.v[:, :d] * scale
+    n = left.shape[0]
+    points = [right[t * n : (t + 1) * n] for t in range(n_snapshots)]
     return Embedding(points=points, method="uase", left=left)
 
 
@@ -278,14 +239,7 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
         spec = truncated_eigh(omnibus_matrix(series), d, seed)
     else:
         spec = truncated_eigh(None, d, seed, matvec=_omnibus_matvec(snaps), side=side)
-    vectors = spec.vectors.copy()
-    # canonical orientation: largest-magnitude entry of each eigenvector
-    # positive, matching the convention of the SVD paths
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            vectors[:, j] = -col
-    scaled = vectors * np.sqrt(np.abs(spec.values))
+    scaled = spec.vectors * np.sqrt(np.abs(spec.values))
     points = [scaled[t * n : (t + 1) * n] for t in range(t_count)]
     positive = int(np.sum(spec.values > 0))
     return Embedding(

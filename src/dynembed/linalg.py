@@ -58,19 +58,18 @@ class TruncatedSvd:
         return self.s.shape[0]
 
 
-def _apply_sign_convention(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Canonical sign: the largest-magnitude entry of each u column is made
-    # positive (ties resolved by lowest row index); v flips with u so the
-    # product u @ diag(s) @ v.T is unchanged.
-    u = u.copy()
-    v = v.copy()
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    return u, v
+def orient_columns(u: np.ndarray, *partners: np.ndarray):
+    """Canonical column signs: the largest-magnitude entry of each column of u
+    is made positive (ties resolved by lowest row index).
+
+    Each partner matrix flips its columns with u, so products such as
+    u @ diag(s) @ v.T are unchanged. Returns the oriented u followed by the
+    oriented partners; values are only multiplied by +-1, so magnitudes stay
+    bit-identical.
+    """
+    rows = np.argmax(np.abs(u), axis=0)
+    signs = np.where(u[rows, np.arange(u.shape[1])] < 0, -1.0, 1.0)
+    return (u * signs,) + tuple(p * signs for p in partners)
 
 
 def _check_finite_matrix(m) -> None:
@@ -126,7 +125,7 @@ def truncated_svd(
         u, s, v = u[:, :d], s[:d], vt[:d].T
     else:
         u, s, v = _randomized_svd(m, d, seed, OVERSAMPLE, POWER_ITERATIONS)
-    u, v = _apply_sign_convention(u, v)
+    u, v = orient_columns(u, v)
     return TruncatedSvd(u=u, s=np.asarray(s, dtype=float), v=v)
 
 
@@ -150,7 +149,6 @@ def truncated_eigh(
     *,
     matvec=None,
     side: int | None = None,
-    dense_side: int | None = None,
 ) -> SymmetricSpectrum:
     """Top-d eigenpairs of a symmetric operator by |eigenvalue|.
 
@@ -158,18 +156,19 @@ def truncated_eigh(
     ``matvec(block) -> block`` callable and ``side`` given (matrix-free path).
     Small dense inputs use exact eigh; otherwise randomized subspace iteration
     followed by Rayleigh-Ritz extraction, which recovers signed eigenvalues
-    for indefinite operators.
+    for indefinite operators. Eigenvectors carry the sign convention of
+    :func:`orient_columns`.
     """
     if matvec is None:
         n = m.shape[0]
         if m.shape[1] != n:
             raise ValueError("matrix must be square")
         _check_finite_matrix(m)
-        limit = DENSE_EIG_MAX_SIDE if dense_side is None else dense_side
-        if n <= limit and not sp.issparse(m):
+        if n <= DENSE_EIG_MAX_SIDE and not sp.issparse(m):
             w, q = np.linalg.eigh(np.asarray(m, dtype=float))
             order = _order_by_abs(w)[:d]
-            return SymmetricSpectrum(values=w[order], vectors=q[:, order])
+            (vectors,) = orient_columns(q[:, order])
+            return SymmetricSpectrum(values=w[order], vectors=vectors)
 
         def matvec(block):
             return m @ block
@@ -189,7 +188,8 @@ def truncated_eigh(
     b = (b + b.T) / 2.0
     w, z = np.linalg.eigh(b)
     order = _order_by_abs(w)[:d]
-    return SymmetricSpectrum(values=w[order], vectors=q @ z[:, order])
+    (vectors,) = orient_columns(q @ z[:, order])
+    return SymmetricSpectrum(values=w[order], vectors=vectors)
 
 
 @dataclass(frozen=True)

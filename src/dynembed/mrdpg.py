@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import orient_columns
 from .models import DsbmSpec
 
 RANK_RTOL = 1e-10
@@ -139,12 +140,8 @@ def _feature_map(kernel: np.ndarray):
     w, q = w[order], q[:, order]
     scale = np.max(np.abs(w)) if w.size else 0.0
     keep = np.abs(w) > RANK_RTOL * max(scale, 1.0)
-    w, q = w[keep], q[:, keep]
-    # orientation fixed the same way as the SVD paths
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            q[:, j] = -col
+    (q,) = orient_columns(q[:, keep])
+    w = w[keep]
     phi = q * np.sqrt(np.abs(w))
     return phi, np.sign(w)
 
@@ -280,12 +277,8 @@ def moment_matrices(
     h = dx_root @ lam @ dy_block @ lam.T @ dx_root
     w, v = np.linalg.eigh(h)
     order = np.argsort(-w)
-    w, v = np.clip(w[order], 0.0, None), v[:, order]
-    # orientation fixed as elsewhere so the maps are reproducible
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            v[:, j] = -col
+    w = np.clip(w[order], 0.0, None)
+    (v,) = orient_columns(v[:, order])
     sigma = np.sqrt(w)
     if np.any(sigma <= 0):
         raise ValueError("rank-deficient moment structure; lower d")
@@ -448,13 +441,8 @@ def noise_free_embedding(gram_matrices, d: int | None = None):
         d = int(np.sum(s > RANK_RTOL * max(s[0], 1.0)))
     if not 1 <= d <= s.shape[0]:
         raise ValueError(f"d={d} out of range")
-    u, s, v = u[:, :d], s[:d], vt[:d].T
-    for j in range(d):
-        col = u[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    scale = np.sqrt(s)
+    u, v = orient_columns(u[:, :d], vt[:d].T)
+    scale = np.sqrt(s[:d])
     left = u * scale
     right = v * scale
     rights = [right[t * n : (t + 1) * n] for t in range(len(mats))]

@@ -17,6 +17,12 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
+def unfold(snapshots):
+    """Column concatenation (A1 | A2 | ... | AT) of n x n matrices, dense or
+    sparse, as an n x (T*n) CSR matrix."""
+    return sp.hstack([sp.csr_matrix(a) for a in snapshots], format="csr")
+
+
 @dataclass(frozen=True)
 class IngestStats:
     """Bookkeeping from edge list ingestion."""
@@ -68,7 +74,7 @@ class GraphSeries:
 
     def unfold(self):
         """Column concatenation (A1 | A2 | ... | AT), an n x (T*n) sparse matrix."""
-        return sp.hstack([sp.csr_matrix(a) for a in self.snapshots], format="csr")
+        return unfold(self.snapshots)
 
     def densities(self) -> np.ndarray:
         n = self.n_nodes
@@ -188,7 +194,9 @@ def ingest_edge_list(
 
     all_times = np.array([e[0] for e in events])
     lo = float(all_times.min()) if start is None else float(start)
-    hi = float(all_times.max()) + 1e-9 if end is None else float(end)
+    # the smallest float above the last event keeps it inside [lo, hi) at any
+    # magnitude (a fixed offset vanishes below the spacing of epoch seconds)
+    hi = float(np.nextafter(all_times.max(), np.inf)) if end is None else float(end)
     if hi <= lo:
         raise ValueError("empty time range")
 

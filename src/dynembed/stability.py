@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from .embedders import Embedding, uase
 from .linalg import procrustes
@@ -89,16 +88,6 @@ class StabilityReport:
     @property
     def passed(self) -> bool:
         return all(p.passed for p in self.pairs)
-
-    def summary_lines(self) -> list:
-        lines = []
-        for p in self.pairs:
-            verdict = "pass" if p.passed else "FAIL"
-            lines.append(
-                f"{p.group_a} vs {p.group_b}: gap_ratio={p.gap_ratio:.4f} "
-                f"cov_gap={p.cov_gap:.4f} [{verdict}]"
-            )
-        return lines
 
 
 def discover_pairs(model):
@@ -329,6 +318,9 @@ def clt_check(
     time-t kernel of the model summary (for a plain block model, the
     community).
     """
+    # imported here: scipy.stats is slow to import and no CLI path needs it
+    from scipy import stats as sstats
+
     model, node_seq = model_from_dsbm(spec)
     structure = latent_structure(model)
     if d != structure.d:

@@ -1,12 +1,19 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dynembed import cli
+import dynembed
+from dynembed import cli, embedders
 from dynembed.cli import DataError, _parse_dims, _parse_grid, _parse_pair
+from dynembed.embedders import uase
+from dynembed.linalg import truncated_svd
+from dynembed.netseries import GraphSeries
 
 FOURBLOCK_120 = """\
 [model]
@@ -252,6 +259,36 @@ class TestEmbed:
         for words in cases:
             assert run(*words) == 2
 
+    @pytest.mark.parametrize("method", ["uase", "omnibus"])
+    def test_joint_methods_reject_dim_list(self, sim120, tmp_path, capsys, method):
+        assert run("embed", "--input", sim120 / "series", "--method", method,
+                   "--dim", "3,3", "--out", tmp_path / "o") == 2
+        assert "takes one dimension" in capsys.readouterr().err
+
+    def test_uase_decomposes_unfolding_once(self, sim120, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(m, d, seed=0, **kwargs):
+            calls.append(d)
+            return truncated_svd(m, d, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "truncated_svd", counted)
+        monkeypatch.setattr(embedders, "truncated_svd", counted)
+        assert run("embed", "--input", sim120 / "series", "--method", "uase",
+                   "--dim", 4, "--seed", 1, "--out", tmp_path / "o") == 0
+        assert calls == [50]
+
+    def test_uase_csv_equals_library_rows(self, sim120, emb120):
+        # dense path: the scree decomposition sliced to d triplets is the
+        # library's rank-d embedding, bit for bit
+        series = GraphSeries.load(sim120 / "series")
+        lib = uase(series, 4, seed=1)
+        _, rows = read_rows(emb120 / "embedding.csv")
+        got = np.array([[float(x) for x in r[2:]] for r in rows])
+        np.testing.assert_array_equal(got, np.vstack(lib.points))
+        np.testing.assert_array_equal(
+            np.loadtxt(emb120 / "left.csv", delimiter=","), lib.left)
+
     def test_edge_list_needs_window(self, tmp_path):
         events = tmp_path / "events.txt"
         events.write_text("1 a b\n")
@@ -465,3 +502,13 @@ class TestUsage:
         assert "simulate" in capsys.readouterr().out
         assert run("--version") == 0
         assert "dynembed" in capsys.readouterr().out
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats takes most of a second to import and no subcommand needs it
+    src = str(Path(dynembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, dynembed.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

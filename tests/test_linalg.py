@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynembed.linalg import (
     ProcrustesResult,
+    orient_columns,
     procrustes,
     save_matrix_csv,
     spherical_coordinates,
@@ -97,6 +98,17 @@ class TestTruncatedSvd:
             truncated_svd(m, 2)
 
 
+class TestOrientColumns:
+    def test_largest_entry_positive_and_partner_flipped(self):
+        u = np.array([[0.1, -0.9, 0.5], [-0.8, 0.2, -0.5], [0.3, 0.1, 0.0]])
+        v = np.arange(6.0).reshape(2, 3) - 2.0
+        ou, ov = orient_columns(u, v)
+        # column 2 ties at |0.5|: the lowest row decides, and it is positive
+        np.testing.assert_array_equal(ou, u * [-1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(ov, v * [-1.0, -1.0, 1.0])
+        assert u[0, 0] == 0.1  # inputs untouched
+
+
 class TestTruncatedEigh:
     def test_indefinite_matrix_signed_values(self):
         rng = np.random.default_rng(17)
@@ -114,6 +126,15 @@ class TestTruncatedEigh:
         dense = truncated_eigh(m, 4)
         free = truncated_eigh(None, 4, seed=3, matvec=lambda b: m @ b, side=80)
         np.testing.assert_allclose(np.sort(free.values), np.sort(dense.values), atol=1e-6)
+
+    def test_vectors_follow_sign_convention(self):
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((40, 40))
+        m = a + a.T
+        for spec in (truncated_eigh(m, 5),
+                     truncated_eigh(None, 5, seed=1, matvec=lambda b: m @ b, side=40)):
+            rows = np.argmax(np.abs(spec.vectors), axis=0)
+            assert np.all(spec.vectors[rows, np.arange(5)] > 0)
 
     def test_orthonormal_vectors(self):
         rng = np.random.default_rng(23)

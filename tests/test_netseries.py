@@ -111,6 +111,17 @@ class TestIngest:
         assert series.stats.events_outside_range == 1
         assert series.snapshots[0].nnz == 2
 
+    def test_last_event_kept_at_epoch_timestamps(self, tmp_path):
+        # the default range end must stay above the last event at unix-epoch
+        # magnitudes, where a fixed 1e-9 offset rounds away
+        for base in (0, 1_500_000_000):
+            path = tmp_path / f"events_{base}.txt"
+            write_events(path, [f"{base} a b", f"{base + 100} b c", f"{base + 3600} a c"])
+            series = ingest_edge_list(path, window_seconds=3600.0)
+            assert series.n_snapshots == 2
+            assert series.stats.events_outside_range == 0
+            assert series.snapshots[1].nnz == 2
+
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "events.txt"
         write_events(path, ["1 a b", "garbage"])
