@@ -299,9 +299,9 @@ def cmd_embed(args) -> int:
     n = series.n_nodes
 
     t1 = time.perf_counter()
-    dims = _parse_dims(args.dim, series.n_snapshots)
-    if isinstance(dims, list) and args.method in ("uase", "omnibus"):
+    if args.method in ("uase", "omnibus") and "," in args.dim:
         raise DataError(f"--method {args.method} takes one dimension, not a list")
+    dims = _parse_dims(args.dim, series.n_snapshots)
     if isinstance(dims, int) and dims > n:
         raise DataError(f"dimension {dims} out of range for {n} nodes")
     # one decomposition of the unfolding serves both the scree and, for uase,
@@ -310,8 +310,14 @@ def cmd_embed(args) -> int:
     rank = scree_len
     if args.method == "uase" and dims is not None:
         rank = max(scree_len, dims)
-    svd = truncated_svd(series.unfold(), rank, seed=args.seed)
+    unfolded = series.unfold()
+    svd = truncated_svd(unfolded, rank, seed=args.seed)
     scree = svd.s[:scree_len]
+    # ||A v_j - s_j u_j|| / s_1 for each scree triplet
+    residuals = np.linalg.norm(
+        unfolded @ svd.v[:, :scree_len] - svd.u[:, :scree_len] * scree, axis=0)
+    if scree[0] > 0:
+        residuals /= scree[0]
     if dims is None:
         dims, _ = select_dimension(scree)
 
@@ -351,6 +357,7 @@ def cmd_embed(args) -> int:
         "dimensions": emb.dims,
         "embedding_rows": rows,
         "singular_values": [float(s) for s in scree],
+        "singular_value_residuals": [float(r) for r in residuals],
         "auto_dimension": args.dim == "auto",
     }
     if emb.signatures is not None:

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .linalg import (
     MemoryBudgetError,
     TruncatedSvd,
     memory_budget_entries,
-    truncated_eigh,
+    orient_columns,
     truncated_svd,
 )
 from .netseries import GraphSeries, unfold
@@ -99,8 +100,9 @@ def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
 
 
 def _signed_symmetric_embedding(a, d: int, seed: int):
-    """Point set v * sqrt(sigma) from the SVD of a symmetric matrix, plus the
-    eigenvalue signature recovered from the left/right vector orientation."""
+    """Point set v * sqrt(sigma) from the SVD of a symmetric matrix or
+    operator, plus the eigenvalue signature recovered from the left/right
+    vector orientation."""
     res = truncated_svd(a, d, seed)
     orientation = np.sum(res.u * res.v, axis=0)  # +1 or -1 per component
     positive = int(np.sum(orientation > 0))
@@ -223,9 +225,10 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     """Omnibus embedding of all snapshots jointly.
 
     Builds the (T n) x (T n) matrix whose (s, t) block is the average of
-    snapshots s and t, takes its top-d eigenpairs by magnitude and scales the
-    eigenvectors by the square-rooted eigenvalue magnitudes. Row block t is
-    the snapshot-t point set; all blocks share one coordinate system. The
+    snapshots s and t, takes its top-d eigenpairs by magnitude (the top-d
+    singular triplets of this symmetric matrix) and scales the eigenvectors
+    by the square-rooted eigenvalue magnitudes. Row block t is the
+    snapshot-t point set; all blocks share one coordinate system. The
     (positive, negative) eigenvalue counts are reported as the signature.
 
     The matrix is materialized when it fits the memory budget; otherwise a
@@ -236,17 +239,17 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     n = snaps[0].shape[0]
     side = t_count * n
     if side * side <= memory_budget_entries():
-        spec = truncated_eigh(omnibus_matrix(series), d, seed)
+        m = omnibus_matrix(series)
     else:
-        spec = truncated_eigh(None, d, seed, matvec=_omnibus_matvec(snaps), side=side)
-    scaled = spec.vectors * np.sqrt(np.abs(spec.values))
+        matvec = _omnibus_matvec(snaps)
+        m = LinearOperator((side, side), matvec=matvec, rmatvec=matvec,
+                           matmat=matvec, rmatmat=matvec, dtype=float)
+    scaled, signature = _signed_symmetric_embedding(m, d, seed)
+    # the omnibus point set keeps its own largest entries positive; the
+    # per-snapshot methods follow the left vectors, as uase does
+    (scaled,) = orient_columns(scaled)
     points = [scaled[t * n : (t + 1) * n] for t in range(t_count)]
-    positive = int(np.sum(spec.values > 0))
-    return Embedding(
-        points=points,
-        method="omnibus",
-        signatures=[(positive, d - positive)],
-    )
+    return Embedding(points=points, method="omnibus", signatures=[signature])
 
 
 def select_dimension(singular_values: np.ndarray, max_d: int | None = None) -> tuple[int, np.ndarray]:

@@ -11,17 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-# Matrices with at most this many entries go through exact LAPACK SVD;
-# larger ones use seeded randomized subspace iteration.
-DENSE_SVD_MAX_ENTRIES = 4_000_000
-
-# Symmetric eigendecompositions switch to the randomized path earlier because
-# full eigh is cubic in the side length.
-DENSE_EIG_MAX_SIDE = 1000
-
-OVERSAMPLE = 10
-POWER_ITERATIONS = 4
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 
 def memory_budget_entries() -> int:
@@ -81,115 +71,54 @@ def _check_finite_matrix(m) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
-def _randomized_svd(m, d: int, seed: int, oversample: int, n_iter: int):
-    rows, cols = m.shape
-    k = min(d + oversample, rows, cols)
-    rng = np.random.default_rng(seed)
-    omega = rng.standard_normal((cols, k))
-    q, _ = np.linalg.qr(m @ omega)
-    for _ in range(n_iter):
-        z, _ = np.linalg.qr(m.T @ q)
-        q, _ = np.linalg.qr(m @ z)
-    b = q.T @ m
-    if sp.issparse(b):
-        b = np.asarray(b.todense())
-    ub, s, vt = np.linalg.svd(b, full_matrices=False)
-    return q @ ub[:, :d], s[:d], vt[:d].T
-
-
-def truncated_svd(
-    m,
-    d: int,
-    seed: int = 0,
-    *,
-    dense_threshold: int | None = None,
-) -> TruncatedSvd:
+def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     """Rank-d truncated SVD with a canonical sign convention.
 
-    Small matrices (at most ``dense_threshold`` entries, default
-    ``DENSE_SVD_MAX_ENTRIES``) are decomposed exactly; larger ones use
-    randomized subspace iteration with seed-controlled initialization,
-    oversampling ``OVERSAMPLE`` and ``POWER_ITERATIONS`` power steps.
+    ``m`` may be a dense array, a sparse matrix or a
+    ``scipy.sparse.linalg.LinearOperator``. The top-d eigenvectors q of the
+    smaller-side Gram operator x -> a @ (a.T @ x) come from implicitly
+    restarted Lanczos (ARPACK ``eigsh``, converged to machine precision,
+    started from a vector drawn with ``seed``); one dense SVD of the d-row
+    projection q.T @ m then gives the singular values and both orthonormal
+    factors. LAPACK decomposes the whole matrix only where ARPACK cannot
+    run (d >= smaller side - 1). A zero matrix has zero singular values.
 
     Raises ValueError when d is out of range or the matrix has non-finite
     entries.
     """
+    operator = isinstance(m, LinearOperator)
+    if not (operator or sp.issparse(m)):
+        m = np.asarray(m, dtype=float)
     rows, cols = m.shape
     if not 1 <= d <= min(rows, cols):
         raise ValueError(f"d={d} out of range for {rows}x{cols} matrix")
-    _check_finite_matrix(m)
-    threshold = DENSE_SVD_MAX_ENTRIES if dense_threshold is None else dense_threshold
-    if rows * cols <= threshold:
-        dense = np.asarray(m.todense()) if sp.issparse(m) else np.asarray(m, dtype=float)
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+    if not operator:
+        _check_finite_matrix(m)
+    if d >= min(rows, cols) - 1:
+        if operator:
+            m = m @ np.eye(cols)
+        elif sp.issparse(m):
+            m = m.toarray()
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
         u, s, v = u[:, :d], s[:d], vt[:d].T
     else:
-        u, s, v = _randomized_svd(m, d, seed, OVERSAMPLE, POWER_ITERATIONS)
+        # a is the wide orientation of m: its rows are the smaller side
+        a = m if rows <= cols else m.T
+        side = a.shape[0]
+        start = np.random.default_rng(seed).standard_normal(side)
+        # ARPACK cannot start where the start vector maps to zero (an empty
+        # snapshot); LAPACK's answer for a zero matrix is kept instead
+        if not np.any(a.T @ start):
+            u, s, v = np.eye(rows, d), np.zeros(d), np.eye(cols, d)
+        else:
+            gram = LinearOperator((side, side), matvec=lambda x: a @ (a.T @ x),
+                                  dtype=float)
+            _, q = eigsh(gram, d, which="LA", v0=start)
+            ub, s, vbt = np.linalg.svd((a.T @ q).T, full_matrices=False)
+            small, large = q @ ub, vbt.T
+            u, v = (small, large) if rows <= cols else (large, small)
     u, v = orient_columns(u, v)
     return TruncatedSvd(u=u, s=np.asarray(s, dtype=float), v=v)
-
-
-@dataclass(frozen=True)
-class SymmetricSpectrum:
-    """Top-d eigenpairs of a symmetric matrix, ordered by |eigenvalue|."""
-
-    values: np.ndarray    # signed eigenvalues
-    vectors: np.ndarray   # (n, d), orthonormal columns
-
-
-def _order_by_abs(values: np.ndarray) -> np.ndarray:
-    # Descending |value|; ties broken by signed value (descending), then index.
-    return np.lexsort((np.arange(values.shape[0]), -values, -np.abs(values)))
-
-
-def truncated_eigh(
-    m,
-    d: int,
-    seed: int = 0,
-    *,
-    matvec=None,
-    side: int | None = None,
-) -> SymmetricSpectrum:
-    """Top-d eigenpairs of a symmetric operator by |eigenvalue|.
-
-    ``m`` may be a dense/sparse symmetric matrix, or None with an explicit
-    ``matvec(block) -> block`` callable and ``side`` given (matrix-free path).
-    Small dense inputs use exact eigh; otherwise randomized subspace iteration
-    followed by Rayleigh-Ritz extraction, which recovers signed eigenvalues
-    for indefinite operators. Eigenvectors carry the sign convention of
-    :func:`orient_columns`.
-    """
-    if matvec is None:
-        n = m.shape[0]
-        if m.shape[1] != n:
-            raise ValueError("matrix must be square")
-        _check_finite_matrix(m)
-        if n <= DENSE_EIG_MAX_SIDE and not sp.issparse(m):
-            w, q = np.linalg.eigh(np.asarray(m, dtype=float))
-            order = _order_by_abs(w)[:d]
-            (vectors,) = orient_columns(q[:, order])
-            return SymmetricSpectrum(values=w[order], vectors=vectors)
-
-        def matvec(block):
-            return m @ block
-    else:
-        if side is None:
-            raise ValueError("side is required with an explicit matvec")
-        n = side
-    if not 1 <= d <= n:
-        raise ValueError(f"d={d} out of range for side {n}")
-
-    k = min(d + OVERSAMPLE, n)
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(matvec(rng.standard_normal((n, k))))
-    for _ in range(POWER_ITERATIONS):
-        q, _ = np.linalg.qr(matvec(q))
-    b = q.T @ matvec(q)
-    b = (b + b.T) / 2.0
-    w, z = np.linalg.eigh(b)
-    order = _order_by_abs(w)[:d]
-    (vectors,) = orient_columns(q @ z[:, order])
-    return SymmetricSpectrum(values=w[order], vectors=vectors)
 
 
 @dataclass(frozen=True)

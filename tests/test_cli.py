@@ -11,7 +11,7 @@ import pytest
 import dynembed
 from dynembed import cli, embedders
 from dynembed.cli import DataError, _parse_dims, _parse_grid, _parse_pair
-from dynembed.embedders import uase
+from dynembed.embedders import uase, uase_from_svd
 from dynembed.linalg import truncated_svd
 from dynembed.netseries import GraphSeries
 
@@ -177,6 +177,9 @@ class TestEmbed:
         assert man["details"]["dimensions"] == [4, 4]
         assert man["details"]["embedding_rows"] == 240
         assert man["details"]["auto_dimension"] is False
+        residuals = man["details"]["singular_value_residuals"]
+        assert len(residuals) == len(man["details"]["singular_values"])
+        assert max(residuals) < 1e-8
         assert any(k.endswith("snapshots.npz") for k in man["input_digests"])
 
     def test_same_seed_reproduces_csv(self, sim120, emb120, tmp_path):
@@ -261,9 +264,11 @@ class TestEmbed:
 
     @pytest.mark.parametrize("method", ["uase", "omnibus"])
     def test_joint_methods_reject_dim_list(self, sim120, tmp_path, capsys, method):
-        assert run("embed", "--input", sim120 / "series", "--method", method,
-                   "--dim", "3,3", "--out", tmp_path / "o") == 2
-        assert "takes one dimension" in capsys.readouterr().err
+        # a list is refused for its kind before its length is checked
+        for dims in ("3,3", "3,3,3"):
+            assert run("embed", "--input", sim120 / "series", "--method", method,
+                       "--dim", dims, "--out", tmp_path / "o") == 2
+            assert "takes one dimension" in capsys.readouterr().err
 
     def test_uase_decomposes_unfolding_once(self, sim120, tmp_path, monkeypatch):
         calls = []
@@ -279,15 +284,21 @@ class TestEmbed:
         assert calls == [50]
 
     def test_uase_csv_equals_library_rows(self, sim120, emb120):
-        # dense path: the scree decomposition sliced to d triplets is the
-        # library's rank-d embedding, bit for bit
+        # the CLI slices its rank-50 scree decomposition to d triplets: bit
+        # for bit what the library gives for that decomposition, and equal to
+        # a separate rank-d run up to round-off
         series = GraphSeries.load(sim120 / "series")
-        lib = uase(series, 4, seed=1)
+        lib = uase_from_svd(truncated_svd(series.unfold(), 50, seed=1), 4, 2)
         _, rows = read_rows(emb120 / "embedding.csv")
         got = np.array([[float(x) for x in r[2:]] for r in rows])
+        left = np.loadtxt(emb120 / "left.csv", delimiter=",")
         np.testing.assert_array_equal(got, np.vstack(lib.points))
-        np.testing.assert_array_equal(
-            np.loadtxt(emb120 / "left.csv", delimiter=","), lib.left)
+        np.testing.assert_array_equal(left, lib.left)
+        direct = uase(series, 4, seed=1)
+        # entries near zero get an absolute floor at round-off of the largest
+        atol = 1e-13 * np.abs(got).max()
+        np.testing.assert_allclose(got, np.vstack(direct.points), rtol=1e-10, atol=atol)
+        np.testing.assert_allclose(left, direct.left, rtol=1e-10, atol=atol)
 
     def test_edge_list_needs_window(self, tmp_path):
         events = tmp_path / "events.txt"

@@ -15,7 +15,7 @@ from dynembed.embedders import (
 from dynembed.linalg import procrustes
 from dynembed.models import DsbmSpec, bundled_config_path, load_dsbm_config, sample_dsbm
 from dynembed.mrdpg import noise_free_embedding
-from dynembed.netseries import GraphSeries
+from dynembed.netseries import GraphSeries, ingest_edge_list
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +84,10 @@ class TestUase:
         stacked = []
         for seed in (0, 1):
             emb = uase(series, 2, seed=seed)
-            # force the randomized path to exercise seed dependence
+            # the seed picks the Lanczos start vector
             from dynembed import linalg
 
-            res = linalg.truncated_svd(series.unfold(), 2, seed=seed, dense_threshold=10)
+            res = linalg.truncated_svd(series.unfold(), 2, seed=seed)
             stacked.append(res.v * np.sqrt(res.s))
         fit = procrustes(stacked[0], stacked[1])
         assert fit.residual < 1e-4 * np.linalg.norm(stacked[1])
@@ -103,21 +103,24 @@ class TestOmnibus:
         np.testing.assert_array_equal(m[12:, 6:12], (a[2] + a[1]) / 2)
 
     def test_against_dense_eigendecomposition_oracle(self, fourblock_series):
-        _, series = fourblock_series
-        emb = omnibus_embed(series, 7)
-        m = omnibus_matrix(series)
-        w, q = np.linalg.eigh(m)
-        order = np.argsort(-np.abs(w))[:7]
-        oracle = q[:, order] * np.sqrt(np.abs(w[order]))
-        stacked = np.vstack(emb.points)
-        # compare the induced indefinite inner product structure, which is
-        # basis-sign free
-        signs = np.sign(w[order])
-        np.testing.assert_allclose(
-            stacked @ np.diag(signs) @ stacked.T,
-            oracle @ np.diag(signs) @ oracle.T,
-            atol=1e-6,
-        )
+        spec, small = fourblock_series
+        # n = 200 and a side-1200 omnibus matrix (n = 600, T = 2)
+        large = sample_dsbm(DsbmSpec(block_matrices=spec.block_matrices, n_nodes=600), seed=3)
+        for series in (small, large):
+            emb = omnibus_embed(series, 7)
+            m = omnibus_matrix(series)
+            w, q = np.linalg.eigh(m)
+            order = np.argsort(-np.abs(w))[:7]
+            oracle = q[:, order] * np.sqrt(np.abs(w[order]))
+            stacked = np.vstack(emb.points)
+            # compare the induced indefinite inner product structure, which is
+            # basis-sign free
+            signs = np.sign(w[order])
+            np.testing.assert_allclose(
+                stacked @ np.diag(signs) @ stacked.T,
+                oracle @ np.diag(signs) @ oracle.T,
+                atol=1e-6,
+            )
 
     def test_signature_on_expected_matrices(self, fourblock_series):
         spec, _ = fourblock_series
@@ -165,6 +168,18 @@ class TestIndependent:
         p = emb.points[0]
         signs = np.array([np.sign(p[:, j] @ a @ p[:, j]) for j in range(4)])
         np.testing.assert_allclose(p @ np.diag(signs) @ p.T, a, atol=1e-8)
+
+    def test_empty_snapshot_embeds_to_zeros(self, tmp_path):
+        # the middle 10-second window holds no events: an all-zero snapshot
+        events = tmp_path / "events.txt"
+        events.write_text("1 a b\n2 b c\n3 a c\n4 c d\n"
+                          "25 a d\n26 b d\n27 c d\n28 a b\n")
+        series = ingest_edge_list(events, window_seconds=10)
+        assert [a.nnz for a in series.snapshots] == [8, 0, 8]
+        emb = independent_ase(series, 2)
+        np.testing.assert_array_equal(emb.points[1], np.zeros((4, 2)))
+        assert emb.signatures[1] == (2, 0)
+        assert np.all(np.linalg.norm(emb.points[0], axis=0) > 0)
 
     def test_dims_length_mismatch(self):
         series = random_series(15, t=2)
