@@ -25,7 +25,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .cluster import assign, fit_gmm_bic, pool_spherical
@@ -72,6 +71,15 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _scipy_version() -> str:
+    # stability and cluster never import scipy; its installed metadata is
+    # cheaper to read than the package is to import
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    from importlib.metadata import version
+    return version("scipy")
+
+
 def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
                     timings=None, details=None):
     manifest = {
@@ -81,7 +89,7 @@ def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
             "dynembed": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
         },
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
@@ -508,6 +516,9 @@ def cmd_cluster(args) -> int:
             "selected_components": best.n_components,
             "bic_table": [[g, float(b)] for g, b in table],
             "converged": best.converged,
+            "loglik": best.loglik,
+            "n_iter": best.n_iter,
+            "regularized": best.regularized,
             "pooled_rows": int(theta.shape[0]),
             "grid": grid,
             "restarts": args.restarts,

@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
 
 from .embedders import Embedding
 from .linalg import spherical_coordinates
@@ -32,7 +30,8 @@ class GmmModel:
     weights: (G,) simplex vector. means: (G, q). covariances: (G, q, q),
     symmetric positive definite after regularization. loglik and bic refer to
     the training points; loglik_trace holds the per-iteration log likelihood
-    so the monotone ascent of the fit can be audited.
+    so the monotone ascent of the fit can be audited. regularized is set when
+    any covariance of the fit needed a diagonal ridge.
     """
 
     weights: np.ndarray
@@ -43,6 +42,7 @@ class GmmModel:
     converged: bool
     n_iter: int
     loglik_trace: list = field(default_factory=list, repr=False)
+    regularized: bool = False
 
     @property
     def n_components(self) -> int:
@@ -60,37 +60,44 @@ def parameter_count(g: int, q: int) -> int:
 
 def _log_densities(points, weights, means, covariances):
     """log of w_g * N(x | mean_g, cov_g) for every point and component."""
-    n, q = points.shape
-    out = np.empty((n, weights.shape[0]))
-    for g in range(weights.shape[0]):
-        chol = cho_factor(covariances[g], lower=True)
-        diff = points - means[g]
-        maha = np.sum(diff * cho_solve(chol, diff.T).T, axis=1)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol[0])))
-        out[:, g] = (
-            np.log(weights[g])
-            - 0.5 * (q * np.log(2.0 * np.pi) + logdet + maha)
-        )
-    return out
+    q = points.shape[1]
+    chol = np.linalg.cholesky(covariances)
+    # rows of z are L_g^-1 (x - mean_g), so the Mahalanobis term is |z|^2
+    z = (points - means[:, None, :]) @ np.linalg.inv(chol).transpose(0, 2, 1)
+    maha = np.sum(z * z, axis=2).T
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return np.log(weights) - 0.5 * (q * np.log(2.0 * np.pi) + logdet + maha)
 
 
-def _regularize(cov, scale, warned):
-    """Make a covariance usable by adding an escalating diagonal ridge."""
+def _logsumexp_rows(a):
+    top = np.max(a, axis=1)
+    return top + np.log(np.sum(np.exp(a - top[:, None]), axis=1))
+
+
+def _regularize(cov, scale, regularized):
+    """Make a covariance usable by adding an escalating diagonal ridge.
+
+    A component collapsed onto a few points has an eigenvalue near zero that
+    Cholesky still accepts; its density then spikes and EM loses its monotone
+    ascent. So a squared Cholesky pivot below RIDGE_FACTOR * scale takes the
+    ridge too. Warns on the first ridge of a fit.
+    """
     ridge = RIDGE_FACTOR * max(np.trace(cov) / cov.shape[0], scale)
     for _ in range(40):
         try:
-            cho_factor(cov, lower=True)
-            return cov, warned
+            if np.min(np.diag(np.linalg.cholesky(cov))) ** 2 >= RIDGE_FACTOR * scale:
+                return cov, regularized
         except np.linalg.LinAlgError:
-            if not warned:
-                warnings.warn(
-                    "singular mixture covariance regularized with a diagonal "
-                    "ridge",
-                    RuntimeWarning,
-                )
-                warned = True
-            cov = cov + ridge * np.eye(cov.shape[0])
-            ridge *= 10.0
+            pass
+        if not regularized:
+            warnings.warn(
+                "singular mixture covariance regularized with a diagonal "
+                "ridge",
+                RuntimeWarning,
+            )
+            regularized = True
+        cov = cov + ridge * np.eye(cov.shape[0])
+        ridge *= 10.0
     raise np.linalg.LinAlgError("covariance could not be regularized")
 
 
@@ -98,10 +105,9 @@ def _kmeans_pp_centers(points, g, rng):
     # distance-squared seeding; first center uniform
     n = points.shape[0]
     centers = [points[rng.integers(n)]]
+    d2 = np.full(n, np.inf)
     for _ in range(1, g):
-        d2 = np.min(
-            [np.sum((points - c) ** 2, axis=1) for c in centers], axis=0
-        )
+        d2 = np.minimum(d2, np.sum((points - centers[-1]) ** 2, axis=1))
         total = d2.sum()
         if total <= 0:
             centers.append(points[rng.integers(n)])
@@ -110,18 +116,17 @@ def _kmeans_pp_centers(points, g, rng):
     return np.array(centers)
 
 
-def _m_step(points, resp, scale, warned):
-    n, q = points.shape
+def _m_step(points, resp, scale, regularized):
+    n = points.shape[0]
     nk = resp.sum(axis=0) + 10 * np.finfo(float).tiny
     weights = nk / n
     means = (resp.T @ points) / nk[:, None]
-    covariances = np.empty((resp.shape[1], q, q))
-    for g in range(resp.shape[1]):
-        diff = points - means[g]
-        cov = (resp[:, g][:, None] * diff).T @ diff / nk[g]
-        cov = (cov + cov.T) / 2.0
-        covariances[g], warned = _regularize(cov, scale, warned)
-    return weights, means, covariances, warned
+    diff = points - means[:, None, :]
+    cov = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / nk[:, None, None]
+    covariances = (cov + cov.transpose(0, 2, 1)) / 2.0
+    for g in range(len(covariances)):
+        covariances[g], regularized = _regularize(covariances[g], scale, regularized)
+    return weights, means, covariances, regularized
 
 
 def fit_gmm(
@@ -149,15 +154,14 @@ def fit_gmm(
     resp = np.zeros((n, g))
     resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
 
-    warned = False
-    weights, means, covariances, warned = _m_step(points, resp, scale, warned)
+    weights, means, covariances, regularized = _m_step(points, resp, scale, False)
     trace = []
     loglik = -np.inf
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
         log_dens = _log_densities(points, weights, means, covariances)
-        row_lse = logsumexp(log_dens, axis=1)
+        row_lse = _logsumexp_rows(log_dens)
         new_loglik = float(row_lse.sum())
         trace.append(new_loglik)
         if np.isfinite(loglik) and abs(new_loglik - loglik) <= CONVERGENCE_RTOL * abs(loglik):
@@ -166,7 +170,8 @@ def fit_gmm(
             break
         loglik = new_loglik
         resp = np.exp(log_dens - row_lse[:, None])
-        weights, means, covariances, warned = _m_step(points, resp, scale, warned)
+        weights, means, covariances, regularized = _m_step(
+            points, resp, scale, regularized)
     bic = -2.0 * loglik + parameter_count(g, q) * np.log(n)
     return GmmModel(
         weights=weights,
@@ -177,6 +182,7 @@ def fit_gmm(
         converged=converged,
         n_iter=iteration,
         loglik_trace=trace,
+        regularized=regularized,
     )
 
 
@@ -233,7 +239,7 @@ def assign(model: GmmModel, points: np.ndarray):
     log_dens = _log_densities(
         points, model.weights, model.means, model.covariances
     )
-    resp = np.exp(log_dens - logsumexp(log_dens, axis=1)[:, None])
+    resp = np.exp(log_dens - _logsumexp_rows(log_dens)[:, None])
     return np.argmax(resp, axis=1), resp
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from .linalg import (
     MemoryBudgetError,
@@ -171,6 +169,7 @@ def separate_embed(
     Snapshot t is replaced by the weighted average of snapshots 0..t under
     :func:`history_weights`, then spectrally embedded on its own.
     """
+    import scipy.sparse as sp
     snaps = [sp.csr_matrix(a) for a in _as_snapshot_list(series)]
     if np.isscalar(dims):
         dims = [int(dims)] * len(snaps)
@@ -206,6 +205,7 @@ def _omnibus_matvec(snaps):
 
 def omnibus_matrix(series) -> np.ndarray:
     """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2."""
+    import scipy.sparse as sp
     snaps = [np.asarray(sp.csr_matrix(a).todense()) for a in _as_snapshot_list(series)]
     t_count = len(snaps)
     n = snaps[0].shape[0]
@@ -234,6 +234,8 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     The matrix is materialized when it fits the memory budget; otherwise a
     matrix-free product over the snapshot blocks is used.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator
     snaps = [sp.csr_matrix(a) for a in _as_snapshot_list(series)]
     t_count = len(snaps)
     n = snaps[0].shape[0]

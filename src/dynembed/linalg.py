@@ -10,8 +10,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 
 def memory_budget_entries() -> int:
@@ -62,15 +60,6 @@ def orient_columns(u: np.ndarray, *partners: np.ndarray):
     return (u * signs,) + tuple(p * signs for p in partners)
 
 
-def _check_finite_matrix(m) -> None:
-    if sp.issparse(m):
-        data = m.data
-    else:
-        data = np.asarray(m)
-    if data.size and not np.all(np.isfinite(data)):
-        raise ValueError("matrix contains non-finite entries")
-
-
 def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     """Rank-d truncated SVD with a canonical sign convention.
 
@@ -86,14 +75,17 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     Raises ValueError when d is out of range or the matrix has non-finite
     entries.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, eigsh
     operator = isinstance(m, LinearOperator)
     if not (operator or sp.issparse(m)):
         m = np.asarray(m, dtype=float)
     rows, cols = m.shape
     if not 1 <= d <= min(rows, cols):
         raise ValueError(f"d={d} out of range for {rows}x{cols} matrix")
-    if not operator:
-        _check_finite_matrix(m)
+    finite = operator or np.all(np.isfinite(m.data if sp.issparse(m) else m))
+    if not finite:
+        raise ValueError("matrix contains non-finite entries")
     if d >= min(rows, cols) - 1:
         if operator:
             m = m @ np.eye(cols)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .netseries import GraphSeries
 
@@ -104,12 +103,14 @@ class DsbmSpec:
         return [self.gram_matrix(t) for t in range(self.n_snapshots)]
 
 
-def sample_adjacency(p: np.ndarray, seed: int, stream: int = 0) -> sp.csr_matrix:
-    """One symmetric Bernoulli(p) adjacency draw with an empty diagonal.
+def sample_adjacency(p: np.ndarray, seed: int, stream: int = 0):
+    """One symmetric Bernoulli(p) adjacency draw with an empty diagonal, as a
+    CSR matrix.
 
     Uses a counter-based generator keyed by (seed, stream) so snapshots of a
     series can be drawn independently yet reproducibly.
     """
+    import scipy.sparse as sp
     n = p.shape[0]
     if p.shape != (n, n):
         raise ValueError("p must be square")

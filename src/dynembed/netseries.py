@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class ParseError(ValueError):
@@ -20,6 +19,7 @@ class ParseError(ValueError):
 def unfold(snapshots):
     """Column concatenation (A1 | A2 | ... | AT) of n x n matrices, dense or
     sparse, as an n x (T*n) CSR matrix."""
+    import scipy.sparse as sp
     return sp.hstack([sp.csr_matrix(a) for a in snapshots], format="csr")
 
 
@@ -83,6 +83,7 @@ class GraphSeries:
 
     def permute(self, perm: np.ndarray) -> "GraphSeries":
         """Relabel nodes: new node i is old node perm[i]."""
+        import scipy.sparse as sp
         perm = np.asarray(perm)
         if sorted(perm.tolist()) != list(range(self.n_nodes)):
             raise ValueError("perm must be a permutation of range(n_nodes)")
@@ -92,6 +93,7 @@ class GraphSeries:
 
     def save(self, directory) -> None:
         """Write snapshots as an npz of sparse triplets plus a labels file."""
+        import scipy.sparse as sp
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         payload = {"n_nodes": np.array([self.n_nodes]), "times": np.asarray(self.times)}
@@ -106,6 +108,7 @@ class GraphSeries:
 
     @classmethod
     def load(cls, directory) -> "GraphSeries":
+        import scipy.sparse as sp
         directory = Path(directory)
         with np.load(directory / "snapshots.npz") as payload:
             n = int(payload["n_nodes"][0])
@@ -153,6 +156,7 @@ def ingest_edge_list(
 
     Raises ParseError, with a line number, on malformed lines.
     """
+    import scipy.sparse as sp
     if column_order not in ("time_u_v", "u_v_time"):
         raise ValueError(f"unknown column_order {column_order!r}")
     if label_order not in ("first_seen", "sorted"):

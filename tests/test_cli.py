@@ -11,6 +11,7 @@ import pytest
 import dynembed
 from dynembed import cli, embedders
 from dynembed.cli import DataError, _parse_dims, _parse_grid, _parse_pair
+from dynembed.cluster import parameter_count
 from dynembed.embedders import uase, uase_from_svd
 from dynembed.linalg import truncated_svd
 from dynembed.netseries import GraphSeries
@@ -382,6 +383,14 @@ class TestCluster:
         assert man["details"]["selected_components"] == int(best_g)
         assert man["details"]["pooled_rows"] == 240
         g = man["details"]["selected_components"]
+        # the selected fit explains itself: its BIC follows from its loglik
+        details = man["details"]
+        assert isinstance(details["converged"], bool)
+        assert details["regularized"] is False
+        assert isinstance(details["n_iter"], int) and details["n_iter"] >= 1
+        penalty = parameter_count(g, 2) * np.log(240)
+        assert -2.0 * details["loglik"] + penalty == pytest.approx(
+            min(float(r[1]) for r in bic_rows), rel=1e-12)
         header, props = read_rows(out / "proportions.csv")
         assert header == ["cluster", "1", "2"]
         assert len(props) == g
@@ -523,3 +532,35 @@ def test_cli_import_skips_scipy_stats():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
+    # --version, stability and cluster run on numpy alone; the manifest still
+    # names the installed scipy
+    import scipy
+
+    src = str(Path(dynembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    rep, clus = tmp_path / "rep", tmp_path / "clus"
+    calls = [
+        ["--version"],
+        ["stability", "--embedding", str(emb120), "--truth",
+         str(sim120 / "truth.csv"), *TestStability.PAIRS, "--threshold", "10",
+         "--out", str(rep)],
+        ["cluster", "--embedding", str(emb120), "--grid", "1-2",
+         "--restarts", "1", "--out", str(clus)],
+    ]
+    probe = (
+        "import json, sys\n"
+        "from dynembed import cli\n"
+        f"codes = [cli.main(words) for words in {calls!r}]\n"
+        "loaded = sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []
+    for d in (rep, clus):
+        assert read_manifest(d)["versions"]["scipy"] == scipy.__version__

@@ -10,6 +10,7 @@ from scipy.stats import multivariate_normal
 
 from dynembed.cluster import (
     GmmModel,
+    _log_densities,
     assign,
     fit_gmm,
     fit_gmm_bic,
@@ -155,6 +156,7 @@ def test_degenerate_data_warns_and_stays_finite():
     points = np.zeros((12, 2))
     with pytest.warns(RuntimeWarning):
         model = fit_gmm(points, 1, seed=0)
+    assert model.regularized
     assert np.isfinite(model.loglik)
     assert np.all(np.isfinite(model.covariances))
 
@@ -200,6 +202,41 @@ def test_pool_spherical_requires_common_dimension():
     emb = Embedding(points=[np.ones((3, 2)), np.ones((3, 3))], method="test")
     with pytest.raises(ValueError):
         pool_spherical(emb)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_log_densities_match_scipy_logpdf(seed):
+    rng = np.random.default_rng(seed)
+    g, q, n = int(rng.integers(1, 9)), int(rng.integers(1, 10)), 50
+    factors = rng.normal(size=(g, q, q))
+    covariances = factors @ factors.transpose(0, 2, 1) + 0.1 * np.eye(q)
+    means = rng.normal(size=(g, q))
+    weights = rng.dirichlet(np.ones(g))
+    points = rng.normal(size=(n, q)) * 2.0
+    expected = np.column_stack([
+        np.log(weights[k])
+        + multivariate_normal.logpdf(points, means[k], covariances[k])
+        for k in range(g)
+    ])
+    got = _log_densities(points, weights, means, covariances)
+    assert np.allclose(got, expected, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed,n,q,g", [(14498, 14, 2, 3), (2, 38, 2, 2)])
+def test_collapsed_component_warns_or_stays_monotone(seed, n, q, g):
+    # a component collapsing onto two points has a near-zero covariance
+    # eigenvalue that Cholesky accepts; unregularized, the trace drops by log 2.
+    # Points come from the generator of test_property_em_loglik_monotone.
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, q)) * rng.uniform(0.5, 2.0) + rng.normal(size=q)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = fit_gmm(points, g, seed=seed, max_iter=60)
+    warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
+    assert model.regularized == warned
+    trace = np.array(model.loglik_trace)
+    monotone = np.all(np.diff(trace) >= -1e-7 * (1.0 + np.abs(trace[:-1])))
+    assert warned or monotone
 
 
 @settings(max_examples=120, deadline=None)
