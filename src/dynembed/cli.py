@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 unreadable or inconsistent data,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import platform
@@ -368,6 +369,8 @@ def cmd_embed(args) -> int:
         "singular_value_residuals": [float(r) for r in residuals],
         "auto_dimension": args.dim == "auto",
     }
+    if series.stats is not None:
+        details["ingest"] = dataclasses.asdict(series.stats)
     if emb.signatures is not None:
         details["eigenvalue_signatures"] = [list(s) for s in emb.signatures]
     _write_manifest(

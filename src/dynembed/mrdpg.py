@@ -20,7 +20,7 @@ Everything here is noise free; sampling lives in :mod:`dynembed.models`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,8 +103,6 @@ class LatentStructure:
     y: list                # per time: (m_t, d_t)
     d: int
     dims: list
-    feature_maps: list = field(repr=False, default_factory=list)   # per time: (m_t, D_t)
-    feature_signs: list = field(repr=False, default_factory=list)  # per time: (D_t,) of +-1
 
     def reconstruction_error(self) -> float:
         """Largest deviation of the bilinear form from the kernel values,
@@ -220,8 +218,6 @@ def latent_structure(model: FiniteModel) -> LatentStructure:
         y=ys,
         d=d,
         dims=dims,
-        feature_maps=phis,
-        feature_signs=signs,
     )
 
 
@@ -287,6 +283,24 @@ def moment_matrices(
     return MomentMatrices(
         delta_x=delta_x, delta_y=delta_y, sigma=sigma, l_map=l_map, r_star=r_star
     )
+
+
+def balanced_node_points(
+    structure: LatentStructure, node_sequences: np.ndarray, moments: MomentMatrices
+):
+    """Noise-free per-node positions (left, rights) in balanced spectral
+    coordinates: those of :func:`noise_free_embedding` up to one orthogonal
+    transform when the moments use the empirical sequence frequencies of the
+    given nodes, as a model from :func:`model_from_dsbm` of those nodes does.
+    """
+    left_s, rights_s = structure.node_points(node_sequences)
+    left = left_s @ moments.l_map
+    l_inv_t = np.linalg.inv(moments.l_map).T
+    rights = [
+        rights_s[t] @ structure.lambdas[t].T @ l_inv_t
+        for t in range(structure.model.n_times)
+    ]
+    return left, rights
 
 
 def theoretical_error_covariance(

@@ -228,19 +228,14 @@ def ingest_edge_list(
         i, j = index[u], index[v]
         per_window.setdefault(w, set()).add((min(i, j), max(i, j)))
 
+    kept = range(n_windows)
     if masked:
-        # keep only windows intersecting the daily observation band
-        kept = []
-        for w in range(n_windows):
-            w_lo, w_hi = lo + w * window_seconds, lo + (w + 1) * window_seconds
-            # sample at fine resolution whether any second of day in the
-            # window falls inside the band
-            probe = np.arange(w_lo, w_hi, min(window_seconds, 60.0))
-            sod = np.mod(probe, 86400.0)
-            if np.any((sod >= daily_start) & (sod < daily_end)):
-                kept.append(w)
-    else:
-        kept = list(range(n_windows))
+        # keep the windows meeting the daily observation band: those starting
+        # inside it, and those reaching its next start before they end
+        sod = np.mod(lo + np.arange(n_windows) * window_seconds, 86400.0)
+        meets = ((daily_start <= sod) & (sod < daily_end)) | (
+            np.mod(daily_start - sod, 86400.0) < window_seconds)
+        kept = np.flatnonzero(meets & (daily_start < daily_end)).tolist()
 
     snaps, times = [], []
     for w in kept:

@@ -10,7 +10,7 @@ the distance separating the pair from unrelated groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +18,12 @@ from .embedders import Embedding, uase
 from .linalg import procrustes
 from .models import DsbmSpec, sample_dsbm
 from .mrdpg import (
-    LatentStructure,
-    MomentMatrices,
+    balanced_node_points,
     exchangeability_classes,
     exchangeable_states,
     latent_structure,
     model_from_dsbm,
     moment_matrices,
-    noise_free_embedding,
     theoretical_error_covariance,
 )
 
@@ -230,11 +228,28 @@ class ConsistencyCurve:
         return bool(np.all(np.diff(self.medians) < 0))
 
 
-def _max_row_error(embedding: Embedding, left_nf, rights_nf) -> float:
+def _exact_reference(spec: DsbmSpec, d: int):
+    """Noise-free positions of every node from the exact finite-model structure.
+
+    Returns (reference, model, node_sequences, structure, moments), where
+    reference stacks the left point set over each snapshot's right point set,
+    in the row order of :func:`_aligned_stack`.
+    """
+    model, node_seq = model_from_dsbm(spec)
+    structure = latent_structure(model)
+    if d != structure.d:
+        raise ValueError(
+            f"d={d} does not match the model structure rank {structure.d}"
+        )
+    moments = moment_matrices(structure)
+    left, rights = balanced_node_points(structure, node_seq, moments)
+    return np.vstack([left] + rights), model, node_seq, structure, moments
+
+
+def _aligned_stack(embedding: Embedding, reference: np.ndarray) -> np.ndarray:
+    """Left and snapshot point sets, stacked and rotated onto the reference."""
     emp = np.vstack([embedding.left] + embedding.points)
-    ref = np.vstack([left_nf] + rights_nf)
-    fit = procrustes(emp, ref)
-    return float(np.max(np.linalg.norm(emp @ fit.q - ref, axis=1)))
+    return emp @ procrustes(emp, reference).q
 
 
 def consistency_curve(
@@ -248,12 +263,13 @@ def consistency_curve(
 ) -> ConsistencyCurve:
     """Largest per-node estimation error of the joint embedding across sizes.
 
-    make_spec(n) must return the model at n nodes. For each size, ``reps``
+    make_spec(n) must return the :class:`DsbmSpec` at n nodes, and d must be
+    the rank of its exact finite-model structure. For each size, ``reps``
     series are sampled; each embedding (left point set and all snapshot point
-    sets, stacked) is aligned to the noise-free embedding of the expected
-    adjacency matrices by an orthogonal transform, and the largest row error
-    is recorded. With noise_free=True the expected matrices themselves are
-    embedded instead of samples, so the recorded error is pure numerical
+    sets, stacked) is aligned by an orthogonal transform to the noise-free
+    node positions that the structure gives exactly, and the largest row
+    error is recorded. With noise_free=True the expected matrices themselves
+    are embedded instead of samples, so the recorded error is pure numerical
     round-off.
 
     Errors are reported in sparsity-adjusted units, divided by the square
@@ -268,10 +284,9 @@ def consistency_curve(
     errors = []
     for n, child in zip(sizes, root.spawn(len(sizes))):
         spec = make_spec(int(n))
-        grams = spec.gram_matrices()
-        left_nf, rights_nf = noise_free_embedding(grams, d=d)
+        reference = _exact_reference(spec, d)[0]
+        grams = spec.gram_matrices() if noise_free else None
         rep_seeds = child.generate_state(reps)
-        unit = np.sqrt(getattr(spec, "rho", 1.0))
         errs = []
         for r in range(reps):
             if noise_free:
@@ -279,7 +294,8 @@ def consistency_curve(
             else:
                 series = sample_dsbm(spec, seed=int(rep_seeds[r]))
                 emb = uase(series, d, seed=int(rep_seeds[r]))
-            errs.append(_max_row_error(emb, left_nf, rights_nf) / unit)
+            row_err = np.linalg.norm(_aligned_stack(emb, reference) - reference, axis=1)
+            errs.append(float(np.max(row_err)) / np.sqrt(spec.rho))
         errors.append(errs)
     medians = np.array([np.median(e) for e in errors])
     return ConsistencyCurve(sizes=list(sizes), errors=errors, medians=medians)
@@ -321,29 +337,20 @@ def clt_check(
     # imported here: scipy.stats is slow to import and no CLI path needs it
     from scipy import stats as sstats
 
-    model, node_seq = model_from_dsbm(spec)
-    structure = latent_structure(model)
-    if d != structure.d:
-        raise ValueError(
-            f"d={d} does not match the model structure rank {structure.d}"
-        )
+    reference, model, node_seq, structure, moments = _exact_reference(spec, d)
     group = model.sequences[node_seq, t] == state
     if not np.any(group):
         raise ValueError(f"state {state} unoccupied at time {t}")
-    moments = moment_matrices(structure)
-    pred_left, pred_rights = balanced_node_points(structure, node_seq, moments)
     theory = theoretical_error_covariance(structure, t, state, regime=regime, moments=moments)
     n = spec.n_nodes
+    rows_t = slice((t + 1) * n, (t + 2) * n)
     rep_seeds = np.random.SeedSequence(seed).generate_state(reps)
     pooled = []
     for r in range(reps):
         series = sample_dsbm(spec, seed=int(rep_seeds[r]))
         emb = uase(series, d, seed=int(rep_seeds[r]))
-        emp = np.vstack([emb.left] + emb.points)
-        ref = np.vstack([pred_left] + pred_rights)
-        fit = procrustes(emp, ref)
-        aligned = emb.points[t] @ fit.q
-        pooled.append((aligned[group] - pred_rights[t][group]) * np.sqrt(n))
+        resid = _aligned_stack(emb, reference)[rows_t] - reference[rows_t]
+        pooled.append(resid[group] * np.sqrt(n))
     resid = np.vstack(pooled)
 
     mean = resid.mean(axis=0)
@@ -359,26 +366,3 @@ def clt_check(
         skewness=sstats.skew(resid, axis=0),
         excess_kurtosis=sstats.kurtosis(resid, axis=0),
     )
-
-
-def balanced_node_points(
-    structure: LatentStructure,
-    node_sequences: np.ndarray,
-    moments: MomentMatrices | None = None,
-):
-    """Noise-free per-node positions in balanced spectral coordinates.
-
-    Exact when the moment matrices use the empirical sequence frequencies of
-    the given nodes (the default when the model came from a block model
-    summary of those same nodes).
-    """
-    if moments is None:
-        moments = moment_matrices(structure)
-    left_s, rights_s = structure.node_points(node_sequences)
-    left = left_s @ moments.l_map
-    l_inv_t = np.linalg.inv(moments.l_map).T
-    rights = [
-        rights_s[t] @ structure.lambdas[t].T @ l_inv_t
-        for t in range(structure.model.n_times)
-    ]
-    return left, rights

@@ -226,6 +226,7 @@ class TestEmbed:
         events.write_text(
             "# toy contact events\n"
             "1 a b\n2 b c\n3 a c\n"
+            "5 b b\n6 a b\n"
             "12 a d\n13 b d\n14 c d\n"
         )
         out = tmp_path / "emb"
@@ -234,6 +235,10 @@ class TestEmbed:
         header, rows = read_rows(out / "embedding.csv")
         assert len(rows) == 8
         assert {r[0] for r in rows} == {"a", "b", "c", "d"}
+        ingest = read_manifest(out)["details"]["ingest"]
+        assert ingest["events_read"] == 8
+        assert ingest["self_loops_dropped"] == 1
+        assert ingest["duplicate_pairs_collapsed"] == 1
 
     def test_empty_series_embeds_to_zeros(self, tmp_path):
         cfg = tmp_path / "empty.cfg"

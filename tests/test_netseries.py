@@ -163,6 +163,18 @@ class TestIngest:
         assert series.stats.events_masked == 1
         assert all(a.nnz == 2 for a in series.snapshots)
 
+    def test_daily_mask_keeps_window_meeting_band_between_minutes(self, tmp_path):
+        # the last window starts at 23:01:30 and meets the band [61, 119) s of
+        # the next day only between two whole minutes after its start
+        path = tmp_path / "events.txt"
+        write_events(path, ["90 a b", "100 b c", "86462 a c", "86470 c d"])
+        series = ingest_edge_list(
+            path, window_seconds=3600.0, daily_start=61.0, daily_end=119.0
+        )
+        assert series.times == [90.0, 90.0 + 23 * 3600]
+        assert [a.nnz for a in series.snapshots] == [4, 4]
+        assert series.stats.events_masked == 0
+
     def test_sorted_label_order(self, tmp_path):
         path = tmp_path / "events.txt"
         write_events(path, ["1 zeta alpha", "2 beta zeta"])

@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 from dynembed.embedders import Embedding, uase
+from dynembed.linalg import procrustes
 from dynembed.models import DsbmSpec, bundled_config_path, load_dsbm_config
-from dynembed.mrdpg import FiniteModel, model_from_dsbm
+from dynembed.mrdpg import (
+    FiniteModel,
+    latent_structure,
+    model_from_dsbm,
+    noise_free_embedding,
+)
 from dynembed.stability import (
     DEFAULT_GAP_THRESHOLD,
+    _exact_reference,
     clt_check,
     consistency_curve,
     discover_pairs,
@@ -225,6 +232,33 @@ def test_consistency_curve_noise_free_is_round_off():
 def test_consistency_curve_rejects_unordered_sizes():
     with pytest.raises(ValueError):
         consistency_curve(fourblock_spec, [400, 200], 4, reps=1)
+
+
+def test_consistency_curve_rejects_d_off_structure_rank():
+    with pytest.raises(ValueError, match="structure rank 4"):
+        consistency_curve(fourblock_spec, [200], 3, reps=1)
+
+
+def test_exact_reference_matches_noise_free_svd():
+    # memberships that change over time, three degree weights and rho < 1:
+    # every kind of state the finite-model summary of a block model builds
+    n = 90
+    z0 = np.repeat(np.arange(4), [23, 23, 22, 22])
+    z1 = np.roll(z0, 10)
+    spec = DsbmSpec(
+        block_matrices=fourblock_spec(n).block_matrices,
+        n_nodes=n,
+        memberships=np.vstack([z0, z1]),
+        degree_weights=np.tile([1.0, 1.5, 2.0], n // 3),
+        rho=0.7,
+    )
+    d = latent_structure(model_from_dsbm(spec)[0]).d
+    reference = _exact_reference(spec, d)[0]
+    left, rights = noise_free_embedding(spec.gram_matrices(), d)
+    oracle = np.vstack([left] + rights)
+    fit = procrustes(reference, oracle)
+    assert d == 6
+    assert np.max(np.abs(reference @ fit.q - oracle)) < 1e-10
 
 
 def test_halved_density_scales_error_by_sqrt2():
