@@ -37,7 +37,7 @@ from .embedders import (
     separate_embed,
     uase_from_svd,
 )
-from .linalg import MemoryBudgetError, save_matrix_csv, truncated_svd
+from .linalg import MemoryBudgetError, truncated_svd
 from .models import bundled_config_path, load_dsbm_config, sample_dsbm
 from .netseries import GraphSeries, ingest_edge_list
 from .stability import DEFAULT_GAP_THRESHOLD, stability_report
@@ -116,47 +116,93 @@ def _resolve_config(name_or_path) -> Path:
         ) from None
 
 
+def _write_csv(path, header, columns) -> int:
+    """Write equal-length columns as CSV rows; returns the row count.
+
+    Floats (Python or numpy) are written by ``_fmt``, integers and labels as
+    text. ``header`` lists the column names, or is None for no header line.
+    Cells are formatted as their row is written, so no column of strings is
+    ever held in memory.
+    """
+    cells = [(_fmt(x) if isinstance(x, float) else str(x)
+              for x in (c.tolist() if isinstance(c, np.ndarray) else c))
+             for c in columns]
+    rows = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in zip(*cells, strict=True):
+            fh.write(",".join(row) + "\n")
+            rows += 1
+    return rows
+
+
+def _read_csv(path, kind, columns, repeat=None):
+    """Yield the rows of a CSV in the format ``_write_csv`` writes, each a
+    list of parsed cells.
+
+    ``columns`` lists the leading (name, parser) pairs; ``repeat``, a
+    (stem, parser) pair, admits one or more further columns named stem1,
+    stem2, ... Raises DataError naming the file and the 1-based line on a
+    wrong header, a ragged row or a cell that does not parse, and when the
+    file has no rows.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        names = [name for name, _ in columns]
+        parsers = [parse for _, parse in columns]
+        if repeat is not None:
+            stem, parse = repeat
+            extra = max(len(header) - len(columns), 1)
+            names += [f"{stem}{j + 1}" for j in range(extra)]
+            parsers += [parse] * extra
+        if header != names:
+            raise DataError(f"{path}: line 1: not a {kind} CSV")
+        line_number = 1
+        for line_number, raw in enumerate(fh, start=2):
+            cells = raw.strip().split(",")
+            if len(cells) != len(names):
+                raise DataError(
+                    f"{path}: line {line_number}: ragged row, {len(cells)} "
+                    f"cells for {len(names)} columns"
+                )
+            row = []
+            for name, parse, cell in zip(names, parsers, cells):
+                try:
+                    row.append(parse(cell))
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {line_number}: bad {name} {cell!r}"
+                    ) from None
+            yield row
+    if line_number == 1:
+        raise DataError(f"{path}: no {kind} rows")
+
+
 def _write_embedding_csv(path, emb: Embedding, node_labels, times) -> int:
     """Single CSV with one row per (node, snapshot); short point sets are
     zero padded to the widest dimension. Returns the row count."""
     d = max(emb.dims)
-    rows = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_label,time_label," + ",".join(f"y_{j + 1}" for j in range(d)) + "\n")
-        for t, pts in enumerate(emb.points):
-            tl = _fmt(float(times[t]))
-            for i in range(pts.shape[0]):
-                coords = [_fmt(v) for v in pts[i]]
-                coords += ["0"] * (d - pts.shape[1])
-                fh.write(f"{node_labels[i]},{tl}," + ",".join(coords) + "\n")
-                rows += 1
-    return rows
+    n = len(node_labels)
+    coords = np.vstack([np.pad(p, ((0, 0), (0, d - p.shape[1]))) for p in emb.points])
+    return _write_csv(
+        path, ["node_label", "time_label"] + [f"y_{j + 1}" for j in range(d)],
+        [list(node_labels) * len(emb.points),
+         np.repeat(np.asarray(times, dtype=float), n), *coords.T],
+    )
 
 
 def _read_embedding_csv(path):
     """Rebuild (Embedding, per-time node labels, time labels) from the CSV."""
-    times: list = []
+    rows = _read_csv(path, "embedding",
+                     [("node_label", str), ("time_label", float)],
+                     repeat=("y_", float))
     labels: dict = {}
     coords: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        d = len(header) - 2
-        expected = ["node_label", "time_label"] + [f"y_{j + 1}" for j in range(d)]
-        if d < 1 or header != expected:
-            raise DataError(f"{path}: not an embedding CSV")
-        for raw in fh:
-            parts = raw.strip().split(",")
-            if len(parts) != d + 2:
-                raise DataError(f"{path}: ragged row {raw.strip()!r}")
-            t = float(parts[1])
-            if t not in coords:
-                times.append(t)
-                labels[t] = []
-                coords[t] = []
-            labels[t].append(parts[0])
-            coords[t].append([float(x) for x in parts[2:]])
-    if not times:
-        raise DataError(f"{path}: no embedding rows")
+    for label, t, *y in rows:
+        labels.setdefault(t, []).append(label)
+        coords.setdefault(t, []).append(y)
+    times = list(coords)
     points = [np.array(coords[t]) for t in times]
     emb = Embedding(points=points, method="file")
     return emb, [labels[t] for t in times], times
@@ -270,21 +316,21 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     series.save(out / "series")
     outputs = [out / "series" / "snapshots.npz", out / "series" / "labels.txt"]
+    labels = series.node_labels
     for t, a in enumerate(series.snapshots):
         path = out / f"edges_{t + 1}.csv"
         coo = a.tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("u,v\n")
-            for i, j in zip(coo.row, coo.col):
-                if i < j:
-                    fh.write(f"{series.node_labels[i]},{series.node_labels[j]}\n")
+        upper = coo.row < coo.col
+        # lazy columns: a list holding one label per edge raises peak memory
+        _write_csv(path, ["u", "v"], [(labels[i] for i in coo.row[upper]),
+                                      (labels[j] for j in coo.col[upper])])
         outputs.append(path)
     truth = out / "truth.csv"
-    with open(truth, "w", encoding="utf-8") as fh:
-        fh.write("node_label,time_label,community\n")
-        for t in range(spec.n_snapshots):
-            for i in range(spec.n_nodes):
-                fh.write(f"{i + 1},{t + 1},{spec.memberships[t][i] + 1}\n")
+    _write_csv(truth, ["node_label", "time_label", "community"], [
+        labels * spec.n_snapshots,
+        np.repeat(series.times, spec.n_nodes),
+        np.asarray(spec.memberships).ravel() + 1,
+    ])
     outputs.append(truth)
     _write_manifest(
         out, args.argv, args.seed,
@@ -347,13 +393,11 @@ def cmd_embed(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = _write_embedding_csv(out / "embedding.csv", emb, series.node_labels, series.times)
-    with open(out / "scree.csv", "w", encoding="utf-8") as fh:
-        fh.write("rank,singular_value\n")
-        for j, s in enumerate(scree):
-            fh.write(f"{j + 1},{_fmt(s)}\n")
+    _write_csv(out / "scree.csv", ["rank", "singular_value"],
+               [np.arange(1, scree.shape[0] + 1), scree])
     outputs = [out / "embedding.csv", out / "scree.csv"]
     if emb.left is not None:
-        save_matrix_csv(out / "left.csv", emb.left)
+        _write_csv(out / "left.csv", None, emb.left.T)
         outputs.append(out / "left.csv")
     inputs = []
     p_in = Path(args.input)
@@ -389,17 +433,9 @@ def cmd_embed(args) -> int:
 
 
 def _read_truth(path):
-    table = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["node_label", "time_label", "community"]:
-            raise DataError(f"{path}: not a truth CSV")
-        for raw in fh:
-            node, t, comm = raw.strip().split(",")
-            table[(node, float(t))] = int(comm)
-    if not table:
-        raise DataError(f"{path}: empty truth file")
-    return table
+    rows = _read_csv(path, "truth", [("node_label", str), ("time_label", float),
+                                     ("community", int)])
+    return {(node, t): comm for node, t, comm in rows}
 
 
 def cmd_stability(args) -> int:
@@ -432,19 +468,15 @@ def cmd_stability(args) -> int:
     report = stability_report(emb, memberships, pairs, threshold=args.threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.csv", "w", encoding="utf-8") as fh:
-        fh.write(
-            "group_a,time_a,group_b,time_b,centroid_gap,separation,"
-            "gap_ratio,cov_gap,scale,passed,cov_skipped\n"
-        )
-        for p in report.pairs:
-            fh.write(
-                f"{p.group_a[0]},{_fmt(times[p.group_a[1]])},"
-                f"{p.group_b[0]},{_fmt(times[p.group_b[1]])},"
-                f"{_fmt(p.centroid_gap)},{_fmt(p.separation)},"
-                f"{_fmt(p.gap_ratio)},{_fmt(p.cov_gap)},{_fmt(p.scale)},"
-                f"{int(p.passed)},{int(p.cov_skipped)}\n"
-            )
+    _write_csv(out / "report.csv", [
+        "group_a", "time_a", "group_b", "time_b", "centroid_gap", "separation",
+        "gap_ratio", "cov_gap", "scale", "passed", "cov_skipped",
+    ], zip(*[
+        (p.group_a[0], times[p.group_a[1]], p.group_b[0], times[p.group_b[1]],
+         p.centroid_gap, p.separation, p.gap_ratio, p.cov_gap, p.scale,
+         int(p.passed), int(p.cov_skipped))
+        for p in report.pairs
+    ]))
     lines = [f"threshold {args.threshold:g}"]
     for p in report.pairs:
         verdict = "pass" if p.passed else "FAIL"
@@ -487,29 +519,21 @@ def cmd_cluster(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "assignments.csv", "w", encoding="utf-8") as fh:
-        fh.write("node_label,time_label,cluster,max_posterior\n")
-        for m in range(theta.shape[0]):
-            node, t = index[m]
-            fh.write(
-                f"{labels_per_time[t][node]},{_fmt(times[t])},"
-                f"{labels[m] + 1},{_fmt(confidence[m])}\n"
-            )
-    with open(out / "bic.csv", "w", encoding="utf-8") as fh:
-        fh.write("components,bic\n")
-        for g, bic in table:
-            fh.write(f"{g},{_fmt(bic)}\n")
+    _write_csv(out / "assignments.csv",
+               ["node_label", "time_label", "cluster", "max_posterior"], [
+                   [labels_per_time[t][node] for node, t in index.tolist()],
+                   np.asarray(times)[index[:, 1]], labels + 1, confidence,
+               ])
+    _write_csv(out / "bic.csv", ["components", "bic"], zip(*table))
     # share of each snapshot's active nodes landing in each cluster
-    with open(out / "proportions.csv", "w", encoding="utf-8") as fh:
-        fh.write("cluster," + ",".join(_fmt(t) for t in times) + "\n")
-        for g in range(best.n_components):
-            shares = []
-            for t in range(len(times)):
-                at_t = index[:, 1] == t
-                total = int(at_t.sum())
-                hit = int(np.sum(labels[at_t] == g))
-                shares.append(hit / total if total else 0.0)
-            fh.write(f"{g + 1}," + ",".join(_fmt(s) for s in shares) + "\n")
+    g_count = best.n_components
+    shares = np.zeros((g_count, len(times)))
+    for t in range(len(times)):
+        at_t = labels[index[:, 1] == t]
+        if at_t.size:
+            shares[:, t] = np.bincount(at_t, minlength=g_count) / at_t.size
+    _write_csv(out / "proportions.csv", ["cluster"] + [_fmt(t) for t in times],
+               [np.arange(1, g_count + 1), *shares.T])
     _write_manifest(
         out, args.argv, args.seed,
         inputs=[emb_path],
@@ -585,7 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-order", default="first_seen",
                    choices=["first_seen", "sorted"])
     p.add_argument("--daily-start", type=float, default=None,
-                   help="seconds of day; with --daily-end, keeps only in-band events")
+                   help="seconds of day; with --daily-end, keeps only in-band "
+                        "events (a start after the end wraps midnight)")
     p.add_argument("--daily-end", type=float, default=None)
     p.add_argument("--scheme", default="exponential",
                    choices=["constant", "exponential", "window"],

@@ -191,8 +191,6 @@ def fit_gmm_bic(
     g_grid,
     restarts: int = 10,
     seed: int = 0,
-    *,
-    max_iter: int = MAX_ITERATIONS,
 ):
     """Best mixture over a grid of component counts.
 
@@ -215,7 +213,7 @@ def fit_gmm_bic(
     best = None
     for g, child in zip(g_grid, root.spawn(len(g_grid))):
         fits = [
-            fit_gmm(points, g, seed=int(s), max_iter=max_iter)
+            fit_gmm(points, g, seed=int(s))
             for s in child.generate_state(restarts)
         ]
         winner = max(fits, key=lambda m: m.loglik)
@@ -243,7 +241,7 @@ def assign(model: GmmModel, points: np.ndarray):
     return np.argmax(resp, axis=1), resp
 
 
-def pool_spherical(embedding: Embedding, atol: float = 0.0):
+def pool_spherical(embedding: Embedding):
     """Angle coordinates of all non-zero points, pooled across snapshots.
 
     Rows are stacked time-major: all retained nodes of snapshot 0, then of
@@ -255,7 +253,7 @@ def pool_spherical(embedding: Embedding, atol: float = 0.0):
         raise ValueError("snapshots have differing dimensions; cannot pool")
     thetas, pairs = [], []
     for t, pts in enumerate(embedding.points):
-        angles, active = spherical_coordinates(pts, atol=atol)
+        angles, active = spherical_coordinates(pts)
         thetas.append(angles[active])
         nodes = np.flatnonzero(active)
         pairs.append(np.column_stack([nodes, np.full(nodes.shape, t)]))

@@ -49,20 +49,6 @@ class Embedding:
     def __post_init__(self):
         self.dims = [p.shape[1] for p in self.points]
 
-    @property
-    def n_snapshots(self) -> int:
-        return len(self.points)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.points[0].shape[0]
-
-    def stacked(self) -> np.ndarray:
-        """All point sets stacked vertically; requires a common dimension."""
-        if len(set(self.dims)) != 1:
-            raise ValueError("snapshots have differing dimensions")
-        return np.vstack(self.points)
-
 
 def _as_snapshot_list(series):
     if isinstance(series, GraphSeries):
@@ -254,17 +240,14 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     return Embedding(points=points, method="omnibus", signatures=[signature])
 
 
-def select_dimension(singular_values: np.ndarray, max_d: int | None = None) -> tuple[int, np.ndarray]:
+def select_dimension(singular_values: np.ndarray) -> tuple[int, np.ndarray]:
     """Profile likelihood elbow selection over a singular value scree.
 
     For each split position q the values are modeled as two Gaussian groups
     with a pooled common variance; the returned dimension maximizes the
     profile log likelihood. Also returns the per-split likelihood curve.
     """
-    s = np.asarray(singular_values, dtype=float)
-    if max_d is not None:
-        s = s[:max_d]
-    s = np.sort(s)[::-1]
+    s = np.sort(np.asarray(singular_values, dtype=float))[::-1]
     m = s.shape[0]
     if m < 2:
         raise ValueError("need at least two singular values")

@@ -41,10 +41,6 @@ class TruncatedSvd:
     s: np.ndarray
     v: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return self.s.shape[0]
-
 
 def orient_columns(u: np.ndarray, *partners: np.ndarray):
     """Canonical column signs: the largest-magnitude entry of each column of u
@@ -142,7 +138,7 @@ def procrustes(a: np.ndarray, b: np.ndarray, *, tol: float = 1e-12) -> Procruste
     return ProcrustesResult(q=q, residual=residual, unique=unique)
 
 
-def spherical_coordinates(y: np.ndarray, *, atol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def spherical_coordinates(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map rows of an n x d matrix (d >= 2) to d-1 angles in [0, 2*pi).
 
     The first angle is atan2(x2, x1); each later angle j is
@@ -158,7 +154,7 @@ def spherical_coordinates(y: np.ndarray, *, atol: float = 0.0) -> tuple[np.ndarr
         raise ValueError("need an n x d matrix with d >= 2")
     n, d = y.shape
     norms = np.linalg.norm(y, axis=1)
-    active = norms > atol
+    active = norms > 0
     angles = np.zeros((n, d - 1))
     if np.any(active):
         x = y[active]
@@ -170,15 +166,3 @@ def spherical_coordinates(y: np.ndarray, *, atol: float = 0.0) -> tuple[np.ndarr
             out[:, j] = np.arctan2(x[:, j + 1], prefix[:, j])
         angles[active] = np.mod(out, 2.0 * np.pi)
     return angles, active
-
-
-def save_matrix_csv(path, m: np.ndarray, header: str | None = None) -> None:
-    """Write a matrix as CSV with 17 significant digits (lossless round-trip)."""
-    np.savetxt(
-        path,
-        np.atleast_2d(np.asarray(m, dtype=float)),
-        delimiter=",",
-        fmt="%.17g",
-        header=header or "",
-        comments="" if header else "# ",
-    )

@@ -76,10 +76,6 @@ class FiniteModel:
     def n_times(self) -> int:
         return len(self.kernels)
 
-    @property
-    def n_sequences(self) -> int:
-        return self.sequences.shape[0]
-
     def realized_states(self, t: int) -> np.ndarray:
         """States occurring with positive probability at time t, sorted."""
         return np.unique(self.sequences[:, t])

@@ -123,8 +123,12 @@ class GraphSeries:
         return cls(snapshots=snaps, node_labels=labels, times=times)
 
 
-def _seconds_of_day(timestamp: float) -> float:
-    return float(timestamp) % 86400.0
+def _in_daily_band(sod, start: float, end: float):
+    """Whether seconds of day fall in [start, end); a band with start > end
+    wraps midnight, one with start == end is empty."""
+    if start <= end:
+        return (start <= sod) & (sod < end)
+    return (start <= sod) | (sod < end)
 
 
 def ingest_edge_list(
@@ -145,16 +149,19 @@ def ingest_edge_list(
     into consecutive windows of ``window_seconds`` covering [start, end); the
     range defaults to the observed min/max timestamps. Multiple events for a
     pair within one window collapse to a single undirected edge; self loops
-    are dropped. With ``daily_start``/``daily_end`` (seconds of day) set, only
-    events whose time of day falls in [daily_start, daily_end) produce edges,
-    and windows made entirely of masked-out time are omitted, so e.g. two
-    10-hour observation days binned hourly yield 20 snapshots rather than
-    covering the overnight gap.
+    are dropped. With ``daily_start``/``daily_end`` (seconds of day, both or
+    neither) set, only events whose time of day falls in [daily_start,
+    daily_end) produce edges, and windows made entirely of masked-out time
+    are omitted, so e.g. two 10-hour observation days binned hourly yield 20
+    snapshots rather than covering the overnight gap. A band with
+    daily_start > daily_end wraps midnight (79200 to 21600 keeps 22:00 to
+    06:00).
 
     ``label_order`` picks the label-to-index map: "first_seen" (order of first
     appearance in the file) or "sorted" (lexicographic).
 
-    Raises ParseError, with a line number, on malformed lines.
+    Raises ParseError, with a line number, on malformed lines, and ValueError
+    on half a daily band or a band end outside [0, 86400].
     """
     import scipy.sparse as sp
     if column_order not in ("time_u_v", "u_v_time"):
@@ -163,6 +170,13 @@ def ingest_edge_list(
         raise ValueError(f"unknown label_order {label_order!r}")
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
+    masked = daily_start is not None or daily_end is not None
+    if masked:
+        for name, given in (("daily_start", daily_start), ("daily_end", daily_end)):
+            if given is None:
+                raise ValueError(f"a daily band needs both ends; {name} is missing")
+            if not 0 <= given <= 86400:
+                raise ValueError(f"{name} {given:g} is outside [0, 86400] seconds of day")
 
     events = []  # (timestamp, label_u, label_v)
     first_seen: dict[str, int] = {}
@@ -205,7 +219,6 @@ def ingest_edge_list(
         raise ValueError("empty time range")
 
     n_windows = int(np.ceil((hi - lo) / window_seconds))
-    masked = daily_start is not None and daily_end is not None
 
     outside = 0
     day_masked = 0
@@ -215,11 +228,9 @@ def ingest_edge_list(
         if not (lo <= timestamp < hi):
             outside += 1
             continue
-        if masked:
-            sod = _seconds_of_day(timestamp)
-            if not (daily_start <= sod < daily_end):
-                day_masked += 1
-                continue
+        if masked and not _in_daily_band(timestamp % 86400.0, daily_start, daily_end):
+            day_masked += 1
+            continue
         if u == v:
             loops += 1
             continue
@@ -233,9 +244,9 @@ def ingest_edge_list(
         # keep the windows meeting the daily observation band: those starting
         # inside it, and those reaching its next start before they end
         sod = np.mod(lo + np.arange(n_windows) * window_seconds, 86400.0)
-        meets = ((daily_start <= sod) & (sod < daily_end)) | (
+        meets = _in_daily_band(sod, daily_start, daily_end) | (
             np.mod(daily_start - sod, 86400.0) < window_seconds)
-        kept = np.flatnonzero(meets & (daily_start < daily_end)).tolist()
+        kept = np.flatnonzero(meets & (daily_start != daily_end)).tolist()
 
     snaps, times = [], []
     for w in kept:

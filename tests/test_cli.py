@@ -306,6 +306,19 @@ class TestEmbed:
         np.testing.assert_allclose(got, np.vstack(direct.points), rtol=1e-10, atol=atol)
         np.testing.assert_allclose(left, direct.left, rtol=1e-10, atol=atol)
 
+    def test_edge_list_daily_band(self, tmp_path, capsys):
+        # 22:00-06:00 wraps midnight; half a band is refused, not ignored
+        events = tmp_path / "events.txt"
+        events.write_text("79300 a b\n86500 b c\n90000 a c\n")
+        base = ("embed", "--input", events, "--method", "uase", "--dim", 1,
+                "--window-seconds", 3600)
+        assert run(*base, "--daily-start", 79200, "--daily-end", 21600,
+                   "--out", tmp_path / "night") == 0
+        assert read_manifest(tmp_path / "night")["details"]["ingest"][
+            "events_masked"] == 0
+        assert run(*base, "--daily-start", 79200, "--out", tmp_path / "half") == 2
+        assert "daily_end is missing" in capsys.readouterr().err
+
     def test_edge_list_needs_window(self, tmp_path):
         events = tmp_path / "events.txt"
         events.write_text("1 a b\n")
@@ -362,6 +375,32 @@ class TestStability:
         assert run("stability", "--embedding", emb120, "--truth", truth,
                    "--pair", "nonsense", "--out", tmp_path / "b") == 2
 
+    @pytest.mark.parametrize("body, line, what", [
+        ("1,1,1\n2,1\n", 3, "ragged row"),
+        ("1,1,x\n", 2, "bad community 'x'"),
+    ])
+    def test_bad_truth_row_names_file_and_line(self, emb120, tmp_path, capsys,
+                                               body, line, what):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("node_label,time_label,community\n" + body)
+        assert run("stability", "--embedding", emb120, "--truth", truth,
+                   *self.PAIRS, "--out", tmp_path / "rep") == 2
+        err = capsys.readouterr().err
+        assert f"{truth}: line {line}: {what}" in err
+
+    def test_bad_embedding_cell_names_file_and_line(self, sim120, emb120,
+                                                    tmp_path, capsys):
+        lines = (emb120 / "embedding.csv").read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")
+        cells[3] = "abc"
+        lines[4] = ",".join(cells)
+        emb = tmp_path / "embedding.csv"
+        emb.write_text("".join(lines))
+        assert run("stability", "--embedding", emb, "--truth",
+                   sim120 / "truth.csv", *self.PAIRS,
+                   "--out", tmp_path / "rep") == 2
+        assert f"{emb}: line 5: bad y_2 'abc'" in capsys.readouterr().err
+
     def test_rejects_non_embedding_csv(self, sim120, tmp_path):
         assert run("stability", "--embedding", sim120 / "truth.csv", "--truth",
                    sim120 / "truth.csv", *self.PAIRS,
@@ -401,6 +440,10 @@ class TestCluster:
         assert len(props) == g
         for col in (1, 2):
             assert np.isclose(sum(float(r[col]) for r in props), 1.0)
+            # each share is the exact tally of assignments.csv at that time
+            at_t = [int(r[2]) for r in rows if r[1] == header[col]]
+            assert [float(r[col]) for r in props] == [
+                at_t.count(c) / len(at_t) for c in range(1, g + 1)]
 
     def test_single_blob_selects_one_component(self, tmp_path):
         rng = np.random.default_rng(7)

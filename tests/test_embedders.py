@@ -240,14 +240,6 @@ class TestSelectDimension:
             select_dimension(np.array([1.0]))
 
 
-class TestEmbeddingContainer:
-    def test_stacked_requires_common_dim(self):
-        series = random_series(23, t=2)
-        emb = independent_ase(series, [3, 2])
-        with pytest.raises(ValueError):
-            emb.stacked()
-
-
 def series_strategy(min_n=6, max_n=10, max_t=3):
     return st.tuples(
         st.integers(min_value=0, max_value=10_000),

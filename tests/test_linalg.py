@@ -7,7 +7,6 @@ from dynembed.linalg import (
     ProcrustesResult,
     orient_columns,
     procrustes,
-    save_matrix_csv,
     spherical_coordinates,
     truncated_svd,
 )
@@ -229,12 +228,3 @@ def test_property_spherical_scale_invariance(d, seed, scale):
     t2, a2 = spherical_coordinates(scale * x)
     np.testing.assert_array_equal(a1, a2)
     np.testing.assert_allclose(t1, t2, atol=1e-9)
-
-
-def test_save_matrix_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(47)
-    m = rng.standard_normal((7, 4)) * np.pi
-    path = tmp_path / "m.csv"
-    save_matrix_csv(path, m)
-    back = np.loadtxt(path, delimiter=",")
-    np.testing.assert_array_equal(back, m)

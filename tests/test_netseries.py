@@ -175,6 +175,42 @@ class TestIngest:
         assert [a.nnz for a in series.snapshots] == [4, 4]
         assert series.stats.events_masked == 0
 
+    def test_daily_band_wrapping_midnight(self, tmp_path):
+        # the 22:00-06:00 night band: hourly windows from 21:00 to 06:00
+        # keep the eight that meet it, on both sides of midnight
+        day, h = 86400, 3600
+        path = tmp_path / "events.txt"
+        write_events(path, [
+            f"{21 * h + 1800} a b",      # 21:30, before the band
+            f"{22 * h + 1800} a b",
+            f"{day - 1} b c",            # 23:59:59
+            f"{day + 600} c d",          # 00:10 the next day
+            f"{day + 6 * h - 1} d e",    # 05:59:59
+            f"{day + 6 * h} a e",        # 06:00, the band's open end
+            f"{day + 6 * h + 1800} a c",
+        ])
+        series = ingest_edge_list(
+            path, window_seconds=float(h), start=float(21 * h),
+            end=float(day + 7 * h), daily_start=float(22 * h),
+            daily_end=float(6 * h),
+        )
+        assert series.times == [float(22 * h), float(23 * h)] + [
+            float(day + k * h) for k in range(6)]
+        assert [a.nnz for a in series.snapshots] == [2, 2, 2, 0, 0, 0, 0, 2]
+        assert series.stats.events_masked == 3
+
+    @pytest.mark.parametrize("band, message", [
+        ({"daily_start": 28800.0}, "daily_end is missing"),
+        ({"daily_end": 64800.0}, "daily_start is missing"),
+        ({"daily_start": -1.0, "daily_end": 64800.0}, "daily_start -1 is outside"),
+        ({"daily_start": 28800.0, "daily_end": 86401.0}, "daily_end 86401 is outside"),
+    ])
+    def test_daily_band_rejects_half_or_out_of_day(self, tmp_path, band, message):
+        path = tmp_path / "events.txt"
+        write_events(path, ["30000 a b"])
+        with pytest.raises(ValueError, match=message):
+            ingest_edge_list(path, window_seconds=3600.0, **band)
+
     def test_sorted_label_order(self, tmp_path):
         path = tmp_path / "events.txt"
         write_events(path, ["1 zeta alpha", "2 beta zeta"])
