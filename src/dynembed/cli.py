@@ -81,6 +81,18 @@ def _scipy_version() -> str:
     return version("scipy")
 
 
+def _peak_rss_mib() -> float | None:
+    """Peak resident memory of this process so far, in MiB (None where the
+    platform has no ``resource`` module)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB elsewhere
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
                     timings=None, details=None):
     manifest = {
@@ -95,6 +107,7 @@ def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
         "timings_seconds": timings or {},
+        "peak_rss_mib": _peak_rss_mib(),
         "details": details or {},
     }
     path = Path(out_dir) / "manifest.json"

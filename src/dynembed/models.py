@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,17 +91,56 @@ class DsbmSpec:
     def gram_matrix(self, t: int) -> np.ndarray:
         """Edge probability matrix P_t (dense, zero diagonal kept nonzero:
         the diagonal is defined by the same formula but never sampled)."""
-        z = self.memberships[t]
-        p = self.block_matrices[t][np.ix_(z, z)]
-        if self.degree_weights is not None:
-            p = p * np.outer(self.degree_weights, self.degree_weights)
-        p = self.rho * p
-        if np.any(p > 1.0 + 1e-12):
-            raise ValueError("edge probabilities exceed 1; lower rho or weights")
-        return np.clip(p, 0.0, 1.0)
+        return self._probability_rows(t, 0, self.n_nodes)
 
     def gram_matrices(self) -> list:
         return [self.gram_matrix(t) for t in range(self.n_snapshots)]
+
+    def _probability_rows(self, t: int, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 of P_t, each entry evaluated by the same operations
+        in the same order whatever the slab, so slabs tile P_t exactly."""
+        z = self.memberships[t]
+        p = self.block_matrices[t][:, z][z[lo:hi]]
+        if self.degree_weights is not None:
+            p *= np.outer(self.degree_weights[lo:hi], self.degree_weights)
+        p *= self.rho
+        if np.any(p > 1.0 + 1e-12):
+            raise ValueError("edge probabilities exceed 1; lower rho or weights")
+        return np.clip(p, 0.0, 1.0, out=p)
+
+
+# probability cells held per slab of rows while sampling; memory per slab is
+# a few bytes per cell, so a draw needs this plus its edges, not n^2
+_SLAB_CELLS = 1 << 18
+
+
+def _sample_rows(n: int, probability_rows, seed: int, stream: int):
+    """Symmetric Bernoulli draw on the upper triangle, slab of rows by slab.
+
+    ``probability_rows(lo, hi)`` returns rows lo..hi-1 of the n x n edge
+    probability matrix. The uniforms come from one Philox stream keyed by
+    (seed, stream) and are compared with the pairs j > i in row-major order;
+    a Philox stream drawn in pieces equals one draw of the total length, so
+    the slab size never changes a sample.
+    """
+    import scipy.sparse as sp
+    rng = np.random.Generator(np.random.Philox(key=(seed, stream)))
+    step = max(1, _SLAB_CELLS // max(n, 1))
+    cols = np.arange(n)
+    rows_hit, cols_hit = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    for lo in range(0, n, step):
+        i = np.arange(lo, min(lo + step, n))
+        p = probability_rows(lo, lo + i.shape[0])
+        # start[r]: position of pair (i[r], i[r] + 1) in the slab's pair order
+        start = np.concatenate([[0], np.cumsum(n - 1 - i)])
+        hit = np.flatnonzero(rng.random(start[-1]) < p[cols > i[:, None]])
+        r = np.searchsorted(start, hit, side="right") - 1
+        rows_hit.append((lo + r).astype(np.int32))
+        cols_hit.append((hit - start[r] + lo + r + 1).astype(np.int32))
+    rows = np.concatenate(rows_hit)
+    a = sp.csr_matrix((np.ones(rows.shape[0]), (rows, np.concatenate(cols_hit))),
+                      shape=(n, n))
+    return a + a.T
 
 
 def sample_adjacency(p: np.ndarray, seed: int, stream: int = 0):
@@ -110,24 +150,21 @@ def sample_adjacency(p: np.ndarray, seed: int, stream: int = 0):
     Uses a counter-based generator keyed by (seed, stream) so snapshots of a
     series can be drawn independently yet reproducibly.
     """
-    import scipy.sparse as sp
     n = p.shape[0]
     if p.shape != (n, n):
         raise ValueError("p must be square")
-    rng = np.random.Generator(np.random.Philox(key=(seed, stream)))
-    iu = np.triu_indices(n, k=1)
-    draws = rng.random(iu[0].shape[0]) < p[iu]
-    rows = iu[0][draws]
-    cols = iu[1][draws]
-    data = np.ones(rows.shape[0])
-    a = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return a + a.T
+    return _sample_rows(n, lambda lo, hi: p[lo:hi], seed, stream)
 
 
 def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:
-    """Draw a snapshot sequence from the model; snapshot t uses stream t."""
+    """Draw a snapshot sequence from the model; snapshot t uses stream t.
+
+    Each snapshot evaluates P_t one slab of rows at a time, so memory grows
+    with the edges drawn rather than with n^2; the draw equals
+    ``sample_adjacency(spec.gram_matrix(t), seed, stream=t)``.
+    """
     snaps = [
-        sample_adjacency(spec.gram_matrix(t), seed, stream=t)
+        _sample_rows(spec.n_nodes, partial(spec._probability_rows, t), seed, stream=t)
         for t in range(spec.n_snapshots)
     ]
     return GraphSeries(snapshots=snaps)

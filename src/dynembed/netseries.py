@@ -161,7 +161,8 @@ def ingest_edge_list(
     appearance in the file) or "sorted" (lexicographic).
 
     Raises ParseError, with a line number, on malformed lines, and ValueError
-    on half a daily band or a band end outside [0, 86400].
+    on half a daily band, a band end outside [0, 86400], or a band that no
+    window meets.
     """
     import scipy.sparse as sp
     if column_order not in ("time_u_v", "u_v_time"):
@@ -247,6 +248,10 @@ def ingest_edge_list(
         meets = _in_daily_band(sod, daily_start, daily_end) | (
             np.mod(daily_start - sod, 86400.0) < window_seconds)
         kept = np.flatnonzero(meets & (daily_start != daily_end)).tolist()
+        if not kept:
+            raise ValueError(
+                f"no window meets the daily band [{daily_start:g}, {daily_end:g}) s;"
+                f" {day_masked} of {len(events)} events masked")
 
     snaps, times = [], []
     for w in kept:

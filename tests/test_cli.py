@@ -130,6 +130,7 @@ class TestSimulate:
         assert str(cfg) in man["input_digests"]
         assert "dynembed" in man["versions"]
         assert man["timings_seconds"]["total"] > 0
+        assert man["peak_rss_mib"] > 0
 
     def test_seed_changes_edges(self, tmp_path):
         cfg = tmp_path / "two.cfg"
@@ -162,6 +163,28 @@ class TestSimulate:
         assert run("simulate", "--config", "no_such_model",
                    "--out", tmp_path / "x") == 2
 
+    def test_peak_memory_grows_with_edges_not_pairs(self, tmp_path):
+        # n = 4000 has 8.0e6 node pairs per snapshot but about 2.4e5 edges; a
+        # dense n x n probability matrix alone would take 122 MiB, so the
+        # whole process staying under 200 MiB means sampling is not quadratic
+        pytest.importorskip("resource")
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(
+            "[model]\nn_nodes = 4000\n\n"
+            "[snapshot.1]\nblock_matrix =\n    0.05 0.01\n    0.01 0.05\n\n"
+            "[snapshot.2]\nblock_matrix =\n    0.01 0.05\n    0.05 0.01\n")
+        src = str(Path(dynembed.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "run"
+        # Linux starts a spawned process's ru_maxrss at its parent's peak, so
+        # a small launcher stands between this test process and the CLI
+        launcher = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+        subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m",
+                        "dynembed.cli", "simulate", "--config", str(cfg),
+                        "--seed", "0", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        assert 0 < read_manifest(out)["peak_rss_mib"] < 200
+
 
 class TestEmbed:
     def test_uase_outputs(self, emb120):
@@ -182,6 +205,7 @@ class TestEmbed:
         assert len(residuals) == len(man["details"]["singular_values"])
         assert max(residuals) < 1e-8
         assert any(k.endswith("snapshots.npz") for k in man["input_digests"])
+        assert man["peak_rss_mib"] > 0
 
     def test_same_seed_reproduces_csv(self, sim120, emb120, tmp_path):
         out = tmp_path / "again"
@@ -318,6 +342,9 @@ class TestEmbed:
             "events_masked"] == 0
         assert run(*base, "--daily-start", 79200, "--out", tmp_path / "half") == 2
         assert "daily_end is missing" in capsys.readouterr().err
+        assert run(*base, "--daily-start", 3600, "--daily-end", 3600,
+                   "--out", tmp_path / "empty") == 2
+        assert "3 of 3 events masked" in capsys.readouterr().err
 
     def test_edge_list_needs_window(self, tmp_path):
         events = tmp_path / "events.txt"
@@ -350,6 +377,7 @@ class TestStability:
         man = read_manifest(out)
         assert man["details"]["passed"] is True
         assert len(man["details"]["gap_ratios"]) == 2
+        assert man["peak_rss_mib"] > 0
 
     def test_tiny_threshold_fails_with_exit_3(self, sim120, emb120, tmp_path):
         out = tmp_path / "rep"
@@ -426,6 +454,7 @@ class TestCluster:
         best_g = min(bic_rows, key=lambda r: float(r[1]))[0]
         assert man["details"]["selected_components"] == int(best_g)
         assert man["details"]["pooled_rows"] == 240
+        assert man["peak_rss_mib"] > 0
         g = man["details"]["selected_components"]
         # the selected fit explains itself: its BIC follows from its loglik
         details = man["details"]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy import stats
 
+from dynembed import models
 from dynembed.models import (
     DsbmSpec,
     bundled_config_path,
@@ -46,6 +48,22 @@ class TestSpecValidation:
         )
         with pytest.raises(ValueError):
             spec.gram_matrix(0)
+        with pytest.raises(ValueError):
+            sample_dsbm(spec)
+
+    def test_diagonal_only_overflow_rejected(self):
+        # node 0 is alone in its community, so w_0^2 * B[0, 0] > 1 is the only
+        # probability above 1, and it sits on the never-sampled diagonal
+        spec = DsbmSpec(
+            block_matrices=[np.array([[0.5, 0.1], [0.1, 0.5]])],
+            n_nodes=4,
+            memberships=np.array([0, 1, 1, 1]),
+            degree_weights=np.array([1.5, 1.0, 1.0, 1.0]),
+        )
+        with pytest.raises(ValueError):
+            spec.gram_matrix(0)
+        with pytest.raises(ValueError):
+            sample_dsbm(spec)
 
 
 class TestGramMatrix:
@@ -134,6 +152,75 @@ class TestSampling:
         assert np.linalg.matrix_rank(np.hstack(grams), tol=1e-10) == 4
         assert np.linalg.matrix_rank(grams[0], tol=1e-10) == 4
         assert np.linalg.matrix_rank(grams[1], tol=1e-10) == 3
+
+
+def dense_reference_p(spec, t):
+    # P_t straight from its definition, as one dense matrix
+    z = spec.memberships[t]
+    p = spec.block_matrices[t][np.ix_(z, z)]
+    if spec.degree_weights is not None:
+        p = p * np.outer(spec.degree_weights, spec.degree_weights)
+    return np.clip(spec.rho * p, 0.0, 1.0)
+
+
+def dense_reference_draw(p, seed, stream):
+    # the one-shot sampler: a single Philox draw over all of np.triu_indices
+    n = p.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=(seed, stream)))
+    iu = np.triu_indices(n, k=1)
+    draws = rng.random(iu[0].shape[0]) < p[iu]
+    a = sp.csr_matrix((np.ones(draws.sum()), (iu[0][draws], iu[1][draws])),
+                      shape=(n, n))
+    return a + a.T
+
+
+def oracle_specs():
+    fourblock = load_dsbm_config(bundled_config_path("fourblock"))
+    rng = np.random.default_rng(2)
+    n = 300
+    return {
+        "fourblock": fourblock,
+        "varying": DsbmSpec(
+            block_matrices=fourblock.block_matrices,
+            n_nodes=n,
+            memberships=rng.integers(0, 4, size=(2, n)),
+            degree_weights=rng.uniform(0.3, 1.0, size=n),
+            rho=0.7,
+        ),
+        "n1": DsbmSpec(block_matrices=[np.array([[0.5]])], n_nodes=1),
+        "n2": DsbmSpec(block_matrices=[np.array([[0.9]])] * 3, n_nodes=2),
+    }
+
+
+class TestSlabSamplerOracle:
+    # the slab sampler must reproduce the one-shot dense draw bit for bit,
+    # whatever the slab size: 7 cells puts every row in a slab of its own,
+    # 1000 cells gives multi-row slabs on the small specs
+    @pytest.mark.parametrize("slab_cells", [None, 7, 1000])
+    @pytest.mark.parametrize("name", ["fourblock", "varying", "n1", "n2"])
+    def test_equals_dense_draw(self, name, slab_cells, monkeypatch):
+        if slab_cells is not None:
+            monkeypatch.setattr(models, "_SLAB_CELLS", slab_cells)
+        spec = oracle_specs()[name]
+        for seed in (0, 101):
+            series = sample_dsbm(spec, seed=seed)
+            for t, got in enumerate(series.snapshots):
+                want = dense_reference_draw(dense_reference_p(spec, t), seed, t)
+                for part in ("data", "indices", "indptr"):
+                    g, w = getattr(got, part), getattr(want, part)
+                    assert g.dtype == w.dtype
+                    np.testing.assert_array_equal(g, w)
+
+    def test_sample_adjacency_matches_sample_dsbm(self):
+        spec = oracle_specs()["varying"]
+        series = sample_dsbm(spec, seed=4)
+        for t in range(spec.n_snapshots):
+            a = sample_adjacency(spec.gram_matrix(t), 4, t)
+            b = series.snapshots[t]
+            np.testing.assert_array_equal(a.indptr, b.indptr)
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(spec.gram_matrix(t), dense_reference_p(spec, t))
 
 
 class TestConfig:

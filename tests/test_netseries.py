@@ -199,6 +199,24 @@ class TestIngest:
         assert [a.nnz for a in series.snapshots] == [2, 2, 2, 0, 0, 0, 0, 2]
         assert series.stats.events_masked == 3
 
+    def test_empty_daily_band_names_itself(self, tmp_path):
+        path = tmp_path / "events.txt"
+        write_events(path, ["3600 a b", "7300 b c"])
+        with pytest.raises(ValueError, match=(
+                r"daily band \[3600, 3600\) s; 2 of 2 events masked")):
+            ingest_edge_list(path, window_seconds=3600.0,
+                             daily_start=3600.0, daily_end=3600.0)
+
+    def test_daily_band_missed_by_every_window(self, tmp_path):
+        # hourly windows start at 01:00 and 02:00; the band [0, 60) s falls
+        # in neither of them, nor before either one ends
+        path = tmp_path / "events.txt"
+        write_events(path, ["3600 a b", "3630 b c", "7300 a c"])
+        with pytest.raises(ValueError, match=(
+                r"daily band \[0, 60\) s; 3 of 3 events masked")):
+            ingest_edge_list(path, window_seconds=3600.0,
+                             daily_start=0.0, daily_end=60.0)
+
     @pytest.mark.parametrize("band, message", [
         ({"daily_start": 28800.0}, "daily_end is missing"),
         ({"daily_end": 64800.0}, "daily_start is missing"),
