@@ -82,8 +82,19 @@ def _scipy_version() -> str:
 
 
 def _peak_rss_mib() -> float | None:
-    """Peak resident memory of this process so far, in MiB (None where the
-    platform has no ``resource`` module)."""
+    """Peak resident memory of this process so far, in MiB.
+
+    Reads ``VmHWM`` from /proc/self/status where it exists (Linux), since
+    ``ru_maxrss`` there carries the peak of the image the process was exec'd
+    from; elsewhere ``ru_maxrss``, or None without a ``resource`` module.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # reported in kB
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:
@@ -230,16 +241,18 @@ def _locate_embedding_csv(path) -> Path:
     return p
 
 
-def _load_series(input_path, args) -> GraphSeries:
+def _load_series(input_path, args) -> tuple[GraphSeries, list[Path]]:
+    """The series ``--input`` names, and the files read to build it."""
     p = Path(input_path)
     if p.is_dir():
-        if not (p / "snapshots.npz").exists():
-            raise DataError(f"{p} holds no snapshots.npz")
-        return GraphSeries.load(p)
-    if p.suffix == ".npz":
-        return GraphSeries.load(p.parent)
+        p = p / "snapshots.npz"
     if not p.exists():
         raise DataError(f"no such input {p}")
+    if p.suffix == ".npz":
+        if p.name != "snapshots.npz":
+            raise DataError(f"{p}: a saved series is read from a snapshots.npz "
+                            "and the labels.txt beside it")
+        return GraphSeries.load(p.parent), [p, p.parent / "labels.txt"]
     if args.window_seconds is None:
         raise DataError(
             "raw edge list input needs --window-seconds to define snapshots"
@@ -253,7 +266,7 @@ def _load_series(input_path, args) -> GraphSeries:
         label_order=args.label_order,
         daily_start=args.daily_start,
         daily_end=args.daily_end,
-    )
+    ), [p]
 
 
 def _parse_dims(text, n_snapshots):
@@ -362,7 +375,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_embed(args) -> int:
     t0 = time.perf_counter()
-    series = _load_series(args.input, args)
+    series, inputs = _load_series(args.input, args)
     load_time = time.perf_counter() - t0
     n = series.n_nodes
 
@@ -412,12 +425,6 @@ def cmd_embed(args) -> int:
     if emb.left is not None:
         _write_csv(out / "left.csv", None, emb.left.T)
         outputs.append(out / "left.csv")
-    inputs = []
-    p_in = Path(args.input)
-    if p_in.is_dir():
-        inputs = [p_in / "snapshots.npz", p_in / "labels.txt"]
-    elif p_in.exists():
-        inputs = [p_in]
     details = {
         "method": args.method,
         "dimensions": emb.dims,

@@ -202,6 +202,8 @@ def fit_gmm_bic(
     g_grid = [int(g) for g in g_grid]
     if not g_grid:
         raise ValueError("empty component-count grid")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     n, q = points.shape
     if n <= max(g_grid) * max(q, 1):
         raise ValueError(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netseries import GraphSeries
+from .netseries import GraphSeries, symmetric_csr
 
 
 @dataclass
@@ -123,7 +123,6 @@ def _sample_rows(n: int, probability_rows, seed: int, stream: int):
     a Philox stream drawn in pieces equals one draw of the total length, so
     the slab size never changes a sample.
     """
-    import scipy.sparse as sp
     rng = np.random.Generator(np.random.Philox(key=(seed, stream)))
     step = max(1, _SLAB_CELLS // max(n, 1))
     cols = np.arange(n)
@@ -137,10 +136,7 @@ def _sample_rows(n: int, probability_rows, seed: int, stream: int):
         r = np.searchsorted(start, hit, side="right") - 1
         rows_hit.append((lo + r).astype(np.int32))
         cols_hit.append((hit - start[r] + lo + r + 1).astype(np.int32))
-    rows = np.concatenate(rows_hit)
-    a = sp.csr_matrix((np.ones(rows.shape[0]), (rows, np.concatenate(cols_hit))),
-                      shape=(n, n))
-    return a + a.T
+    return symmetric_csr(np.concatenate(rows_hit), np.concatenate(cols_hit), n)
 
 
 def sample_adjacency(p: np.ndarray, seed: int, stream: int = 0):

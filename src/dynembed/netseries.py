@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,6 +132,14 @@ def _in_daily_band(sod, start: float, end: float):
     return (start <= sod) | (sod < end)
 
 
+def symmetric_csr(i, j, n: int):
+    """The n x n symmetric {0,1} CSR matrix with edges (i[k], j[k]), built
+    from distinct upper-triangle pairs (i < j)."""
+    import scipy.sparse as sp
+    a = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    return a + a.T
+
+
 def ingest_edge_list(
     path,
     *,
@@ -146,29 +155,27 @@ def ingest_edge_list(
 
     Each non-comment line holds a timestamp and two node labels, in the order
     named by ``column_order`` ("time_u_v" or "u_v_time"). Events are binned
-    into consecutive windows of ``window_seconds`` covering [start, end); the
-    range defaults to the observed min/max timestamps. Multiple events for a
-    pair within one window collapse to a single undirected edge; self loops
-    are dropped. With ``daily_start``/``daily_end`` (seconds of day, both or
-    neither) set, only events whose time of day falls in [daily_start,
-    daily_end) produce edges, and windows made entirely of masked-out time
-    are omitted, so e.g. two 10-hour observation days binned hourly yield 20
-    snapshots rather than covering the overnight gap. A band with
-    daily_start > daily_end wraps midnight (79200 to 21600 keeps 22:00 to
-    06:00).
+    into windows of ``window_seconds`` covering [start, end), by default the
+    observed time range. Repeated events for a pair within one window
+    collapse to one undirected edge; self loops are dropped. A daily band
+    ``daily_start``/``daily_end`` (seconds of day, both or neither) keeps only
+    events whose time of day falls in [daily_start, daily_end) and omits the
+    windows it never meets, so two 10-hour days binned hourly yield 20
+    snapshots; a band with daily_start > daily_end wraps midnight. Nodes are
+    numbered by first appearance, or by label with ``label_order="sorted"``.
 
-    ``label_order`` picks the label-to-index map: "first_seen" (order of first
-    appearance in the file) or "sorted" (lexicographic).
-
-    Raises ParseError, with a line number, on malformed lines, and ValueError
-    on half a daily band, a band end outside [0, 86400], or a band that no
-    window meets.
+    Raises ParseError, with a line number, on a malformed line or timestamp
+    (non-finite included), and ValueError on a non-finite ``window_seconds``,
+    ``start`` or ``end``, half a daily band, a band end outside [0, 86400], a
+    band no window meets, or more window x n x n cells than int64 keys hold.
     """
-    import scipy.sparse as sp
     if column_order not in ("time_u_v", "u_v_time"):
         raise ValueError(f"unknown column_order {column_order!r}")
     if label_order not in ("first_seen", "sorted"):
         raise ValueError(f"unknown label_order {label_order!r}")
+    for name, given in (("window_seconds", window_seconds), ("start", start), ("end", end)):
+        if given is not None and not math.isfinite(given):
+            raise ValueError(f"{name} must be finite, not {given:g}")
     if window_seconds <= 0:
         raise ValueError("window_seconds must be positive")
     masked = daily_start is not None or daily_end is not None
@@ -179,8 +186,8 @@ def ingest_edge_list(
             if not 0 <= given <= 86400:
                 raise ValueError(f"{name} {given:g} is outside [0, 86400] seconds of day")
 
-    events = []  # (timestamp, label_u, label_v)
-    first_seen: dict[str, int] = {}
+    stamps, ends = [], []  # per event its time, and its two node indices
+    index: dict[str, int] = {}  # label -> index, in order of first appearance
     with open(path, encoding="utf-8") as fh:
         for line_number, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -189,56 +196,45 @@ def ingest_edge_list(
             parts = line.replace(",", " ").split()
             if len(parts) < 3:
                 raise ParseError(f"expected 3 fields, got {len(parts)}", line_number)
-            if column_order == "time_u_v":
-                t_raw, u, v = parts[0], parts[1], parts[2]
-            else:
-                u, v, t_raw = parts[0], parts[1], parts[2]
+            t_raw, u, v = parts[:3] if column_order == "time_u_v" else parts[2:3] + parts[:2]
             try:
                 timestamp = float(t_raw)
             except ValueError:
                 raise ParseError(f"bad timestamp {t_raw!r}", line_number) from None
-            for label in (u, v):
-                if label not in first_seen:
-                    first_seen[label] = len(first_seen)
-            events.append((timestamp, u, v))
-
-    if not events:
+            if not math.isfinite(timestamp):
+                raise ParseError(f"non-finite timestamp {t_raw!r}", line_number)
+            stamps.append(timestamp)
+            ends += index.setdefault(u, len(index)), index.setdefault(v, len(index))
+    if not stamps:
         raise ValueError("no events found")
 
+    labels, n = list(index), len(index)
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
     if label_order == "sorted":
-        index = {label: i for i, label in enumerate(sorted(first_seen))}
-    else:
-        index = first_seen
-    n = len(index)
+        order = sorted(range(n), key=labels.__getitem__)
+        pairs = np.argsort(order)[pairs]
+        labels = [labels[k] for k in order]
 
-    all_times = np.array([e[0] for e in events])
-    lo = float(all_times.min()) if start is None else float(start)
+    t = np.array(stamps)
+    lo = float(t.min()) if start is None else float(start)
     # the smallest float above the last event keeps it inside [lo, hi) at any
     # magnitude (a fixed offset vanishes below the spacing of epoch seconds)
-    hi = float(np.nextafter(all_times.max(), np.inf)) if end is None else float(end)
+    hi = float(np.nextafter(t.max(), np.inf)) if end is None else float(end)
     if hi <= lo:
         raise ValueError("empty time range")
-
-    n_windows = int(np.ceil((hi - lo) / window_seconds))
-
-    outside = 0
-    day_masked = 0
-    loops = 0
-    per_window: dict[int, set] = {}
-    for timestamp, u, v in events:
-        if not (lo <= timestamp < hi):
-            outside += 1
-            continue
-        if masked and not _in_daily_band(timestamp % 86400.0, daily_start, daily_end):
-            day_masked += 1
-            continue
-        if u == v:
-            loops += 1
-            continue
-        w = int((timestamp - lo) // window_seconds)
-        w = min(w, n_windows - 1)
-        i, j = index[u], index[v]
-        per_window.setdefault(w, set()).add((min(i, j), max(i, j)))
+    n_windows = np.ceil((hi - lo) / window_seconds)
+    if n_windows * n * n >= 2.0 ** 63:  # each (window, i, j) cell is an int64 key
+        raise ValueError(f"{n_windows:g} windows of {n} x {n} node pairs overflow int64 keys")
+    n_windows = int(n_windows)
+    # one mask per drop reason, each counted among the events the earlier ones
+    # keep; with no band, in_band is np.True_ (not True) so that ~in_band is False
+    inside = (lo <= t) & (t < hi)
+    in_band = _in_daily_band(np.mod(t, 86400.0), daily_start, daily_end) if masked else np.True_
+    loop = pairs[:, 0] == pairs[:, 1]
+    keep = inside & in_band & ~loop
+    day_masked = int(np.count_nonzero(inside & ~in_band))
+    w = np.minimum((t[keep] - lo) // window_seconds, n_windows - 1).astype(np.int64)
+    cells = np.unique((w * n + pairs[keep].min(axis=1)) * n + pairs[keep].max(axis=1))
 
     kept = range(n_windows)
     if masked:
@@ -251,34 +247,17 @@ def ingest_edge_list(
         if not kept:
             raise ValueError(
                 f"no window meets the daily band [{daily_start:g}, {daily_end:g}) s;"
-                f" {day_masked} of {len(events)} events masked")
+                f" {day_masked} of {t.size} events masked")
 
-    snaps, times = [], []
-    for w in kept:
-        pairs = per_window.get(w, set())
-        if pairs:
-            rows = np.array([p[0] for p in pairs] + [p[1] for p in pairs])
-            cols = np.array([p[1] for p in pairs] + [p[0] for p in pairs])
-            data = np.ones(rows.shape[0])
-            a = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-        else:
-            a = sp.csr_matrix((n, n))
-        snaps.append(a)
-        times.append(lo + w * window_seconds)
-
-    raw_in_range = len(events) - outside - day_masked - loops
-    duplicates = raw_in_range - sum(len(v) for v in per_window.values())
-
-    stats = IngestStats(
-        events_read=len(events),
-        events_outside_range=outside,
-        events_masked=day_masked,
-        self_loops_dropped=loops,
-        duplicate_pairs_collapsed=max(duplicates, 0),
-    )
-    labels = [None] * n
-    for label, i in index.items():
-        labels[i] = label
-    series = GraphSeries(snapshots=snaps, node_labels=labels, times=times)
-    series.stats = stats
-    return series
+    cuts = np.searchsorted(cells, np.arange(n_windows + 1) * (n * n))
+    rows, cols = np.divmod(cells % (n * n), n)
+    return GraphSeries(
+        snapshots=[symmetric_csr(rows[cuts[k]:cuts[k + 1]], cols[cuts[k]:cuts[k + 1]], n)
+                   for k in kept],
+        node_labels=labels, times=[lo + k * window_seconds for k in kept],
+        stats=IngestStats(
+            events_read=t.size,
+            events_outside_range=int(t.size - np.count_nonzero(inside)),
+            events_masked=day_masked,
+            self_loops_dropped=int(np.count_nonzero(inside & in_band & loop)),
+            duplicate_pairs_collapsed=int(np.count_nonzero(keep) - cells.size)))

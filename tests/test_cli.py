@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,20 @@ class TestSimulate:
                        env=env, capture_output=True, check=True)
         assert 0 < read_manifest(out)["peak_rss_mib"] < 200
 
+    def test_peak_memory_excludes_exec_launcher(self, emb120, tmp_path):
+        # a launcher touches 256 MiB and then execs the CLI in its place; the
+        # manifest counts the CLI's own peak, not the image it replaced
+        src = str(Path(dynembed.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "clus"
+        launcher = ("import os, sys; ballast = b'x' * (256 << 20); "
+                    "os.execv(sys.executable, [sys.executable] + sys.argv[1:])")
+        subprocess.run([sys.executable, "-c", launcher, "-m", "dynembed.cli",
+                        "cluster", "--embedding", str(emb120), "--grid", "1-2",
+                        "--restarts", "1", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        assert 0 < read_manifest(out)["peak_rss_mib"] < 200
+
 
 class TestEmbed:
     def test_uase_outputs(self, emb120):
@@ -206,6 +221,24 @@ class TestEmbed:
         assert max(residuals) < 1e-8
         assert any(k.endswith("snapshots.npz") for k in man["input_digests"])
         assert man["peak_rss_mib"] > 0
+
+    def test_npz_input_digests_the_labels_it_reads(self, sim120, tmp_path):
+        npz = sim120 / "series" / "snapshots.npz"
+        out = tmp_path / "o"
+        assert run("embed", "--input", npz, "--method", "uase", "--dim", 2,
+                   "--seed", 1, "--out", out) == 0
+        assert sorted(read_manifest(out)["input_digests"]) == [
+            str(npz.parent / "labels.txt"), str(npz)]
+
+    def test_renamed_npz_is_refused(self, sim120, tmp_path, capsys):
+        # a series npz is read with the labels.txt beside it, so only the
+        # name the saver writes is accepted, not a sibling loaded in its place
+        series = tmp_path / "series"
+        shutil.copytree(sim120 / "series", series)
+        shutil.copy(series / "snapshots.npz", series / "renamed.npz")
+        assert run("embed", "--input", series / "renamed.npz", "--method",
+                   "uase", "--dim", 2, "--out", tmp_path / "o") == 2
+        assert "renamed.npz" in capsys.readouterr().err
 
     def test_same_seed_reproduces_csv(self, sim120, emb120, tmp_path):
         out = tmp_path / "again"
@@ -345,6 +378,14 @@ class TestEmbed:
         assert run(*base, "--daily-start", 3600, "--daily-end", 3600,
                    "--out", tmp_path / "empty") == 2
         assert "3 of 3 events masked" in capsys.readouterr().err
+
+    def test_edge_list_infinite_end_exits_2(self, tmp_path, capsys):
+        events = tmp_path / "events.txt"
+        events.write_text("1 a b\n2 b c\n")
+        assert run("embed", "--input", events, "--method", "uase", "--dim", 1,
+                   "--window-seconds", 10, "--end", "inf",
+                   "--out", tmp_path / "o") == 2
+        assert "end must be finite" in capsys.readouterr().err
 
     def test_edge_list_needs_window(self, tmp_path):
         events = tmp_path / "events.txt"
@@ -493,6 +534,11 @@ class TestCluster:
                    "--dim", 3, "--seed", 1, "--out", emb) == 0
         assert run("cluster", "--embedding", emb, "--grid", "150",
                    "--out", tmp_path / "clus") == 2
+
+    def test_zero_restarts_names_the_option(self, emb120, tmp_path, capsys):
+        assert run("cluster", "--embedding", emb120, "--grid", "1-2",
+                   "--restarts", 0, "--out", tmp_path / "clus") == 2
+        assert "restarts must be at least 1" in capsys.readouterr().err
 
     def test_benchmark_merge_and_conflation_structure(self, bench, tmp_path):
         # Angle-space clustering of the four-community benchmark. Pilot runs

@@ -241,6 +241,163 @@ class TestIngest:
         with pytest.raises(ValueError):
             ingest_edge_list(path, window_seconds=1.0)
 
+    @pytest.mark.parametrize("stamp", ["inf", "-inf", "nan"])
+    def test_non_finite_timestamp_is_a_parse_error(self, tmp_path, stamp):
+        path = tmp_path / "events.txt"
+        write_events(path, ["1 a b", f"{stamp} b c", "3 a c"])
+        with pytest.raises(ParseError, match="non-finite timestamp") as err:
+            ingest_edge_list(path, window_seconds=1.0)
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("name, value", [
+        ("window_seconds", float("nan")), ("window_seconds", float("inf")),
+        ("start", float("nan")), ("start", float("-inf")),
+        ("end", float("nan")), ("end", float("inf")),
+    ])
+    def test_non_finite_range_names_the_argument(self, tmp_path, name, value):
+        path = tmp_path / "events.txt"
+        write_events(path, ["1 a b", "2 b c"])
+        kwargs = {"window_seconds": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ingest_edge_list(path, **kwargs)
+
+    def test_cell_keys_beyond_int64_rejected(self, tmp_path):
+        # 1e20 windows of 3 x 3 pairs fit no int64 key; the daily band keeps
+        # the old per-window route from trying to enumerate them
+        path = tmp_path / "events.txt"
+        write_events(path, ["0 a b", "1 b c"])
+        with pytest.raises(ValueError, match="overflow int64 keys"):
+            ingest_edge_list(path, window_seconds=1e-20, daily_start=0.0,
+                             daily_end=60.0)
+
+
+def reference_ingest(path, *, window_seconds, start=None, end=None,
+                     column_order="time_u_v", label_order="first_seen",
+                     daily_start=None, daily_end=None):
+    """Per-event dict-of-sets binning, as ingestion worked before it became
+    array operations; the oracle for the array route's every output."""
+    events, first_seen = [], {}
+    for raw in path.read_text(encoding="utf-8").splitlines():
+        parts = raw.replace(",", " ").split()
+        t_raw, u, v = parts if column_order == "time_u_v" else parts[2:] + parts[:2]
+        for label in (u, v):
+            first_seen.setdefault(label, len(first_seen))
+        events.append((float(t_raw), u, v))
+    index = first_seen
+    if label_order == "sorted":
+        index = {label: i for i, label in enumerate(sorted(first_seen))}
+    n = len(index)
+    all_times = np.array([e[0] for e in events])
+    lo = float(all_times.min()) if start is None else float(start)
+    hi = float(np.nextafter(all_times.max(), np.inf)) if end is None else float(end)
+    if hi <= lo:
+        raise ValueError("empty time range")
+    n_windows = int(np.ceil((hi - lo) / window_seconds))
+    masked = daily_start is not None
+
+    def in_band(sod):
+        if daily_start <= daily_end:
+            return (daily_start <= sod) & (sod < daily_end)
+        return (daily_start <= sod) | (sod < daily_end)
+
+    outside = day_masked = loops = 0
+    per_window = {}
+    for timestamp, u, v in events:
+        if not (lo <= timestamp < hi):
+            outside += 1
+        elif masked and not in_band(timestamp % 86400.0):
+            day_masked += 1
+        elif u == v:
+            loops += 1
+        else:
+            w = min(int((timestamp - lo) // window_seconds), n_windows - 1)
+            i, j = index[u], index[v]
+            per_window.setdefault(w, set()).add((min(i, j), max(i, j)))
+    kept = range(n_windows)
+    if masked:
+        sod = np.mod(lo + np.arange(n_windows) * window_seconds, 86400.0)
+        meets = in_band(sod) | (np.mod(daily_start - sod, 86400.0) < window_seconds)
+        kept = np.flatnonzero(meets & (daily_start != daily_end)).tolist()
+        if not kept:
+            raise ValueError("no window meets the daily band")
+    snaps = []
+    for w in kept:
+        pairs = per_window.get(w, set())
+        if pairs:
+            rows = np.array([p[0] for p in pairs] + [p[1] for p in pairs])
+            cols = np.array([p[1] for p in pairs] + [p[0] for p in pairs])
+            a = sp.csr_matrix((np.ones(rows.shape[0]), (rows, cols)), shape=(n, n))
+        else:
+            a = sp.csr_matrix((n, n))
+        snaps.append(a)
+    stats = IngestStats(
+        events_read=len(events),
+        events_outside_range=outside,
+        events_masked=day_masked,
+        self_loops_dropped=loops,
+        duplicate_pairs_collapsed=len(events) - outside - day_masked - loops
+        - sum(len(p) for p in per_window.values()),
+    )
+    labels = sorted(index, key=index.get)
+    return snaps, labels, [lo + w * window_seconds for w in kept], stats
+
+
+def random_event_lines(rng, column_order):
+    """Contacts over three days at unix-epoch seconds, some fractional, among
+    labels whose first appearance differs from their sorted order; small
+    label pools give self loops and repeated pairs."""
+    pool = [f"n{k}" for k in rng.permutation(int(rng.integers(2, 9)))] + ["10", "9"]
+    base = 1_254_384_000.0
+    lines = []
+    for _ in range(int(rng.integers(1, 300))):
+        t = base + int(rng.integers(0, 3 * 86400))
+        if rng.random() < 0.3:
+            t += float(rng.random())
+        u, v = rng.choice(pool, size=2)
+        lines.append(f"{t!r} {u} {v}" if column_order == "time_u_v" else f"{u},{v},{t!r}")
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_ingest_matches_per_event_reference(tmp_path, seed):
+    # random files through every option: the array route must reproduce the
+    # per-event reference array for array, label for label, count for count
+    rng = np.random.default_rng(seed)
+    column_order = ("time_u_v", "u_v_time")[seed % 2]
+    path = tmp_path / "events.txt"
+    write_events(path, random_event_lines(rng, column_order))
+    base = 1_254_384_000.0
+    bands = [{}, {"daily_start": 28800.0, "daily_end": 64800.0},
+             {"daily_start": 79200.0, "daily_end": 21600.0}]
+    ranges = [{}, {"start": base + 3600.0, "end": base + 2 * 86400.0 + 1800.0}]
+    compared = 0
+    for band in bands:
+        for span in ranges:
+            for label_order in ("first_seen", "sorted"):
+                kwargs = dict(window_seconds=float(rng.choice([900.0, 3600.0, 5400.5])),
+                              column_order=column_order, label_order=label_order,
+                              **band, **span)
+                try:
+                    want = reference_ingest(path, **kwargs)
+                except ValueError as err:
+                    # an empty range, or no window meets the band
+                    with pytest.raises(ValueError, match=str(err)):
+                        ingest_edge_list(path, **kwargs)
+                    continue
+                got = ingest_edge_list(path, **kwargs)
+                compared += 1
+                snaps, labels, times, stats = want
+                assert got.node_labels == labels
+                assert got.times == times
+                assert got.stats == stats
+                assert len(got.snapshots) == len(snaps)
+                for a, b in zip(got.snapshots, snaps):
+                    for name in ("indptr", "indices", "data"):
+                        x, y = getattr(a, name), getattr(b, name)
+                        assert x.dtype == y.dtype
+                        np.testing.assert_array_equal(x, y)
+    assert compared > 0
+
 
 def edges_strategy():
     labels = st.sampled_from(["a", "b", "c", "d", "e"])
