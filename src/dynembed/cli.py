@@ -383,24 +383,22 @@ def cmd_embed(args) -> int:
     if args.method in ("uase", "omnibus") and "," in args.dim:
         raise DataError(f"--method {args.method} takes one dimension, not a list")
     dims = _parse_dims(args.dim, series.n_snapshots)
-    if isinstance(dims, int) and dims > n:
-        raise DataError(f"dimension {dims} out of range for {n} nodes")
-    # one decomposition of the unfolding serves both the scree and, for uase,
-    # the embedding (its top-d triplets)
-    scree_len = min(SCREE_LENGTH, n, series.n_snapshots * n)
-    rank = scree_len
-    if args.method == "uase" and dims is not None:
-        rank = max(scree_len, dims)
+    # one decomposition of the unfolding gives the scree and, for uase, the
+    # embedding. Only --dim auto reads a long scree (the n x Tn unfolding has
+    # rank at most n); past the signal rank Lanczos converges slowly in the
+    # noise bulk, so a given dimension is decomposed at its own rank.
+    rank = min(SCREE_LENGTH, n) if dims is None else int(np.max(dims))
+    if rank > n:
+        raise DataError(f"dimension {rank} out of range for {n} nodes")
     unfolded = series.unfold()
     svd = truncated_svd(unfolded, rank, seed=args.seed)
-    scree = svd.s[:scree_len]
     # ||A v_j - s_j u_j|| / s_1 for each scree triplet
-    residuals = np.linalg.norm(
-        unfolded @ svd.v[:, :scree_len] - svd.u[:, :scree_len] * scree, axis=0)
-    if scree[0] > 0:
-        residuals /= scree[0]
+    residuals = np.linalg.norm(unfolded @ svd.v - svd.u * svd.s, axis=0)
+    if svd.s[0] > 0:
+        residuals /= svd.s[0]
+    curve = None
     if dims is None:
-        dims, _ = select_dimension(scree)
+        dims, curve = select_dimension(svd.s)
 
     if args.method == "uase":
         emb = uase_from_svd(svd, dims, series.n_snapshots)
@@ -420,7 +418,7 @@ def cmd_embed(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = _write_embedding_csv(out / "embedding.csv", emb, series.node_labels, series.times)
     _write_csv(out / "scree.csv", ["rank", "singular_value"],
-               [np.arange(1, scree.shape[0] + 1), scree])
+               [np.arange(1, rank + 1), svd.s])
     outputs = [out / "embedding.csv", out / "scree.csv"]
     if emb.left is not None:
         _write_csv(out / "left.csv", None, emb.left.T)
@@ -429,10 +427,12 @@ def cmd_embed(args) -> int:
         "method": args.method,
         "dimensions": emb.dims,
         "embedding_rows": rows,
-        "singular_values": [float(s) for s in scree],
+        "singular_values": [float(s) for s in svd.s],
         "singular_value_residuals": [float(r) for r in residuals],
         "auto_dimension": args.dim == "auto",
     }
+    if curve is not None:
+        details["dimension_curve"] = [float(c) for c in curve]
     if series.stats is not None:
         details["ingest"] = dataclasses.asdict(series.stats)
     if emb.signatures is not None:

@@ -139,25 +139,13 @@ def _sample_rows(n: int, probability_rows, seed: int, stream: int):
     return symmetric_csr(np.concatenate(rows_hit), np.concatenate(cols_hit), n)
 
 
-def sample_adjacency(p: np.ndarray, seed: int, stream: int = 0):
-    """One symmetric Bernoulli(p) adjacency draw with an empty diagonal, as a
-    CSR matrix.
-
-    Uses a counter-based generator keyed by (seed, stream) so snapshots of a
-    series can be drawn independently yet reproducibly.
-    """
-    n = p.shape[0]
-    if p.shape != (n, n):
-        raise ValueError("p must be square")
-    return _sample_rows(n, lambda lo, hi: p[lo:hi], seed, stream)
-
-
 def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:
     """Draw a snapshot sequence from the model; snapshot t uses stream t.
 
     Each snapshot evaluates P_t one slab of rows at a time, so memory grows
-    with the edges drawn rather than with n^2; the draw equals
-    ``sample_adjacency(spec.gram_matrix(t), seed, stream=t)``.
+    with the edges drawn rather than with n^2; the draw equals one
+    whole-triangle draw of ``spec.gram_matrix(t)`` from the Philox stream
+    keyed by (seed, t).
     """
     snaps = [
         _sample_rows(spec.n_nodes, partial(spec._probability_rows, t), seed, stream=t)

@@ -82,16 +82,6 @@ class GraphSeries:
         pairs = n * (n - 1) / 2.0
         return np.array([a.nnz / 2.0 / pairs for a in self.snapshots])
 
-    def permute(self, perm: np.ndarray) -> "GraphSeries":
-        """Relabel nodes: new node i is old node perm[i]."""
-        import scipy.sparse as sp
-        perm = np.asarray(perm)
-        if sorted(perm.tolist()) != list(range(self.n_nodes)):
-            raise ValueError("perm must be a permutation of range(n_nodes)")
-        snaps = [sp.csr_matrix(a)[perm][:, perm] for a in self.snapshots]
-        labels = [self.node_labels[i] for i in perm]
-        return GraphSeries(snapshots=snaps, node_labels=labels, times=list(self.times))
-
     def save(self, directory) -> None:
         """Write snapshots as an npz of sparse triplets plus a labels file."""
         import scipy.sparse as sp

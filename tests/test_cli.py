@@ -13,7 +13,7 @@ import dynembed
 from dynembed import cli, embedders
 from dynembed.cli import DataError, _parse_dims, _parse_grid, _parse_pair
 from dynembed.cluster import parameter_count
-from dynembed.embedders import uase, uase_from_svd
+from dynembed.embedders import uase
 from dynembed.linalg import truncated_svd
 from dynembed.netseries import GraphSeries
 
@@ -208,7 +208,7 @@ class TestEmbed:
         assert len(rows) == 240
         assert (emb120 / "left.csv").exists()
         _, scree = read_rows(emb120 / "scree.csv")
-        assert len(scree) == 50
+        assert len(scree) == 4
         values = [float(r[1]) for r in scree]
         assert values == sorted(values, reverse=True)
         man = read_manifest(emb120)
@@ -257,6 +257,9 @@ class TestEmbed:
         man = read_manifest(out)
         assert man["details"]["dimensions"] == [2, 2]
         assert man["details"]["auto_dimension"] is True
+        curve = man["details"]["dimension_curve"]
+        assert len(curve) == len(man["details"]["singular_values"]) - 1
+        assert int(np.argmax(curve)) + 1 == 2
 
     def test_independent_dim_list_pads_csv(self, sim120, tmp_path):
         out = tmp_path / "ind"
@@ -344,24 +347,62 @@ class TestEmbed:
         monkeypatch.setattr(embedders, "truncated_svd", counted)
         assert run("embed", "--input", sim120 / "series", "--method", "uase",
                    "--dim", 4, "--seed", 1, "--out", tmp_path / "o") == 0
-        assert calls == [50]
+        assert calls == [4]
+
+    def test_omnibus_decomposes_unfolding_once_at_its_rank(self, sim120, tmp_path,
+                                                          monkeypatch):
+        # the scree beside a given dimension is the unfolding's top d values,
+        # not a long scree that nothing reads
+        calls = []
+
+        def counted(m, d, seed=0, **kwargs):
+            calls.append((m.shape, d))
+            return truncated_svd(m, d, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "truncated_svd", counted)
+        monkeypatch.setattr(embedders, "truncated_svd", counted)
+        out = tmp_path / "o"
+        assert run("embed", "--input", sim120 / "series", "--method", "omnibus",
+                   "--dim", 3, "--seed", 1, "--out", out) == 0
+        assert [d for shape, d in calls if shape == (120, 240)] == [3]
+        assert all(d == 3 for _, d in calls)
+        _, scree = read_rows(out / "scree.csv")
+        assert len(scree) == 3
+
+    def test_dim_list_scree_has_the_largest_entry(self, sim120, tmp_path):
+        # the largest entry comes last, so the first one would be too short
+        out = tmp_path / "ind"
+        assert run("embed", "--input", sim120 / "series", "--method",
+                   "independent", "--dim", "2,3", "--seed", 0, "--out", out) == 0
+        _, scree = read_rows(out / "scree.csv")
+        assert len(scree) == 3
+        assert len(read_manifest(out)["details"]["singular_values"]) == 3
+
+    def test_auto_dimension_scree_is_the_exact_bulk(self, sim120, tmp_path):
+        # --dim auto writes the long scree it reads; each value matches the
+        # square root of an eigenvalue of sum_t A_t A_t^T
+        out = tmp_path / "auto"
+        assert run("embed", "--input", sim120 / "series", "--method", "uase",
+                   "--dim", "auto", "--seed", 0, "--out", out) == 0
+        _, rows = read_rows(out / "scree.csv")
+        series = GraphSeries.load(sim120 / "series")
+        n = series.n_nodes
+        assert len(rows) == min(50, n)
+        gram = sum((a @ a.T).toarray() for a in series.snapshots)
+        exact = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[::-1][:len(rows)], 0, None))
+        got = np.array([float(r[1]) for r in rows])
+        np.testing.assert_allclose(got, exact, rtol=1e-6, atol=0)
 
     def test_uase_csv_equals_library_rows(self, sim120, emb120):
-        # the CLI slices its rank-50 scree decomposition to d triplets: bit
-        # for bit what the library gives for that decomposition, and equal to
-        # a separate rank-d run up to round-off
+        # the CLI decomposes the unfolding at rank d: bit for bit what the
+        # library's uase gives
         series = GraphSeries.load(sim120 / "series")
-        lib = uase_from_svd(truncated_svd(series.unfold(), 50, seed=1), 4, 2)
+        lib = uase(series, 4, seed=1)
         _, rows = read_rows(emb120 / "embedding.csv")
         got = np.array([[float(x) for x in r[2:]] for r in rows])
         left = np.loadtxt(emb120 / "left.csv", delimiter=",")
         np.testing.assert_array_equal(got, np.vstack(lib.points))
         np.testing.assert_array_equal(left, lib.left)
-        direct = uase(series, 4, seed=1)
-        # entries near zero get an absolute floor at round-off of the largest
-        atol = 1e-13 * np.abs(got).max()
-        np.testing.assert_allclose(got, np.vstack(direct.points), rtol=1e-10, atol=atol)
-        np.testing.assert_allclose(left, direct.left, rtol=1e-10, atol=atol)
 
     def test_edge_list_daily_band(self, tmp_path, capsys):
         # 22:00-06:00 wraps midnight; half a band is refused, not ignored

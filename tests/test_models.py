@@ -8,9 +8,14 @@ from dynembed.models import (
     DsbmSpec,
     bundled_config_path,
     load_dsbm_config,
-    sample_adjacency,
     sample_dsbm,
 )
+
+
+def sample_adjacency(p, seed, stream=0):
+    # one symmetric Bernoulli(p) draw from the Philox stream keyed by
+    # (seed, stream), through the sampler behind sample_dsbm
+    return models._sample_rows(p.shape[0], lambda lo, hi: p[lo:hi], seed, stream)
 
 
 @pytest.fixture(scope="module")
