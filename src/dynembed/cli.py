@@ -37,7 +37,7 @@ from .embedders import (
     separate_embed,
     uase_from_svd,
 )
-from .linalg import MemoryBudgetError, truncated_svd
+from .linalg import truncated_svd
 from .models import bundled_config_path, load_dsbm_config, sample_dsbm
 from .netseries import GraphSeries, ingest_edge_list
 from .stability import DEFAULT_GAP_THRESHOLD, stability_report
@@ -488,23 +488,18 @@ def cmd_stability(args) -> int:
     report = stability_report(emb, memberships, pairs, threshold=args.threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    rows = [(p.group_a[0], times[p.group_a[1]], p.group_b[0], times[p.group_b[1]],
+             p.centroid_gap, p.separation, p.gap_ratio, p.cov_gap, p.scale,
+             int(p.passed), int(p.cov_skipped)) for p in report.pairs]
     _write_csv(out / "report.csv", [
         "group_a", "time_a", "group_b", "time_b", "centroid_gap", "separation",
         "gap_ratio", "cov_gap", "scale", "passed", "cov_skipped",
-    ], zip(*[
-        (p.group_a[0], times[p.group_a[1]], p.group_b[0], times[p.group_b[1]],
-         p.centroid_gap, p.separation, p.gap_ratio, p.cov_gap, p.scale,
-         int(p.passed), int(p.cov_skipped))
-        for p in report.pairs
-    ]))
-    lines = [f"threshold {args.threshold:g}"]
-    for p in report.pairs:
-        verdict = "pass" if p.passed else "FAIL"
-        lines.append(
-            f"{p.group_a[0]}:{times[p.group_a[1]]:g} vs "
-            f"{p.group_b[0]}:{times[p.group_b[1]]:g}: "
-            f"gap_ratio={p.gap_ratio:.4f} cov_gap={p.cov_gap:.4f} [{verdict}]"
-        )
+    ], zip(*rows))
+    lines = [f"threshold {args.threshold:g}"] + [
+        f"{ga}:{ta:g} vs {gb}:{tb:g}: gap_ratio={ratio:.4f} cov_gap={cov:.4f} "
+        f"[{'pass' if passed else 'FAIL'}]"
+        for ga, ta, gb, tb, _, _, ratio, cov, _, passed, _ in rows
+    ]
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(
         out, args.argv, None,
@@ -514,7 +509,7 @@ def cmd_stability(args) -> int:
         details={
             "threshold": args.threshold,
             "passed": report.passed,
-            "gap_ratios": [float(p.gap_ratio) for p in report.pairs],
+            "gap_ratios": [float(row[6]) for row in rows],
         },
     )
     for line in lines:
@@ -678,7 +673,7 @@ def main(argv=None) -> int:
     args.argv = words
     try:
         return args.func(args)
-    except (DataError, ValueError, FileNotFoundError, MemoryBudgetError) as exc:
+    except (DataError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    MemoryBudgetError,
-    TruncatedSvd,
-    memory_budget_entries,
-    orient_columns,
-    truncated_svd,
-)
+from .linalg import TruncatedSvd, orient_columns, truncated_svd
 from .netseries import GraphSeries, unfold
+
+# omnibus_embed materializes the (T n) x (T n) omnibus matrix up to this many
+# float64 entries (1.6 GB) and applies a matrix-free product above it
+DENSE_OMNIBUS_MAX_ENTRIES = 200_000_000
 
 
 @dataclass
@@ -51,9 +49,9 @@ class Embedding:
 
 
 def _as_snapshot_list(series):
-    if isinstance(series, GraphSeries):
-        return series.snapshots
-    return list(series)
+    import scipy.sparse as sp
+    snaps = series.snapshots if isinstance(series, GraphSeries) else series
+    return [sp.csr_matrix(a) for a in snaps]
 
 
 def uase(series, d: int, seed: int = 0) -> Embedding:
@@ -93,6 +91,17 @@ def _signed_symmetric_embedding(a, d: int, seed: int):
     return res.v * np.sqrt(res.s), (positive, d - positive)
 
 
+def _embed_each(matrices, dims, seed: int):
+    """Points and signatures of each matrix embedded on its own; a scalar
+    ``dims`` applies to every matrix."""
+    if np.isscalar(dims):
+        dims = [int(dims)] * len(matrices)
+    if len(dims) != len(matrices):
+        raise ValueError("need one dimension per snapshot")
+    pairs = [_signed_symmetric_embedding(a, d, seed) for a, d in zip(matrices, dims)]
+    return [p for p, _ in pairs], [sig for _, sig in pairs]
+
+
 def independent_ase(series, dims, seed: int = 0) -> Embedding:
     """Adjacency spectral embedding of each snapshot separately.
 
@@ -100,16 +109,7 @@ def independent_ase(series, dims, seed: int = 0) -> Embedding:
     dimension per snapshot. Point sets from different snapshots live in
     unrelated coordinate systems.
     """
-    snaps = _as_snapshot_list(series)
-    if np.isscalar(dims):
-        dims = [int(dims)] * len(snaps)
-    if len(dims) != len(snaps):
-        raise ValueError("need one dimension per snapshot")
-    points, signatures = [], []
-    for t, a in enumerate(snaps):
-        p, sig = _signed_symmetric_embedding(a, dims[t], seed)
-        points.append(p)
-        signatures.append(sig)
+    points, signatures = _embed_each(_as_snapshot_list(series), dims, seed)
     return Embedding(points=points, method="independent", signatures=signatures)
 
 
@@ -155,19 +155,12 @@ def separate_embed(
     Snapshot t is replaced by the weighted average of snapshots 0..t under
     :func:`history_weights`, then spectrally embedded on its own.
     """
-    import scipy.sparse as sp
-    snaps = [sp.csr_matrix(a) for a in _as_snapshot_list(series)]
-    if np.isscalar(dims):
-        dims = [int(dims)] * len(snaps)
-    if len(dims) != len(snaps):
-        raise ValueError("need one dimension per snapshot")
-    points, signatures = [], []
+    snaps = _as_snapshot_list(series)
+    blended = []
     for t in range(len(snaps)):
         w = history_weights(t, scheme, forgetting=forgetting, window=window)
-        blended = sum(w[s] * snaps[s] for s in range(t + 1) if w[s] > 0)
-        p, sig = _signed_symmetric_embedding(blended, dims[t], seed)
-        points.append(p)
-        signatures.append(sig)
+        blended.append(sum(w[s] * snaps[s] for s in range(t + 1) if w[s] > 0))
+    points, signatures = _embed_each(blended, dims, seed)
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
 
 
@@ -191,15 +184,9 @@ def _omnibus_matvec(snaps):
 
 def omnibus_matrix(series) -> np.ndarray:
     """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2."""
-    import scipy.sparse as sp
-    snaps = [np.asarray(sp.csr_matrix(a).todense()) for a in _as_snapshot_list(series)]
+    snaps = [a.toarray() for a in _as_snapshot_list(series)]
     t_count = len(snaps)
     n = snaps[0].shape[0]
-    if (t_count * n) ** 2 > memory_budget_entries():
-        raise MemoryBudgetError(
-            f"omnibus matrix would hold {(t_count * n) ** 2} entries; "
-            "raise DYNEMBED_MEMORY_BUDGET or use omnibus_embed directly"
-        )
     m = np.empty((t_count * n, t_count * n))
     for s in range(t_count):
         for t in range(t_count):
@@ -217,17 +204,17 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     snapshot-t point set; all blocks share one coordinate system. The
     (positive, negative) eigenvalue counts are reported as the signature.
 
-    The matrix is materialized when it fits the memory budget; otherwise a
-    matrix-free product over the snapshot blocks is used.
+    The matrix is materialized when it has at most
+    ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; otherwise a matrix-free product
+    over the snapshot blocks is used.
     """
-    import scipy.sparse as sp
     from scipy.sparse.linalg import LinearOperator
-    snaps = [sp.csr_matrix(a) for a in _as_snapshot_list(series)]
+    snaps = _as_snapshot_list(series)
     t_count = len(snaps)
     n = snaps[0].shape[0]
     side = t_count * n
-    if side * side <= memory_budget_entries():
-        m = omnibus_matrix(series)
+    if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
+        m = omnibus_matrix(snaps)
     else:
         matvec = _omnibus_matvec(snaps)
         m = LinearOperator((side, side), matvec=matvec, rmatvec=matvec,

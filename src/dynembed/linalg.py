@@ -6,26 +6,9 @@ fixed seed the results are reproducible run to run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def memory_budget_entries() -> int:
-    """Maximum number of float64 entries a materialized dense matrix may have.
-
-    Overridable through the DYNEMBED_MEMORY_BUDGET environment variable
-    (a plain integer, in entries).
-    """
-    raw = os.environ.get("DYNEMBED_MEMORY_BUDGET")
-    if raw is None:
-        return 200_000_000
-    return int(raw)
-
-
-class MemoryBudgetError(RuntimeError):
-    """Raised when an operation would materialize more than the memory budget allows."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +101,7 @@ class ProcrustesResult:
     unique: bool
 
 
-def procrustes(a: np.ndarray, b: np.ndarray, *, tol: float = 1e-12) -> ProcrustesResult:
+def procrustes(a: np.ndarray, b: np.ndarray) -> ProcrustesResult:
     """Orthogonal Procrustes alignment of a onto b.
 
     Solved through the SVD of a.T @ b. When that cross-product is rank
@@ -133,7 +116,7 @@ def procrustes(a: np.ndarray, b: np.ndarray, *, tol: float = 1e-12) -> Procruste
         raise ValueError("non-finite entries")
     u, s, vt = np.linalg.svd(a.T @ b)
     q = u @ vt
-    unique = bool(s.size == 0 or s[-1] > tol * max(s[0], 1.0))
+    unique = bool(s.size == 0 or s[-1] > 1e-12 * max(s[0], 1.0))
     residual = float(np.linalg.norm(a @ q - b))
     return ProcrustesResult(q=q, residual=residual, unique=unique)
 

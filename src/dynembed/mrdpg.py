@@ -28,6 +28,8 @@ from .linalg import orient_columns
 from .models import DsbmSpec
 
 RANK_RTOL = 1e-10
+# relative tolerance under which two kernel rows count as equal
+ROW_RTOL = 1e-9
 
 
 @dataclass
@@ -245,12 +247,10 @@ def _sym_sqrt(mat: np.ndarray):
     return root, inv_root
 
 
-def moment_matrices(
-    structure: LatentStructure, probabilities: np.ndarray | None = None
-) -> MomentMatrices:
-    """Second moments and basis maps; probabilities default to the model's."""
+def moment_matrices(structure: LatentStructure) -> MomentMatrices:
+    """Second moments and basis maps under the model's sequence probabilities."""
     model = structure.model
-    p = model.probabilities if probabilities is None else np.asarray(probabilities)
+    p = model.probabilities
     seqs = model.sequences
     delta_x = (structure.x * p[:, None]).T @ structure.x
     delta_y = []
@@ -349,9 +349,7 @@ class ExchangeabilityResult:
     residual: float
 
 
-def exchangeable_states(
-    model: FiniteModel, t: int, a: int, b: int, *, rtol: float = 1e-9
-) -> ExchangeabilityResult:
+def exchangeable_states(model: FiniteModel, t: int, a: int, b: int) -> ExchangeabilityResult:
     """Decide whether states a and b are exchangeable at time t.
 
     Exact exchangeability means equal kernel rows, so the states are
@@ -363,26 +361,26 @@ def exchangeable_states(
     row_a, row_b = kernel[a], kernel[b]
     norm = max(np.max(np.abs(row_a)), np.max(np.abs(row_b)), 1e-300)
     exact_res = float(np.max(np.abs(row_a - row_b)))
-    if exact_res <= rtol * norm:
+    if exact_res <= ROW_RTOL * norm:
         return ExchangeabilityResult(True, True, 1.0, exact_res)
     denom = float(row_b @ row_b)
     if denom == 0.0:
         return ExchangeabilityResult(False, False, None, exact_res)
     scale = float(row_a @ row_b) / denom
     prop_res = float(np.max(np.abs(row_a - scale * row_b)))
-    if scale > 0 and prop_res <= rtol * norm:
+    if scale > 0 and prop_res <= ROW_RTOL * norm:
         return ExchangeabilityResult(False, True, scale, prop_res)
     return ExchangeabilityResult(False, False, None, exact_res)
 
 
-def exchangeability_classes(model: FiniteModel, t: int, *, rtol: float = 1e-9) -> list:
+def exchangeability_classes(model: FiniteModel, t: int) -> list:
     """Partition the realized states at time t into groups with equal kernel
     rows. Returns a list of lists of states."""
     realized = model.realized_states(t).tolist()
     classes: list[list[int]] = []
     for state in realized:
         for group in classes:
-            if exchangeable_states(model, t, state, group[0], rtol=rtol).exact:
+            if exchangeable_states(model, t, state, group[0]).exact:
                 group.append(state)
                 break
         else:

@@ -8,6 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
+# ingestion enumerates every window of [start, end) before the daily band
+# drops any, and builds one snapshot for each window it keeps
+MAX_WINDOWS = 2**20
+
 
 class ParseError(ValueError):
     """Malformed edge list input; carries the 1-based line number."""
@@ -157,7 +161,8 @@ def ingest_edge_list(
     Raises ParseError, with a line number, on a malformed line or timestamp
     (non-finite included), and ValueError on a non-finite ``window_seconds``,
     ``start`` or ``end``, half a daily band, a band end outside [0, 86400], a
-    band no window meets, or more window x n x n cells than int64 keys hold.
+    band no window meets, more window x n x n cells than int64 keys hold, or
+    more than ``MAX_WINDOWS`` windows.
     """
     if column_order not in ("time_u_v", "u_v_time"):
         raise ValueError(f"unknown column_order {column_order!r}")
@@ -215,6 +220,9 @@ def ingest_edge_list(
     n_windows = np.ceil((hi - lo) / window_seconds)
     if n_windows * n * n >= 2.0 ** 63:  # each (window, i, j) cell is an int64 key
         raise ValueError(f"{n_windows:g} windows of {n} x {n} node pairs overflow int64 keys")
+    if n_windows > MAX_WINDOWS:
+        raise ValueError(f"{n_windows:g} windows of {window_seconds:g} s exceed "
+                         f"the limit of {MAX_WINDOWS} windows")
     n_windows = int(n_windows)
     # one mask per drop reason, each counted among the events the earlier ones
     # keep; with no band, in_band is np.True_ (not True) so that ~in_band is False

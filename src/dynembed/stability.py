@@ -18,6 +18,7 @@ from .embedders import Embedding, uase
 from .linalg import procrustes
 from .models import DsbmSpec, sample_dsbm
 from .mrdpg import (
+    ROW_RTOL,
     balanced_node_points,
     exchangeability_classes,
     exchangeable_states,
@@ -199,7 +200,7 @@ def stability_report(
     return StabilityReport(pairs=results, threshold=threshold)
 
 
-def stable_states(model, t1: int, t2: int, *, rtol: float = 1e-9) -> list:
+def stable_states(model, t1: int, t2: int) -> list:
     """States whose kernel row is identical at two times.
 
     Needs the two kernels to share a state space. Such states are the ones a
@@ -211,7 +212,7 @@ def stable_states(model, t1: int, t2: int, *, rtol: float = 1e-9) -> list:
     norm = max(np.max(np.abs(k1)), np.max(np.abs(k2)), 1e-300)
     out = []
     for a in np.intersect1d(model.realized_states(t1), model.realized_states(t2)):
-        if np.max(np.abs(k1[a] - k2[a])) <= rtol * norm:
+        if np.max(np.abs(k1[a] - k2[a])) <= ROW_RTOL * norm:
             out.append(int(a))
     return out
 
@@ -323,7 +324,6 @@ def clt_check(
     *,
     reps: int = 10,
     seed: int = 0,
-    regime: str = "dense",
 ) -> CltReport:
     """Compare sampled snapshot-t embedding errors with the asymptotic law.
 
@@ -341,7 +341,7 @@ def clt_check(
     group = model.sequences[node_seq, t] == state
     if not np.any(group):
         raise ValueError(f"state {state} unoccupied at time {t}")
-    theory = theoretical_error_covariance(structure, t, state, regime=regime, moments=moments)
+    theory = theoretical_error_covariance(structure, t, state, moments=moments)
     n = spec.n_nodes
     rows_t = slice((t + 1) * n, (t + 2) * n)
     rep_seeds = np.random.SeedSequence(seed).generate_state(reps)

@@ -428,6 +428,17 @@ class TestEmbed:
                    "--out", tmp_path / "o") == 2
         assert "end must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("band", [(), ("--daily-start", 0, "--daily-end", 60)])
+    @pytest.mark.parametrize("window", [1e-15, 1e-9])
+    def test_edge_list_window_count_exits_2(self, tmp_path, capsys, window, band):
+        events = tmp_path / "events.txt"
+        events.write_text("0 a b\n1 b c\n2 a c\n")
+        assert run("embed", "--input", events, "--method", "uase", "--dim", 1,
+                   "--window-seconds", window, *band, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "windows" in err and "limit of" in err
+        assert "Traceback" not in err
+
     def test_edge_list_needs_window(self, tmp_path):
         events = tmp_path / "events.txt"
         events.write_text("1 a b\n")
@@ -471,6 +482,23 @@ class TestStability:
         for r in rows:
             assert (float(r[6]) < 1e-4) == (r[9] == "1")
         assert "FAIL" in (out / "report.txt").read_text()
+
+    def test_text_report_has_the_csv_rows(self, sim120, emb120, tmp_path, capsys):
+        out = tmp_path / "rep"
+        run("stability", "--embedding", emb120, "--truth", sim120 / "truth.csv",
+            *self.PAIRS, "--threshold", 0.05, "--out", out)
+        _, rows = read_rows(out / "report.csv")
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines[0] == "threshold 0.05"
+        assert capsys.readouterr().out.splitlines() == lines
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            verdict = "[pass]" if row[9] == "1" else "[FAIL]"
+            assert line.startswith(f"{row[0]}:{float(row[1]):g} vs "
+                                   f"{row[2]}:{float(row[3]):g}: ")
+            assert line.endswith(verdict)
+        assert read_manifest(out)["details"]["gap_ratios"] == [
+            float(r[6]) for r in rows]
 
     def test_missing_truth_entries(self, emb120, tmp_path):
         truth = tmp_path / "truth.csv"
@@ -686,6 +714,23 @@ class TestUsage:
         assert "simulate" in capsys.readouterr().out
         assert run("--version") == 0
         assert "dynembed" in capsys.readouterr().out
+
+
+def test_no_module_reads_the_environment():
+    # every setting is an option or a constant; an environment variable would
+    # be a knob no manifest records
+    import ast
+
+    src = Path(dynembed.__file__).resolve().parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                readers.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    a.name in ("environ", "getenv") for a in node.names):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
 
 
 def test_cli_import_skips_scipy_stats():

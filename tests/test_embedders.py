@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
+from dynembed import embedders
 from dynembed.embedders import (
     history_weights,
     independent_ase,
@@ -133,20 +134,31 @@ class TestOmnibus:
         spec, _ = fourblock_series
         grams = [sp.csr_matrix(g) for g in spec.gram_matrices()]
         dense = omnibus_embed(grams, 7, seed=0)
-        monkeypatch.setenv("DYNEMBED_MEMORY_BUDGET", "1000")
+        monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", 1000)
         free = omnibus_embed(grams, 7, seed=0)
         fit = procrustes(np.vstack(free.points), np.vstack(dense.points))
         assert fit.residual < 1e-6 * np.linalg.norm(np.vstack(dense.points))
 
-    @pytest.mark.parametrize("budget", [None, "1000"])
+    @pytest.mark.parametrize("budget", [None, 1000])
     def test_sign_convention(self, budget, monkeypatch):
         # largest-magnitude entry of each stacked column positive, on the
         # materialized and the matrix-free path alike
         if budget is not None:
-            monkeypatch.setenv("DYNEMBED_MEMORY_BUDGET", budget)
+            monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", budget)
         stacked = np.vstack(omnibus_embed(random_series(31, n=20, t=3), 5, seed=2).points)
         rows = np.argmax(np.abs(stacked), axis=0)
         assert np.all(stacked[rows, np.arange(5)] > 0)
+
+    @pytest.mark.parametrize("slack, dense", [(0, True), (-1, False)])
+    def test_dense_up_to_the_threshold(self, slack, dense, monkeypatch):
+        # side 60 (n = 20, T = 3): the matrix is materialized at exactly
+        # side^2 entries and not one entry below
+        calls = []
+        monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", 60 * 60 + slack)
+        monkeypatch.setattr(embedders, "omnibus_matrix",
+                            lambda snaps: calls.append(1) or omnibus_matrix(snaps))
+        omnibus_embed(random_series(31, n=20, t=3), 5, seed=2)
+        assert calls == ([1] if dense else [])
 
 
 class TestIndependent:
@@ -186,6 +198,14 @@ class TestIndependent:
         series = random_series(15, t=2)
         with pytest.raises(ValueError):
             independent_ase(series, [3])
+
+    def test_equals_one_snapshot_window_smoothing(self, fourblock_series):
+        _, series = fourblock_series
+        solo = independent_ase(series, [4, 3])
+        window = separate_embed(series, [4, 3], scheme="window", window=1)
+        for a, b in zip(solo.points, window.points):
+            np.testing.assert_array_equal(a, b)
+        assert solo.signatures == window.signatures
 
 
 class TestSeparate:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -270,6 +272,15 @@ class TestIngest:
         with pytest.raises(ValueError, match="overflow int64 keys"):
             ingest_edge_list(path, window_seconds=1e-20, daily_start=0.0,
                              daily_end=60.0)
+
+    @pytest.mark.parametrize("band", [{}, {"daily_start": 0.0, "daily_end": 60.0}])
+    @pytest.mark.parametrize("window, count", [(1e-15, "2e+15"), (1e-9, "2e+09")])
+    def test_window_count_beyond_limit_rejected(self, tmp_path, window, count, band):
+        # refused before one array entry per window is allocated
+        path = tmp_path / "events.txt"
+        write_events(path, ["0 a b", "1 b c", "2 a c"])
+        with pytest.raises(ValueError, match=rf"{re.escape(count)} windows .* limit of 1048576"):
+            ingest_edge_list(path, window_seconds=window, **band)
 
 
 def reference_ingest(path, *, window_seconds, start=None, end=None,
