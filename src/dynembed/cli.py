@@ -48,6 +48,8 @@ EXIT_DATA = 2
 EXIT_THRESHOLD = 3
 
 SCREE_LENGTH = 50
+# rows per _write_csv join; larger chunks raised the embed stage's peak memory
+CSV_CHUNK_ROWS = 1 << 10
 
 
 class DataError(Exception):
@@ -58,10 +60,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems; 2 is reserved for data errors
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _sha256(path) -> str:
@@ -141,23 +139,27 @@ def _resolve_config(name_or_path) -> Path:
 
 
 def _write_csv(path, header, columns) -> int:
-    """Write equal-length columns as CSV rows; returns the row count.
+    """Write equal-length columns (arrays, lists or tuples) as CSV rows;
+    returns the row count.
 
-    Floats (Python or numpy) are written by ``_fmt``, integers and labels as
-    text. ``header`` lists the column names, or is None for no header line.
-    Cells are formatted as their row is written, so no column of strings is
-    ever held in memory.
+    A column whose first cell is a float (Python or numpy) is written at 17
+    significant digits, integers and labels as text. ``header`` lists the
+    column names, or is None for no header line. Rows are formatted
+    CSV_CHUNK_ROWS at a time, so no whole column of strings is ever held.
     """
-    cells = [(_fmt(x) if isinstance(x, float) else str(x)
-              for x in (c.tolist() if isinstance(c, np.ndarray) else c))
-             for c in columns]
-    rows = 0
+    columns = list(columns)
+    rows = max(map(len, columns), default=0)
+    template = None
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in zip(*cells, strict=True):
-            fh.write(",".join(row) + "\n")
-            rows += 1
+        for lo in range(0, rows, CSV_CHUNK_ROWS):
+            chunk = [c[lo:lo + CSV_CHUNK_ROWS] for c in columns]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            if template is None:
+                template = ",".join("%.17g" if isinstance(c[0], float) else "%s"
+                                    for c in chunk) + "\n"
+            fh.write("".join(map(template.__mod__, zip(*chunk, strict=True))))
     return rows
 
 
@@ -338,22 +340,23 @@ def cmd_simulate(args) -> int:
         node_labels=[str(i + 1) for i in range(spec.n_nodes)],
         times=list(range(1, spec.n_snapshots + 1)),
     )
+    t1 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     series.save(out / "series")
     outputs = [out / "series" / "snapshots.npz", out / "series" / "labels.txt"]
-    labels = series.node_labels
+    t2 = time.perf_counter()
+    labels = np.array(series.node_labels, dtype=object)
     for t, a in enumerate(series.snapshots):
         path = out / f"edges_{t + 1}.csv"
         coo = a.tocoo()
         upper = coo.row < coo.col
-        # lazy columns: a list holding one label per edge raises peak memory
-        _write_csv(path, ["u", "v"], [(labels[i] for i in coo.row[upper]),
-                                      (labels[j] for j in coo.col[upper])])
+        _write_csv(path, ["u", "v"], [labels[coo.row[upper]], labels[coo.col[upper]]])
         outputs.append(path)
+    t3 = time.perf_counter()
     truth = out / "truth.csv"
     _write_csv(truth, ["node_label", "time_label", "community"], [
-        labels * spec.n_snapshots,
+        series.node_labels * spec.n_snapshots,
         np.repeat(series.times, spec.n_nodes),
         np.asarray(spec.memberships).ravel() + 1,
     ])
@@ -362,7 +365,8 @@ def cmd_simulate(args) -> int:
         out, args.argv, args.seed,
         inputs=[config],
         outputs=[p.relative_to(out) for p in outputs],
-        timings={"total": time.perf_counter() - t0},
+        timings={"sample": t1 - t0, "save": t2 - t1, "edges": t3 - t2,
+                 "truth": time.perf_counter() - t3, "total": time.perf_counter() - t0},
         details={
             "n_nodes": spec.n_nodes,
             "n_snapshots": spec.n_snapshots,
@@ -547,7 +551,7 @@ def cmd_cluster(args) -> int:
         at_t = labels[index[:, 1] == t]
         if at_t.size:
             shares[:, t] = np.bincount(at_t, minlength=g_count) / at_t.size
-    _write_csv(out / "proportions.csv", ["cluster"] + [_fmt(t) for t in times],
+    _write_csv(out / "proportions.csv", ["cluster"] + [f"{t:.17g}" for t in times],
                [np.arange(1, g_count + 1), *shares.T])
     _write_manifest(
         out, args.argv, args.seed,

@@ -12,6 +12,10 @@ import numpy as np
 # drops any, and builds one snapshot for each window it keeps
 MAX_WINDOWS = 2**20
 
+# snapshots.npz layout of GraphSeries.save; format 1, a file with no format
+# entry, held both triangles of each snapshot as row_t/col_t
+SERIES_FORMAT = 2
+
 
 class ParseError(ValueError):
     """Malformed edge list input; carries the 1-based line number."""
@@ -82,38 +86,61 @@ class GraphSeries:
         return unfold(self.snapshots)
 
     def densities(self) -> np.ndarray:
-        n = self.n_nodes
-        pairs = n * (n - 1) / 2.0
-        return np.array([a.nnz / 2.0 / pairs for a in self.snapshots])
+        """Share of node pairs joined in each snapshot; 0.0 with no pairs."""
+        pairs = self.n_nodes * (self.n_nodes - 1) / 2.0
+        return np.array([a.nnz / 2.0 / pairs if pairs else 0.0 for a in self.snapshots])
 
     def save(self, directory) -> None:
-        """Write snapshots as an npz of sparse triplets plus a labels file."""
+        """Write ``labels.txt`` and an uncompressed ``snapshots.npz`` holding
+        each snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``.
+        Raises ValueError on a snapshot not symmetric {0,1} with zero diagonal."""
         import scipy.sparse as sp
+        payload = {"format": np.array(SERIES_FORMAT), "n_nodes": np.array([self.n_nodes]),
+                   "times": np.asarray(self.times)}
+        for t, a in enumerate(self.snapshots):
+            a = sp.csr_matrix(a)
+            upper = sp.triu(a, k=1, format="csr")
+            if a.diagonal().any() or np.any(upper.data != 1) or (a != a.T).nnz:
+                raise ValueError(f"snapshot {t} is not symmetric 0/1 with a zero diagonal")
+            payload[f"indptr_{t}"], payload[f"indices_{t}"] = upper.indptr, upper.indices
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        payload = {"n_nodes": np.array([self.n_nodes]), "times": np.asarray(self.times)}
-        for t, a in enumerate(self.snapshots):
-            coo = sp.coo_matrix(a)
-            payload[f"row_{t}"] = coo.row
-            payload[f"col_{t}"] = coo.col
-        np.savez_compressed(directory / "snapshots.npz", **payload)
+        np.savez(directory / "snapshots.npz", **payload)
         with open(directory / "labels.txt", "w", encoding="utf-8") as fh:
             for label in self.node_labels:
                 fh.write(f"{label}\n")
 
     @classmethod
     def load(cls, directory) -> "GraphSeries":
-        import scipy.sparse as sp
-        directory = Path(directory)
-        with np.load(directory / "snapshots.npz") as payload:
-            n = int(payload["n_nodes"][0])
-            times = payload["times"].tolist()
-            snaps = []
-            for t in range(len(times)):
-                row, col = payload[f"row_{t}"], payload[f"col_{t}"]
-                data = np.ones(row.shape[0])
-                snaps.append(sp.csr_matrix((data, (row, col)), shape=(n, n)))
-        with open(directory / "labels.txt", encoding="utf-8") as fh:
+        """Read the series ``save`` wrote into ``directory``. Raises ValueError
+        naming the npz when it is in another format, lacks an entry, or holds
+        a snapshot that is not an n-node strict upper triangle in CSR order."""
+        path = Path(directory) / "snapshots.npz"
+
+        def require(ok, what):
+            if not ok:
+                raise ValueError(f"{path}: {what}")
+
+        with np.load(path) as payload:
+            entries = dict(payload)
+        version = entries.get("format", np.array(1)).tolist()
+        require(version == SERIES_FORMAT, f"series format {version} is not {SERIES_FORMAT}; "
+                "re-run `dynembed simulate` to rewrite a series saved by an older version")
+        require({"n_nodes", "times"} <= entries.keys(), "no n_nodes or times entry")
+        n, times, snaps = int(entries["n_nodes"][0]), entries["times"].tolist(), []
+        for t in range(len(times)):
+            indptr, indices = entries.get(f"indptr_{t}"), entries.get(f"indices_{t}")
+            require(indptr is not None and indices is not None, f"no entries for snapshot {t}")
+            require(indptr.dtype.kind in "iu" and indptr.shape == (n + 1,) and indptr[0] == 0
+                    and indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0),
+                    f"indptr_{t} is not a monotone row pointer of {n} rows")
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            require(indices.dtype.kind in "iu" and np.all((rows < indices) & (indices < n)),
+                    f"indices_{t} holds an entry outside the strict upper triangle of {n} nodes")
+            require(np.all(np.diff(rows * n + indices) > 0),
+                    f"indices_{t} repeats or disorders the entries of a row")
+            snaps.append(symmetric_csr(rows, indices, n))
+        with open(path.parent / "labels.txt", encoding="utf-8") as fh:
             labels = [line.rstrip("\n") for line in fh]
         return cls(snapshots=snaps, node_labels=labels, times=times)
 

@@ -14,3 +14,19 @@ def permute(series: GraphSeries, perm) -> GraphSeries:
     snaps = [sp.csr_matrix(a)[perm][:, perm] for a in series.snapshots]
     labels = [series.node_labels[i] for i in perm]
     return GraphSeries(snapshots=snaps, node_labels=labels, times=list(series.times))
+
+
+def write_csv_per_cell(path, header, columns) -> int:
+    """Reference CSV writer: formats one cell at a time, floats (Python or
+    numpy) at 17 significant digits and everything else by ``str``."""
+    cells = [(format(float(x), ".17g") if isinstance(x, float) else str(x)
+              for x in (c.tolist() if isinstance(c, np.ndarray) else c))
+             for c in columns]
+    rows = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in zip(*cells, strict=True):
+            fh.write(",".join(row) + "\n")
+            rows += 1
+    return rows

@@ -16,6 +16,7 @@ from dynembed.cluster import parameter_count
 from dynembed.embedders import uase
 from dynembed.linalg import truncated_svd
 from dynembed.netseries import GraphSeries
+from helpers import write_csv_per_cell
 
 FOURBLOCK_120 = """\
 [model]
@@ -121,16 +122,18 @@ class TestSimulate:
             assert run("simulate", "--config", cfg, "--seed", 5, "--out", out) == 0
             outs.append(out)
         for fname in ("edges_1.csv", "edges_2.csv", "truth.csv",
-                      "series/labels.txt"):
+                      "series/labels.txt", "series/snapshots.npz"):
             assert sha(outs[0] / fname) == sha(outs[1] / fname)
-        assert (outs[0] / "series" / "snapshots.npz").exists()
         man = read_manifest(outs[0])
         assert man["seed"] == 5
         assert man["details"]["n_nodes"] == 120
         assert man["details"]["n_snapshots"] == 2
         assert str(cfg) in man["input_digests"]
         assert "dynembed" in man["versions"]
-        assert man["timings_seconds"]["total"] > 0
+        timings = man["timings_seconds"]
+        assert timings["total"] > 0
+        parts = [timings[k] for k in ("sample", "save", "edges", "truth")]
+        assert min(parts) >= 0 and sum(parts) <= timings["total"]
         assert man["peak_rss_mib"] > 0
 
     def test_seed_changes_edges(self, tmp_path):
@@ -151,6 +154,14 @@ class TestSimulate:
         assert header == ["node_label", "time_label", "community"]
         assert [r[2] for r in rows] == ["1"] * 10
         assert read_manifest(out)["details"]["densities"] == [0.0]
+
+    def test_one_node_has_density_zero(self, tmp_path):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("[model]\nn_nodes = 1\n\n[snapshot.1]\nblock_matrix = 0.5\n")
+        out = tmp_path / "run"
+        assert run("simulate", "--config", cfg, "--seed", 0, "--out", out) == 0
+        assert read_manifest(out)["details"]["densities"] == [0.0]
+        assert (out / "edges_1.csv").read_text() == "u,v\n"
 
     def test_truth_matches_config_labels(self, sim120):
         header, rows = read_rows(sim120 / "truth.csv")
@@ -199,6 +210,46 @@ class TestSimulate:
                         "--restarts", "1", "--out", str(out)],
                        env=env, capture_output=True, check=True)
         assert 0 < read_manifest(out)["peak_rss_mib"] < 200
+
+
+def random_columns(seed, rows):
+    """Columns of every kind the CSV writer is given, ``rows`` long."""
+    rng = np.random.default_rng(seed)
+    specials = [-0.0, 0.0, 1e-300, 5e-324, np.inf, -np.inf, np.nan, 0.1, 1 / 3]
+    return [
+        rng.integers(-10**12, 10**12, rows),
+        rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows),
+        np.resize(specials, rows),
+        np.array([f"node{k}" for k in rng.integers(0, 99, rows)], dtype=object),
+        [f"label {k}" for k in rng.integers(0, 99, rows)],
+        [int(k) for k in rng.integers(-5, 5, rows)],
+        [float(x) for x in rng.standard_normal(rows)],
+        tuple(float(x) for x in np.resize(specials[::-1], rows)),
+        [bool(k) for k in rng.integers(0, 2, rows)],
+    ]
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    @pytest.mark.parametrize("rows", [0, 1, 7, 50])
+    @pytest.mark.parametrize("header", [None, "names"])
+    def test_bytes_equal_the_per_cell_writer(self, tmp_path, monkeypatch, chunk, rows, header):
+        if chunk is not None:
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        columns = random_columns(rows, rows)
+        names = None if header is None else [f"c{k}" for k in range(len(columns))]
+        assert cli._write_csv(tmp_path / "new.csv", names, columns) == rows
+        assert write_csv_per_cell(tmp_path / "old.csv", names, columns) == rows
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_no_columns_writes_the_header_only(self, tmp_path):
+        assert cli._write_csv(tmp_path / "a.csv", ["x"], []) == 0
+        assert (tmp_path / "a.csv").read_text() == "x\n"
+
+    def test_unequal_columns_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 2)
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "a.csv", None, [[1, 2, 3], [1, 2]])
 
 
 class TestEmbed:
@@ -327,6 +378,30 @@ class TestEmbed:
         ]
         for words in cases:
             assert run(*words) == 2
+
+    @pytest.mark.parametrize("defect", ["old format", "missing times"])
+    def test_unreadable_series_file_exits_2(self, sim120, tmp_path, capsys, defect):
+        series = tmp_path / "series"
+        shutil.copytree(sim120 / "series", series)
+        npz = series / "snapshots.npz"
+        with np.load(npz) as payload:
+            entries = dict(payload)
+        if defect == "old format":
+            # both triangles as row_t/col_t triplets, compressed, no format entry
+            entries = {"n_nodes": entries["n_nodes"], "times": entries["times"]}
+            for t, a in enumerate(GraphSeries.load(sim120 / "series").snapshots):
+                coo = a.tocoo()
+                entries[f"row_{t}"], entries[f"col_{t}"] = coo.row, coo.col
+            np.savez_compressed(npz, **entries)
+        else:
+            del entries["times"]
+            np.savez(npz, **entries)
+        assert run("embed", "--input", series, "--method", "uase", "--dim", 2,
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert str(npz) in err and "Traceback" not in err
+        if defect == "old format":
+            assert "re-run `dynembed simulate`" in err
 
     @pytest.mark.parametrize("method", ["uase", "omnibus"])
     def test_joint_methods_reject_dim_list(self, sim120, tmp_path, capsys, method):

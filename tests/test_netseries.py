@@ -1,11 +1,18 @@
 import re
+import zipfile
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dynembed.netseries import GraphSeries, IngestStats, ParseError, ingest_edge_list
+from dynembed.netseries import (
+    SERIES_FORMAT,
+    GraphSeries,
+    IngestStats,
+    ParseError,
+    ingest_edge_list,
+)
 from helpers import permute
 
 
@@ -50,19 +57,85 @@ class TestGraphSeries:
         assert moved.node_labels == ["z", "x", "y"]
 
     def test_save_load_round_trip(self, tmp_path):
+        for n in (12, 1):
+            series = make_series(seed=5, n=n)
+            # an empty snapshot keeps its place in the series
+            series.snapshots.insert(1, sp.csr_matrix((n, n)))
+            series.times = [0.5, 1.5, 2.5, 3.5]
+            series.node_labels = [f"v{k}" for k in range(n)]
+            series.save(tmp_path / f"series{n}")
+            back = GraphSeries.load(tmp_path / f"series{n}")
+            assert back.n_nodes == n
+            assert back.times == series.times
+            assert back.node_labels == series.node_labels
+            assert back.n_snapshots == 4 and back.snapshots[1].nnz == 0
+            for a, b in zip(series.snapshots, back.snapshots):
+                assert b.shape == (n, n) and (a != b).nnz == 0
+
+    def test_save_stores_one_triangle_uncompressed(self, tmp_path):
         series = make_series(seed=5)
-        series.save(tmp_path / "series")
-        back = GraphSeries.load(tmp_path / "series")
-        assert back.n_nodes == series.n_nodes
-        assert back.n_snapshots == series.n_snapshots
-        for a, b in zip(series.snapshots, back.snapshots):
-            assert (a != b).nnz == 0
+        series.save(tmp_path)
+        with zipfile.ZipFile(tmp_path / "snapshots.npz") as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+        with np.load(tmp_path / "snapshots.npz") as payload:
+            assert int(payload["format"]) == SERIES_FORMAT
+            for t, a in enumerate(series.snapshots):
+                upper = sp.triu(a, k=1, format="csr")
+                np.testing.assert_array_equal(payload[f"indptr_{t}"], upper.indptr)
+                np.testing.assert_array_equal(payload[f"indices_{t}"], upper.indices)
+
+    @pytest.mark.parametrize("dense", [
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],  # one triangle only
+        [[1, 1, 0], [1, 0, 0], [0, 0, 0]],  # a self loop
+        [[0, 2, 0], [2, 0, 0], [0, 0, 0]],  # a weight other than 1
+    ])
+    def test_save_refuses_what_one_triangle_cannot_hold(self, tmp_path, dense):
+        series = GraphSeries(snapshots=[sp.csr_matrix(np.array(dense, dtype=float))])
+        with pytest.raises(ValueError, match="snapshot 0"):
+            series.save(tmp_path / "series")
+        assert not (tmp_path / "series").exists()
+
+    @pytest.mark.parametrize("edit", [
+        "old format", "missing times", "wrong version", "index out of range",
+        "entry below the diagonal", "entry on the diagonal", "repeated entry",
+        "non-monotone indptr",
+    ])
+    def test_malformed_file_names_itself(self, tmp_path, edit):
+        # a saved 3-node path 0-1-2, then one defect
+        a = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]))
+        GraphSeries(snapshots=[a]).save(tmp_path)
+        path = tmp_path / "snapshots.npz"
+        with np.load(path) as payload:
+            entries = dict(payload)
+        if edit == "old format":
+            coo = a.tocoo()
+            entries = {"n_nodes": np.array([3]), "times": np.array([0]),
+                       "row_0": coo.row, "col_0": coo.col}
+        elif edit == "missing times":
+            del entries["times"]
+        elif edit == "wrong version":
+            entries["format"] = np.array(SERIES_FORMAT + 1)
+        elif edit == "index out of range":
+            entries["indices_0"] = np.array([1, 5])
+        elif edit == "entry below the diagonal":
+            entries["indptr_0"], entries["indices_0"] = np.array([0, 0, 1, 2]), np.array([0, 1])
+        elif edit == "entry on the diagonal":
+            entries["indptr_0"], entries["indices_0"] = np.array([0, 1, 2, 2]), np.array([0, 2])
+        elif edit == "repeated entry":
+            entries["indptr_0"], entries["indices_0"] = np.array([0, 2, 3, 3]), np.array([1, 1, 2])
+        else:
+            entries["indptr_0"] = np.array([0, 2, 1, 2])
+        np.savez(path, **entries)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            GraphSeries.load(tmp_path)
 
     def test_densities(self):
         n = 6
         full = np.ones((n, n)) - np.eye(n)
         series = GraphSeries(snapshots=[sp.csr_matrix(full), sp.csr_matrix((n, n))])
         np.testing.assert_allclose(series.densities(), [1.0, 0.0])
+        # one node has no pairs to join
+        assert GraphSeries(snapshots=[sp.csr_matrix((1, 1))]).densities().tolist() == [0.0]
 
 
 def write_events(path, lines):
