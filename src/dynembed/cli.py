@@ -254,6 +254,12 @@ def _load_series(input_path, args) -> tuple[GraphSeries, list[Path]]:
         if p.name != "snapshots.npz":
             raise DataError(f"{p}: a saved series is read from a snapshots.npz "
                             "and the labels.txt beside it")
+        given = [f"--{name.replace('_', '-')}" for name in
+                 ("window_seconds", "start", "end", "daily_start", "daily_end")
+                 if getattr(args, name) is not None]
+        if given:
+            raise DataError(f"{p}: {', '.join(given)} apply to a raw edge list, "
+                            "not to a saved series")
         return GraphSeries.load(p.parent), [p, p.parent / "labels.txt"]
     if args.window_seconds is None:
         raise DataError(
@@ -464,6 +470,8 @@ def _read_truth(path):
 
 def cmd_stability(args) -> int:
     t0 = time.perf_counter()
+    if not (np.isfinite(args.threshold) and args.threshold > 0):
+        raise DataError(f"--threshold must be positive and finite, not {args.threshold:g}")
     emb_path = _locate_embedding_csv(args.embedding)
     emb, labels_per_time, times = _read_embedding_csv(emb_path)
     truth = _read_truth(args.truth)

@@ -168,7 +168,7 @@ def load_dsbm_config(path) -> DsbmSpec:
         n_nodes = 1000
         rho = 1.0
         # optional: memberships = 0 0 1 1 2 ...  (one label per node)
-        # optional: degree_weights = path or inline numbers
+        # optional: degree_weights = 1.0 1.0 0.5 ...  (one weight per node)
 
         [snapshot.1]
         block_matrix =

@@ -2,14 +2,14 @@
 
 A dynamic network model whose nodes follow one of finitely many latent state
 sequences is summarized here by per-time kernels over the states plus a
-distribution over state sequences. From that description the module builds
+distribution over state sequences. As a multilayer random dot product graph
+(Jones & Rubin-Delanchy 2020, arXiv:2007.10455), its expected unfolded
+adjacency matrix has an exact low-rank factorization. From the model this
+module builds
 
-- exact low-rank structure: left positions (one per state sequence), per-time
-  middle factors and right positions (one per state), reproducing every
-  kernel value through a bilinear form;
-- population moment matrices and the change-of-basis maps relating the
-  structure coordinates to the balanced spectral coordinates of the unfolded
-  expected adjacency matrix;
+- the balanced spectral structure: the singular values of the expected
+  unfolding per node, one left position per state sequence and one right
+  position per state and time, all from one SVD of a small coupling matrix;
 - asymptotic error covariances for the per-snapshot embedding rows;
 - exchangeability predicates deciding when two states are indistinguishable
   at a time point, exactly or up to a degree scaling.
@@ -85,20 +85,31 @@ class FiniteModel:
 
 @dataclass
 class LatentStructure:
-    """Exact factorization of a finite-state model.
+    """Balanced spectral structure of a finite-state model.
+
+    n nodes whose sequences occur with the model's probabilities have the
+    expected unfolding (P_1 | ... | P_T) = E K F^T, where E (n, S) and F (Tn,
+    sum m_t) are the node-to-sequence and node-to-state indicators. Its
+    singular values are n * sigma, and its balanced factors (singular vectors
+    scaled by the square roots of the singular values) give every node the
+    position of its sequence on the left and of its state on the right:
+
+    x: (S, d) left position of each sequence.
+    y: per time, (m_t, d) right position of each state, realized or not.
+    sigma: (d,) singular values of the expected unfolding divided by n.
+    d: the structure rank; dims[t]: the rank of y[t]'s realized rows.
 
     For every sequence s, time t and state a realized at time t,
 
-        kernels[t][sequences[s, t], a] == x[s] @ lambdas[t] @ y[t][a]
+        kernels[t][sequences[s, t], a] == x[s] @ y[t][a]
 
-    holds to numerical precision. ``d`` is the overall structure rank and
-    ``dims[t]`` the time-t rank.
+    holds to numerical precision.
     """
 
     model: FiniteModel
-    x: np.ndarray          # (S, d)
-    lambdas: list          # per time: (d, d_t)
-    y: list                # per time: (m_t, d_t)
+    x: np.ndarray
+    y: list
+    sigma: np.ndarray
     d: int
     dims: list
 
@@ -108,16 +119,19 @@ class LatentStructure:
         worst = 0.0
         for t, kernel in enumerate(self.model.kernels):
             realized = self.model.realized_states(t)
-            rebuilt = self.x @ self.lambdas[t] @ self.y[t][realized].T
+            rebuilt = self.x @ self.y[t][realized].T
             target = kernel[np.ix_(self.model.sequences[:, t], realized)]
             worst = max(worst, float(np.max(np.abs(rebuilt - target))))
         return worst
 
     def node_points(self, node_sequences: np.ndarray):
-        """Per-node structure coordinates for nodes assigned to sequences.
+        """Noise-free balanced positions (left, rights) of nodes assigned to
+        sequences: left is (n, d) with row i = x[node_sequences[i]], rights[t]
+        is (n, d) with row i the time-t state position of node i.
 
-        Returns (left, rights): left is (n, d) with row i = x[node_sequences[i]];
-        rights[t] is (n, d_t) with row i the time-t state position of node i.
+        When the model's probabilities are the sequence frequencies of these
+        nodes, as in a model from :func:`model_from_dsbm`, these are the
+        positions of :func:`noise_free_embedding` up to one orthogonal map.
         """
         node_sequences = np.asarray(node_sequences, dtype=int)
         left = self.x[node_sequences]
@@ -128,175 +142,36 @@ class LatentStructure:
         return left, rights
 
 
-def _feature_map(kernel: np.ndarray):
-    """Spectral square root of one kernel: rows phi(a) with signs sgn(lambda),
-    satisfying kernel[a, b] = phi(a) @ diag(signs) @ phi(b)."""
-    w, q = np.linalg.eigh(kernel)
-    order = np.lexsort((np.arange(w.shape[0]), -w, -np.abs(w)))
-    w, q = w[order], q[:, order]
-    scale = np.max(np.abs(w)) if w.size else 0.0
-    keep = np.abs(w) > RANK_RTOL * max(scale, 1.0)
-    (q,) = orient_columns(q[:, keep])
-    w = w[keep]
-    phi = q * np.sqrt(np.abs(w))
-    return phi, np.sign(w)
-
-
-def _row_basis(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row space of a matrix."""
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        raise ValueError("zero matrix has no row basis")
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    return vt[:rank]
-
-
 def latent_structure(model: FiniteModel) -> LatentStructure:
-    """Build the exact low-rank factorization of a finite-state model.
+    """Build the balanced structure of a finite-state model from one SVD.
 
-    Steps: spectral square roots of each kernel give per-time state features;
-    concatenating a sequence's features over time gives its joint feature
-    vector; orthonormal bases of the joint feature span and of each time's
-    realized-state feature span reduce the (joint x per-time) coupling to a
-    small core matrix whose SVD yields the overall rank d, and whose right
-    factor restricted to each time block yields the per-time ranks d_t, the
-    middle factors and the state positions.
+    With p the sequence probabilities and q_t the time-t state probabilities,
+    the coupling matrix C[s, (t, a)] = sqrt(p_s) K_t[seq_s(t), a] sqrt(q_t(a))
+    is the expected unfolding divided by n in orthonormal coordinates, since
+    E^T E = n diag(p) and F^T F = n diag(q). So with C = u diag(sigma) v^T,
+    x_s = u_s sqrt(sigma) / sqrt(p_s), and y_t = K_t[seq(t)]^T (p * x) / sigma
+    places every state, realized or not, on the right.
     """
-    t_count = model.n_times
-    phis, signs = [], []
-    for kernel in model.kernels:
-        phi, sign = _feature_map(kernel)
-        phis.append(phi)
-        signs.append(sign)
-    widths = [phi.shape[1] for phi in phis]
-
-    # joint features, one row per positive-probability sequence
-    xi = np.hstack(
-        [phis[t][model.sequences[:, t]] for t in range(t_count)]
-    )
-    m_basis = _row_basis(xi)  # (r, sum widths)
-
-    n_bases = []
-    for t in range(t_count):
-        realized = model.realized_states(t)
-        n_bases.append(_row_basis(phis[t][realized]))
-
-    offsets = np.cumsum([0] + widths)
-    # core coupling: rows = joint-span basis, columns = per-time span bases
-    core_blocks = []
-    for t in range(t_count):
-        m_t = m_basis[:, offsets[t] : offsets[t + 1]]
-        s_t = signs[t]
-        core_blocks.append((m_t * s_t) @ n_bases[t].T)
-    core = np.hstack(core_blocks)
-
-    u, s, vt = np.linalg.svd(core, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    p, seqs = model.probabilities, model.sequences
+    blocks = []
+    for t, kernel in enumerate(model.kernels):
+        q = np.bincount(seqs[:, t], weights=p, minlength=kernel.shape[0])
+        blocks.append(kernel[seqs[:, t]] * np.sqrt(q))
+    coupling = np.sqrt(p)[:, None] * np.hstack(blocks)
+    u, s, _ = np.linalg.svd(coupling, full_matrices=False)
+    if s[0] == 0.0:
         raise ValueError("degenerate model: all kernel values are zero")
     d = int(np.sum(s > RANK_RTOL * s[0]))
-    u, s, v = u[:, :d], s[:d], vt[:d].T
-
-    block_sizes = [b.shape[0] for b in n_bases]
-    v_offsets = np.cumsum([0] + block_sizes)
-    lambdas, ys, dims = [], [], []
-    for t in range(t_count):
-        v_t = v[v_offsets[t] : v_offsets[t + 1]]  # (r_t, d)
-        ut, st, wtt = np.linalg.svd(v_t, full_matrices=False)
-        d_t = int(np.sum(st > RANK_RTOL * max(st[0], 1.0))) if st.size else 0
-        ut, st, wt = ut[:, :d_t], st[:d_t], wtt[:d_t].T
-        lambdas.append((s[:, None] * wt) * st)        # diag(s) @ wt @ diag(st)
-        ys.append(phis[t] @ n_bases[t].T @ ut)         # all states, projected
-        dims.append(d_t)
-
-    x = xi @ m_basis.T @ u
-    return LatentStructure(
-        model=model,
-        x=x,
-        lambdas=lambdas,
-        y=ys,
-        d=d,
-        dims=dims,
-    )
-
-
-@dataclass
-class MomentMatrices:
-    """Population second moments of a structure and derived basis maps.
-
-    delta_x: (d, d) second moment of left positions under the sequence law.
-    delta_y: per-time (d_t, d_t) second moments of right positions.
-    sigma: (d,) limiting singular values (of the expected unfolding, per node).
-    l_map: (d, d) map from structure coordinates to balanced spectral
-        coordinates: balanced left positions are x @ l_map.
-    r_star: (d, d) the transpose-inverse map; balanced covariance of a
-        structure-coordinate covariance C is r_star @ C @ r_star.T.
-    """
-
-    delta_x: np.ndarray
-    delta_y: list
-    sigma: np.ndarray
-    l_map: np.ndarray
-    r_star: np.ndarray
-
-
-def _sym_sqrt(mat: np.ndarray):
-    w, q = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    root = (q * np.sqrt(w)) @ q.T
-    inv_root = (q * (1.0 / np.sqrt(np.where(w > 0, w, 1.0)))) @ q.T
-    return root, inv_root
-
-
-def moment_matrices(structure: LatentStructure) -> MomentMatrices:
-    """Second moments and basis maps under the model's sequence probabilities."""
-    model = structure.model
-    p = model.probabilities
-    seqs = model.sequences
-    delta_x = (structure.x * p[:, None]).T @ structure.x
-    delta_y = []
-    for t in range(model.n_times):
-        pts = structure.y[t][seqs[:, t]]
-        delta_y.append((pts * p[:, None]).T @ pts)
-
-    lam = np.hstack(structure.lambdas)
-    dy_block = np.zeros((lam.shape[1], lam.shape[1]))
-    off = 0
-    for block in delta_y:
-        k = block.shape[0]
-        dy_block[off : off + k, off : off + k] = block
-        off += k
-    dx_root, dx_inv_root = _sym_sqrt(delta_x)
-    h = dx_root @ lam @ dy_block @ lam.T @ dx_root
-    w, v = np.linalg.eigh(h)
-    order = np.argsort(-w)
-    w = np.clip(w[order], 0.0, None)
-    (v,) = orient_columns(v[:, order])
-    sigma = np.sqrt(w)
-    if np.any(sigma <= 0):
-        raise ValueError("rank-deficient moment structure; lower d")
-    l_map = dx_inv_root @ v @ np.diag(np.sqrt(sigma))
-    r_star = np.diag(1.0 / sigma) @ l_map.T
-    return MomentMatrices(
-        delta_x=delta_x, delta_y=delta_y, sigma=sigma, l_map=l_map, r_star=r_star
-    )
-
-
-def balanced_node_points(
-    structure: LatentStructure, node_sequences: np.ndarray, moments: MomentMatrices
-):
-    """Noise-free per-node positions (left, rights) in balanced spectral
-    coordinates: those of :func:`noise_free_embedding` up to one orthogonal
-    transform when the moments use the empirical sequence frequencies of the
-    given nodes, as a model from :func:`model_from_dsbm` of those nodes does.
-    """
-    left_s, rights_s = structure.node_points(node_sequences)
-    left = left_s @ moments.l_map
-    l_inv_t = np.linalg.inv(moments.l_map).T
-    rights = [
-        rights_s[t] @ structure.lambdas[t].T @ l_inv_t
-        for t in range(structure.model.n_times)
-    ]
-    return left, rights
+    sigma = s[:d]
+    # oriented as noise_free_embedding orients the nodes' left positions
+    (x,) = orient_columns(u[:, :d] * np.sqrt(sigma) / np.sqrt(p)[:, None])
+    ys, dims = [], []
+    for t, kernel in enumerate(model.kernels):
+        y = kernel[seqs[:, t]].T @ (x * p[:, None]) / sigma
+        sv = np.linalg.svd(y[model.realized_states(t)], compute_uv=False)
+        ys.append(y)
+        dims.append(int(np.sum(sv > RANK_RTOL * sv[0])))
+    return LatentStructure(model=model, x=x, y=ys, sigma=sigma, d=d, dims=dims)
 
 
 def theoretical_error_covariance(
@@ -305,10 +180,11 @@ def theoretical_error_covariance(
     state: int,
     *,
     regime: str = "dense",
-    moments: MomentMatrices | None = None,
 ) -> np.ndarray:
     """Asymptotic covariance of a time-t embedding row for a node in the given
-    state, in balanced spectral coordinates.
+    state, in balanced spectral coordinates: diag(1/sigma) E[g x x^T]
+    diag(1/sigma), the expectation over sequences, with g the variance of the
+    node's edge indicator to a node on that sequence.
 
     regime "dense": Bernoulli variance f (1 - f) of each edge indicator is
     used. regime "sparse": the small-probability limit replaces it by f; a
@@ -321,8 +197,6 @@ def theoretical_error_covariance(
     kernel = model.kernels[t]
     if not 0 <= state < kernel.shape[0]:
         raise ValueError("state out of range")
-    if moments is None:
-        moments = moment_matrices(structure)
     f_row = kernel[state, model.sequences[:, t]]
     if regime == "dense":
         g = f_row * (1.0 - f_row)
@@ -336,7 +210,7 @@ def theoretical_error_covariance(
         g = f_row
     weights = model.probabilities * g
     inner = (structure.x * weights[:, None]).T @ structure.x
-    return moments.r_star @ inner @ moments.r_star.T
+    return inner / np.outer(structure.sigma, structure.sigma)
 
 
 @dataclass(frozen=True)
@@ -346,7 +220,12 @@ class ExchangeabilityResult:
     exact: bool
     proportional: bool
     scale: float | None
-    residual: float
+
+
+def _rows_equal(row_a: np.ndarray, row_b: np.ndarray) -> bool:
+    """Whether two kernel rows agree within ROW_RTOL of their largest entry."""
+    norm = max(np.max(np.abs(row_a)), np.max(np.abs(row_b)))
+    return bool(np.max(np.abs(row_a - row_b)) <= ROW_RTOL * norm)
 
 
 def exchangeable_states(model: FiniteModel, t: int, a: int, b: int) -> ExchangeabilityResult:
@@ -359,18 +238,13 @@ def exchangeable_states(model: FiniteModel, t: int, a: int, b: int) -> Exchangea
     """
     kernel = model.kernels[t]
     row_a, row_b = kernel[a], kernel[b]
-    norm = max(np.max(np.abs(row_a)), np.max(np.abs(row_b)), 1e-300)
-    exact_res = float(np.max(np.abs(row_a - row_b)))
-    if exact_res <= ROW_RTOL * norm:
-        return ExchangeabilityResult(True, True, 1.0, exact_res)
+    if _rows_equal(row_a, row_b):
+        return ExchangeabilityResult(True, True, 1.0)
     denom = float(row_b @ row_b)
-    if denom == 0.0:
-        return ExchangeabilityResult(False, False, None, exact_res)
-    scale = float(row_a @ row_b) / denom
-    prop_res = float(np.max(np.abs(row_a - scale * row_b)))
-    if scale > 0 and prop_res <= ROW_RTOL * norm:
-        return ExchangeabilityResult(False, True, scale, prop_res)
-    return ExchangeabilityResult(False, False, None, exact_res)
+    scale = float(row_a @ row_b) / denom if denom else 0.0
+    if scale > 0 and _rows_equal(row_a, scale * row_b):
+        return ExchangeabilityResult(False, True, scale)
+    return ExchangeabilityResult(False, False, None)
 
 
 def exchangeability_classes(model: FiniteModel, t: int) -> list:

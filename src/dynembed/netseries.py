@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,16 +114,23 @@ class GraphSeries:
     @classmethod
     def load(cls, directory) -> "GraphSeries":
         """Read the series ``save`` wrote into ``directory``. Raises ValueError
-        naming the npz when it is in another format, lacks an entry, or holds
-        a snapshot that is not an n-node strict upper triangle in CSR order."""
+        naming the npz when it cannot be read, is in another format, lacks an
+        entry, or holds a snapshot that is not an n-node strict upper triangle
+        in CSR order, and naming ``labels.txt`` when it has not n lines."""
         path = Path(directory) / "snapshots.npz"
 
         def require(ok, what):
             if not ok:
                 raise ValueError(f"{path}: {what}")
 
-        with np.load(path) as payload:
-            entries = dict(payload)
+        try:
+            with np.load(path) as payload:
+                entries = dict(payload)
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            # np.load takes a file that is neither .npz nor .npy for a pickle
+            # and refuses it with a ValueError about unsafe loading
+            why = "not an .npz archive" if isinstance(exc, ValueError) else exc
+            raise ValueError(f"{path}: unreadable series file: {why}") from None
         version = entries.get("format", np.array(1)).tolist()
         require(version == SERIES_FORMAT, f"series format {version} is not {SERIES_FORMAT}; "
                 "re-run `dynembed simulate` to rewrite a series saved by an older version")
@@ -140,8 +148,11 @@ class GraphSeries:
             require(np.all(np.diff(rows * n + indices) > 0),
                     f"indices_{t} repeats or disorders the entries of a row")
             snaps.append(symmetric_csr(rows, indices, n))
-        with open(path.parent / "labels.txt", encoding="utf-8") as fh:
+        labels_path = path.parent / "labels.txt"
+        with open(labels_path, encoding="utf-8") as fh:
             labels = [line.rstrip("\n") for line in fh]
+        if len(labels) != n:
+            raise ValueError(f"{labels_path}: {len(labels)} labels for {n} nodes")
         return cls(snapshots=snaps, node_labels=labels, times=times)
 
 

@@ -18,13 +18,11 @@ from .embedders import Embedding, uase
 from .linalg import procrustes
 from .models import DsbmSpec, sample_dsbm
 from .mrdpg import (
-    ROW_RTOL,
-    balanced_node_points,
+    _rows_equal,
     exchangeability_classes,
     exchangeable_states,
     latent_structure,
     model_from_dsbm,
-    moment_matrices,
     theoretical_error_covariance,
 )
 
@@ -209,12 +207,11 @@ def stable_states(model, t1: int, t2: int) -> list:
     k1, k2 = model.kernels[t1], model.kernels[t2]
     if k1.shape != k2.shape:
         raise ValueError("kernels at the two times have different state spaces")
-    norm = max(np.max(np.abs(k1)), np.max(np.abs(k2)), 1e-300)
-    out = []
-    for a in np.intersect1d(model.realized_states(t1), model.realized_states(t2)):
-        if np.max(np.abs(k1[a] - k2[a])) <= ROW_RTOL * norm:
-            out.append(int(a))
-    return out
+    return [
+        int(a)
+        for a in np.intersect1d(model.realized_states(t1), model.realized_states(t2))
+        if _rows_equal(k1[a], k2[a])
+    ]
 
 
 @dataclass
@@ -232,7 +229,7 @@ class ConsistencyCurve:
 def _exact_reference(spec: DsbmSpec, d: int):
     """Noise-free positions of every node from the exact finite-model structure.
 
-    Returns (reference, model, node_sequences, structure, moments), where
+    Returns (reference, model, node_sequences, structure), where
     reference stacks the left point set over each snapshot's right point set,
     in the row order of :func:`_aligned_stack`.
     """
@@ -242,9 +239,8 @@ def _exact_reference(spec: DsbmSpec, d: int):
         raise ValueError(
             f"d={d} does not match the model structure rank {structure.d}"
         )
-    moments = moment_matrices(structure)
-    left, rights = balanced_node_points(structure, node_seq, moments)
-    return np.vstack([left] + rights), model, node_seq, structure, moments
+    left, rights = structure.node_points(node_seq)
+    return np.vstack([left] + rights), model, node_seq, structure
 
 
 def _aligned_stack(embedding: Embedding, reference: np.ndarray) -> np.ndarray:
@@ -337,11 +333,11 @@ def clt_check(
     # imported here: scipy.stats is slow to import and no CLI path needs it
     from scipy import stats as sstats
 
-    reference, model, node_seq, structure, moments = _exact_reference(spec, d)
+    reference, model, node_seq, structure = _exact_reference(spec, d)
     group = model.sequences[node_seq, t] == state
     if not np.any(group):
         raise ValueError(f"state {state} unoccupied at time {t}")
-    theory = theoretical_error_covariance(structure, t, state, moments=moments)
+    theory = theoretical_error_covariance(structure, t, state)
     n = spec.n_nodes
     rows_t = slice((t + 1) * n, (t + 2) * n)
     rep_seeds = np.random.SeedSequence(seed).generate_state(reps)

@@ -379,11 +379,13 @@ class TestEmbed:
         for words in cases:
             assert run(*words) == 2
 
-    @pytest.mark.parametrize("defect", ["old format", "missing times"])
+    @pytest.mark.parametrize("defect", ["old format", "missing times", "truncated",
+                                        "not a zip", "short labels"])
     def test_unreadable_series_file_exits_2(self, sim120, tmp_path, capsys, defect):
         series = tmp_path / "series"
         shutil.copytree(sim120 / "series", series)
         npz = series / "snapshots.npz"
+        named = npz
         with np.load(npz) as payload:
             entries = dict(payload)
         if defect == "old format":
@@ -393,13 +395,20 @@ class TestEmbed:
                 coo = a.tocoo()
                 entries[f"row_{t}"], entries[f"col_{t}"] = coo.row, coo.col
             np.savez_compressed(npz, **entries)
-        else:
+        elif defect == "missing times":
             del entries["times"]
             np.savez(npz, **entries)
+        elif defect == "truncated":
+            npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+        elif defect == "not a zip":
+            npz.write_text("node,node,time\n")
+        else:
+            named = series / "labels.txt"
+            named.write_text("".join(named.read_text().splitlines(True)[:-1]))
         assert run("embed", "--input", series, "--method", "uase", "--dim", 2,
                    "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
-        assert str(npz) in err and "Traceback" not in err
+        assert str(named) in err and "Traceback" not in err
         if defect == "old format":
             assert "re-run `dynembed simulate`" in err
 
@@ -514,6 +523,14 @@ class TestEmbed:
         assert "windows" in err and "limit of" in err
         assert "Traceback" not in err
 
+    def test_saved_series_refuses_edge_list_options(self, sim120, tmp_path, capsys):
+        assert run("embed", "--input", sim120 / "series", "--method", "uase",
+                   "--dim", 2, "--window-seconds", 5, "--daily-start", 3,
+                   "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "--window-seconds, --daily-start apply to a raw edge list" in err
+        assert not (tmp_path / "o").exists()
+
     def test_edge_list_needs_window(self, tmp_path):
         events = tmp_path / "events.txt"
         events.write_text("1 a b\n")
@@ -574,6 +591,15 @@ class TestStability:
             assert line.endswith(verdict)
         assert read_manifest(out)["details"]["gap_ratios"] == [
             float(r[6]) for r in rows]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+    def test_threshold_must_be_positive_and_finite(self, emb120, tmp_path, capsys,
+                                                   threshold):
+        # refused before the (missing) truth file is read
+        assert run("stability", "--embedding", emb120, "--truth",
+                   tmp_path / "absent.csv", *self.PAIRS, "--threshold", threshold,
+                   "--out", tmp_path / "rep") == 2
+        assert "--threshold must be positive and finite" in capsys.readouterr().err
 
     def test_missing_truth_entries(self, emb120, tmp_path):
         truth = tmp_path / "truth.csv"

@@ -10,7 +10,6 @@ from dynembed.mrdpg import (
     exchangeable_states,
     latent_structure,
     model_from_dsbm,
-    moment_matrices,
     noise_free_embedding,
     theoretical_error_covariance,
 )
@@ -38,7 +37,6 @@ class TestLatentStructure:
         assert s.d == 1
         assert s.dims == [1]
         np.testing.assert_allclose(s.x, [[0.6]], atol=1e-12)
-        np.testing.assert_allclose(s.lambdas[0], [[1.0]], atol=1e-12)
         np.testing.assert_allclose(s.y[0], [[0.6]], atol=1e-12)
         assert s.reconstruction_error() < 1e-12
 
@@ -110,9 +108,8 @@ class TestTheoreticalCovariance:
     def test_exchangeable_states_share_covariance(self, fourblock_model):
         _, model, _ = fourblock_model
         s = latent_structure(model)
-        mom = moment_matrices(s)
-        c0 = theoretical_error_covariance(s, 1, 0, moments=mom)
-        c1 = theoretical_error_covariance(s, 1, 1, moments=mom)
+        c0 = theoretical_error_covariance(s, 1, 0)
+        c1 = theoretical_error_covariance(s, 1, 1)
         np.testing.assert_allclose(c0, c1, atol=1e-12)
 
     def test_monte_carlo_covariance(self):
@@ -124,7 +121,6 @@ class TestTheoreticalCovariance:
         spec = DsbmSpec(block_matrices=[b], n_nodes=n)
         model, node_seq = model_from_dsbm(spec)
         s = latent_structure(model)
-        mom = moment_matrices(s)
         left_nf, rights_nf = noise_free_embedding(spec.gram_matrices(), d=2)
 
         series = sample_dsbm(spec, seed=5)
@@ -135,7 +131,7 @@ class TestTheoreticalCovariance:
         resid = (aligned[group] - rights_nf[0][group]) * np.sqrt(n)
         emp = np.cov(resid.T)
         state = model.sequences[0, 0]
-        theory = theoretical_error_covariance(s, 0, int(state), moments=mom)
+        theory = theoretical_error_covariance(s, 0, int(state))
         emp_eigs = np.sort(np.linalg.eigvalsh(emp))
         th_eigs = np.sort(np.linalg.eigvalsh(theory))
         np.testing.assert_allclose(emp_eigs, th_eigs, rtol=0.25)
@@ -211,18 +207,48 @@ class TestNoiseFreeEmbedding:
         np.testing.assert_allclose(rights[0][3], 2.0 * rights[0][0], atol=1e-10)
 
     def test_balanced_map_links_structure_to_embedding(self, fourblock_model):
-        # the structure coordinates, pushed through the moment-matrix map,
-        # give the balanced embedding up to per-column sign
+        # the structure's node positions are the balanced embedding of the
+        # expected matrices up to per-column sign
         spec, model, node_seq = fourblock_model
         s = latent_structure(model)
-        mom = moment_matrices(s)
         left, _ = noise_free_embedding(spec.gram_matrices(), d=s.d)
-        xn, _ = s.node_points(node_seq)
-        pred = xn @ mom.l_map
+        pred, _ = s.node_points(node_seq)
         for j in range(pred.shape[1]):
             if pred[:, j] @ left[:, j] < 0:
                 pred[:, j] = -pred[:, j]
         np.testing.assert_allclose(pred, left, atol=1e-8)
+
+    def test_node_points_match_oracle_on_random_models(self):
+        # mostly indefinite kernels, unequal sequence frequencies and states no
+        # sequence visits: the expanded expected matrices, embedded by the
+        # full SVD, give the structure's positions up to one orthogonal map
+        rng = np.random.default_rng(7)
+        for trial in range(30):
+            t_count = int(rng.integers(1, 4))
+            kernels = []
+            for _ in range(t_count):
+                m = int(rng.integers(2, 5))
+                half = rng.random((m, m))
+                kernels.append((half + half.T) / 2)
+            s_count = int(rng.integers(2, 7))
+            seqs = np.column_stack(
+                [rng.integers(0, k.shape[0], s_count) for k in kernels]
+            )
+            counts = rng.integers(1, 6, s_count)
+            model = FiniteModel(kernels=kernels, sequences=seqs,
+                                probabilities=counts / counts.sum())
+            node_seq = np.repeat(np.arange(s_count), counts)
+            grams = [
+                k[np.ix_(seqs[node_seq, t], seqs[node_seq, t])]
+                for t, k in enumerate(kernels)
+            ]
+            s = latent_structure(model)
+            left, rights = s.node_points(node_seq)
+            ref_left, ref_rights = noise_free_embedding(grams, d=s.d)
+            ours = np.vstack([left] + rights)
+            ref = np.vstack([ref_left] + ref_rights)
+            fit = procrustes(ours, ref)
+            assert np.max(np.abs(ours @ fit.q - ref)) < 1e-12, trial
 
 
 class TestModelFromDsbm:
