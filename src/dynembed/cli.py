@@ -39,7 +39,7 @@ from .embedders import (
 )
 from .linalg import truncated_svd
 from .models import bundled_config_path, load_dsbm_config, sample_dsbm
-from .netseries import GraphSeries, ingest_edge_list
+from .netseries import GraphSeries, adjacency_products, ingest_edge_list, unfolding_operator
 from .stability import DEFAULT_GAP_THRESHOLD, stability_report
 
 EXIT_OK = 0
@@ -342,7 +342,7 @@ def cmd_simulate(args) -> int:
     series = sample_dsbm(spec, seed=args.seed)
     # human-facing labels and times start at 1
     series = GraphSeries(
-        snapshots=series.snapshots,
+        snapshots=series.triangles,
         node_labels=[str(i + 1) for i in range(spec.n_nodes)],
         times=list(range(1, spec.n_snapshots + 1)),
     )
@@ -353,11 +353,9 @@ def cmd_simulate(args) -> int:
     outputs = [out / "series" / "snapshots.npz", out / "series" / "labels.txt"]
     t2 = time.perf_counter()
     labels = np.array(series.node_labels, dtype=object)
-    for t, a in enumerate(series.snapshots):
+    for t, tri in enumerate(series.triangles):
         path = out / f"edges_{t + 1}.csv"
-        coo = a.tocoo()
-        upper = coo.row < coo.col
-        _write_csv(path, ["u", "v"], [labels[coo.row[upper]], labels[coo.col[upper]]])
+        _write_csv(path, ["u", "v"], [labels[tri.rows()], labels[tri.indices]])
         outputs.append(path)
     t3 = time.perf_counter()
     truth = out / "truth.csv"
@@ -400,7 +398,7 @@ def cmd_embed(args) -> int:
     rank = min(SCREE_LENGTH, n) if dims is None else int(np.max(dims))
     if rank > n:
         raise DataError(f"dimension {rank} out of range for {n} nodes")
-    unfolded = series.unfold()
+    unfolded = unfolding_operator(adjacency_products(series.triangles), n)
     svd = truncated_svd(unfolded, rank, seed=args.seed)
     # ||A v_j - s_j u_j|| / s_1 for each scree triplet
     residuals = np.linalg.norm(unfolded @ svd.v - svd.u * svd.s, axis=0)
@@ -439,6 +437,7 @@ def cmd_embed(args) -> int:
         "embedding_rows": rows,
         "singular_values": [float(s) for s in svd.s],
         "singular_value_residuals": [float(r) for r in residuals],
+        "gram_products": svd.gram_products,
         "auto_dimension": args.dim == "auto",
     }
     if curve is not None:

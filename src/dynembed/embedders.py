@@ -10,16 +10,21 @@ Four methods producing, for each snapshot, one point per node:
 - :func:`independent_ase`: each snapshot embedded on its own.
 - :func:`separate_embed`: each snapshot replaced by a weighted average of its
   history, then embedded on its own.
+
+Each takes a :class:`~dynembed.netseries.GraphSeries`, whose snapshots reach
+the eigensolver as products over their upper-triangle patterns, or a list of
+symmetric dense or scipy matrices, weighted ones included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .linalg import TruncatedSvd, orient_columns, truncated_svd
-from .netseries import GraphSeries, unfold
+from .netseries import GraphSeries, adjacency_products, unfolding_operator
 
 # omnibus_embed materializes the (T n) x (T n) omnibus matrix up to this many
 # float64 entries (1.6 GB) and applies a matrix-free product above it
@@ -48,23 +53,35 @@ class Embedding:
         self.dims = [p.shape[1] for p in self.points]
 
 
-def _as_snapshot_list(series):
+def _products(series):
+    """Per-snapshot functions x -> A_t x, for x of shape (n,) or (n, k), and
+    n: over a series' patterns, or by CSR copies of a list of matrices."""
+    if isinstance(series, GraphSeries):
+        return adjacency_products(series.triangles), series.n_nodes
     import scipy.sparse as sp
-    snaps = series.snapshots if isinstance(series, GraphSeries) else series
-    return [sp.csr_matrix(a) for a in snaps]
+    return [sp.csr_matrix(a).dot for a in series], series[0].shape[0]
+
+
+def _symmetric_operator(product, side: int):
+    """A symmetric side x side product as a scipy LinearOperator."""
+    from scipy.sparse.linalg import LinearOperator
+    return LinearOperator((side, side), matvec=product, rmatvec=product,
+                          matmat=product, rmatmat=product, dtype=float)
 
 
 def uase(series, d: int, seed: int = 0) -> Embedding:
     """Unfolded adjacency spectral embedding.
 
-    Concatenates the snapshots column-wise into an n x (T n) matrix, takes its
-    rank-d SVD and scales both factors by the square-rooted singular values.
+    Takes the rank-d SVD of the n x (T n) column concatenation of the
+    snapshots (applied as :func:`~dynembed.netseries.unfolding_operator`,
+    never built) and scales both factors by the square-rooted singular values.
     The right factor splits into T blocks of n rows, one point set per
     snapshot, all living in one coordinate system; the left factor is a single
     time-invariant point set.
     """
-    snaps = _as_snapshot_list(series)
-    return uase_from_svd(truncated_svd(unfold(snaps), d, seed), d, len(snaps))
+    products, n = _products(series)
+    return uase_from_svd(truncated_svd(unfolding_operator(products, n), d, seed), d,
+                         len(products))
 
 
 def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
@@ -109,7 +126,9 @@ def independent_ase(series, dims, seed: int = 0) -> Embedding:
     dimension per snapshot. Point sets from different snapshots live in
     unrelated coordinate systems.
     """
-    points, signatures = _embed_each(_as_snapshot_list(series), dims, seed)
+    products, n = _products(series)
+    points, signatures = _embed_each([_symmetric_operator(f, n) for f in products],
+                                     dims, seed)
     return Embedding(points=points, method="independent", signatures=signatures)
 
 
@@ -153,44 +172,63 @@ def separate_embed(
     """Embed each snapshot's smoothed history separately.
 
     Snapshot t is replaced by the weighted average of snapshots 0..t under
-    :func:`history_weights`, then spectrally embedded on its own.
+    :func:`history_weights`, then spectrally embedded on its own. A series'
+    average is the weighted sum of its snapshots' products, never a matrix.
     """
-    snaps = _as_snapshot_list(series)
+    products, n = _products(series)
     blended = []
-    for t in range(len(snaps)):
+    for t in range(len(products)):
         w = history_weights(t, scheme, forgetting=forgetting, window=window)
-        blended.append(sum(w[s] * snaps[s] for s in range(t + 1) if w[s] > 0))
+        terms = [(w[s], products[s]) for s in range(t + 1) if w[s] > 0]
+        blended.append(_symmetric_operator(partial(_weighted_sum, terms), n))
     points, signatures = _embed_each(blended, dims, seed)
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
 
 
-def _omnibus_matvec(snaps):
+def _weighted_sum(terms, x):
+    return sum(w * product(x) for w, product in terms)
+
+
+def _omnibus_matvec(products, n: int):
     # (M v)_s = (A_s * sum_t v_t + sum_t A_t v_t) / 2 where v_t are the n-row
     # blocks of v; avoids materializing the (T n) x (T n) matrix
-    t_count = len(snaps)
-    n = snaps[0].shape[0]
+    t_count = len(products)
 
     def matvec(block):
         blocks = [block[t * n : (t + 1) * n] for t in range(t_count)]
         total = sum(blocks)
-        sum_av = sum(snaps[t] @ blocks[t] for t in range(t_count))
+        sum_av = sum(products[t](blocks[t]) for t in range(t_count))
         out = np.empty_like(block)
         for s in range(t_count):
-            out[s * n : (s + 1) * n] = (snaps[s] @ total + sum_av) / 2.0
+            out[s * n : (s + 1) * n] = (products[s](total) + sum_av) / 2.0
         return out
 
     return matvec
 
 
 def omnibus_matrix(series) -> np.ndarray:
-    """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2."""
-    snaps = [a.toarray() for a in _as_snapshot_list(series)]
+    """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2.
+
+    Each snapshot is added at half weight, in place, to every block of its
+    block row and block column, so the matrix is the only (T n) x (T n)
+    array held: a series' snapshots are scattered from their patterns, a
+    list's are made dense one at a time.
+    """
+    import scipy.sparse as sp
+    series_given = isinstance(series, GraphSeries)
+    snaps = series.triangles if series_given else series
     t_count = len(snaps)
     n = snaps[0].shape[0]
-    m = np.empty((t_count * n, t_count * n))
-    for s in range(t_count):
+    m = np.zeros((t_count * n, t_count * n))
+    blocks = m.reshape(t_count, n, t_count, n)
+    for s, a in enumerate(snaps):
+        half = None if series_given else 0.5 * sp.csr_matrix(a).toarray()
         for t in range(t_count):
-            m[s * n : (s + 1) * n, t * n : (t + 1) * n] = (snaps[s] + snaps[t]) / 2.0
+            for block in (blocks[s, :, t], blocks[t, :, s]):
+                if series_given:
+                    a.add_to(block, 0.5)
+                else:
+                    block += half
     return m
 
 
@@ -208,17 +246,13 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; otherwise a matrix-free product
     over the snapshot blocks is used.
     """
-    from scipy.sparse.linalg import LinearOperator
-    snaps = _as_snapshot_list(series)
-    t_count = len(snaps)
-    n = snaps[0].shape[0]
+    products, n = _products(series)
+    t_count = len(products)
     side = t_count * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        m = omnibus_matrix(snaps)
+        m = omnibus_matrix(series)
     else:
-        matvec = _omnibus_matvec(snaps)
-        m = LinearOperator((side, side), matvec=matvec, rmatvec=matvec,
-                           matmat=matvec, rmatmat=matvec, dtype=float)
+        m = _symmetric_operator(_omnibus_matvec(products, n), side)
     scaled, signature = _signed_symmetric_embedding(m, d, seed)
     # the omnibus point set keeps its own largest entries positive; the
     # per-snapshot methods follow the left vectors, as uase does

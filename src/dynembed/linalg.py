@@ -18,11 +18,14 @@ class TruncatedSvd:
     u: (m, d) column-orthonormal left vectors.
     s: (d,) singular values, non-increasing.
     v: (p, d) column-orthonormal right vectors.
+    gram_products: Gram operator products Lanczos applied; 0 where LAPACK
+        decomposed the whole matrix.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
+    gram_products: int = 0
 
 
 def orient_columns(u: np.ndarray, *partners: np.ndarray):
@@ -49,7 +52,9 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     started from a vector drawn with ``seed``); one dense SVD of the d-row
     projection q.T @ m then gives the singular values and both orthonormal
     factors. LAPACK decomposes the whole matrix only where ARPACK cannot
-    run (d >= smaller side - 1). A zero matrix has zero singular values.
+    run (d >= smaller side - 1); an operator is then materialized by its
+    products with the identity of its smaller side. A zero matrix has zero
+    singular values.
 
     Raises ValueError when d is out of range or the matrix has non-finite
     entries.
@@ -65,9 +70,10 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     finite = operator or np.all(np.isfinite(m.data if sp.issparse(m) else m))
     if not finite:
         raise ValueError("matrix contains non-finite entries")
+    products = 0
     if d >= min(rows, cols) - 1:
         if operator:
-            m = m @ np.eye(cols)
+            m = m @ np.eye(cols) if cols <= rows else (m.T @ np.eye(rows)).T
         elif sp.issparse(m):
             m = m.toarray()
         u, s, vt = np.linalg.svd(m, full_matrices=False)
@@ -82,14 +88,18 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
         if not np.any(a.T @ start):
             u, s, v = np.eye(rows, d), np.zeros(d), np.eye(cols, d)
         else:
-            gram = LinearOperator((side, side), matvec=lambda x: a @ (a.T @ x),
-                                  dtype=float)
+            def gram_product(x):
+                nonlocal products
+                products += 1
+                return a @ (a.T @ x)
+
+            gram = LinearOperator((side, side), matvec=gram_product, dtype=float)
             _, q = eigsh(gram, d, which="LA", v0=start)
             ub, s, vbt = np.linalg.svd((a.T @ q).T, full_matrices=False)
             small, large = q @ ub, vbt.T
             u, v = (small, large) if rows <= cols else (large, small)
     u, v = orient_columns(u, v)
-    return TruncatedSvd(u=u, s=np.asarray(s, dtype=float), v=v)
+    return TruncatedSvd(u=u, s=np.asarray(s, dtype=float), v=v, gram_products=products)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ Edge probabilities are
 
     P_t[i, j] = rho * w_i * w_j * B_t[z_i(t), z_j(t)]
 
-and snapshots are independent Bernoulli draws on the upper triangle,
-symmetrized, with an empty diagonal.
+and snapshots are independent Bernoulli draws on the strict upper triangle,
+kept as that triangle's pattern (:class:`~dynembed.netseries.UpperTriangle`):
+sampling needs numpy alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netseries import GraphSeries, symmetric_csr
+from .netseries import GraphSeries, UpperTriangle
 
 
 @dataclass
@@ -114,8 +115,8 @@ class DsbmSpec:
 _SLAB_CELLS = 1 << 18
 
 
-def _sample_rows(n: int, probability_rows, seed: int, stream: int):
-    """Symmetric Bernoulli draw on the upper triangle, slab of rows by slab.
+def _sample_rows(n: int, probability_rows, seed: int, stream: int) -> UpperTriangle:
+    """Bernoulli draw of the strict upper triangle, slab of rows by slab.
 
     ``probability_rows(lo, hi)`` returns rows lo..hi-1 of the n x n edge
     probability matrix. The uniforms come from one Philox stream keyed by
@@ -136,7 +137,7 @@ def _sample_rows(n: int, probability_rows, seed: int, stream: int):
         r = np.searchsorted(start, hit, side="right") - 1
         rows_hit.append((lo + r).astype(np.int32))
         cols_hit.append((hit - start[r] + lo + r + 1).astype(np.int32))
-    return symmetric_csr(np.concatenate(rows_hit), np.concatenate(cols_hit), n)
+    return UpperTriangle.from_pairs(np.concatenate(rows_hit), np.concatenate(cols_hit), n)
 
 
 def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:

@@ -1,10 +1,18 @@
-"""Adjacency snapshot sequences and timestamped edge list ingestion."""
+"""Adjacency snapshot sequences and timestamped edge list ingestion.
+
+A snapshot is held as :class:`UpperTriangle`, the CSR pattern of its strict
+upper triangle with no data array, from ``snapshots.npz`` to the eigensolver:
+:func:`adjacency_products` applies A x = U x + U^T x and
+:func:`unfolding_operator` the n x Tn unfolding (A_1 | ... | A_T) without
+building either. scipy is imported only where a product or a scipy matrix is
+asked for, so sampling, saving and loading a series run on numpy alone.
+"""
 
 from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +34,130 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
-def unfold(snapshots):
-    """Column concatenation (A1 | A2 | ... | AT) of n x n matrices, dense or
-    sparse, as an n x (T*n) CSR matrix."""
+@dataclass(eq=False)
+class UpperTriangle:
+    """One undirected simple graph on n nodes as the CSR pattern of its strict
+    upper triangle U, the adjacency matrix being A = U + U^T.
+
+    indptr: (n + 1,) row pointers.
+    indices: column of each edge, above the diagonal and increasing within a
+        row. Both are int32, as scipy would index them, unless n or the edge
+        count needs int64.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        wide = max(self.indptr.size, self.indices.size) > np.iinfo(np.int32).max
+        dtype = np.int64 if wide else np.int32
+        self.indptr = np.asarray(self.indptr, dtype=dtype)
+        self.indices = np.asarray(self.indices, dtype=dtype)
+
+    @property
+    def n(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.n
+
+    @property
+    def edges(self) -> int:
+        return self.indices.size
+
+    @classmethod
+    def from_pairs(cls, i, j, n: int) -> "UpperTriangle":
+        """The graph with edges (i[k], j[k]), given as distinct pairs i < j
+        in row-major order."""
+        counts = np.bincount(np.asarray(i, dtype=np.int64), minlength=n)
+        return cls(np.concatenate([[0], np.cumsum(counts)]), j)
+
+    @classmethod
+    def from_matrix(cls, a, t: int) -> "UpperTriangle":
+        """The pattern of a dense or scipy n x n matrix, snapshot ``t`` of a
+        series. Raises ValueError unless it is square, symmetric and 0/1 with
+        a zero diagonal."""
+        import scipy.sparse as sp
+        a = sp.csr_matrix(a)
+        upper = sp.triu(a, k=1, format="csr")
+        upper.eliminate_zeros()
+        upper.sum_duplicates()
+        if (a.shape[0] != a.shape[1] or a.diagonal().any() or np.any(upper.data != 1)
+                or (a != a.T).nnz):
+            raise ValueError(f"snapshot {t} is not square symmetric 0/1 with a zero diagonal")
+        return cls(upper.indptr, upper.indices)
+
+    def rows(self) -> np.ndarray:
+        """Row of each edge, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
+
+    def add_to(self, out: np.ndarray, weight: float = 1.0) -> np.ndarray:
+        """Add weight * A into the n x n array ``out`` in place; returns it."""
+        i, j = self.rows(), self.indices
+        out[i, j] += weight
+        out[j, i] += weight
+        return out
+
+    def toarray(self) -> np.ndarray:
+        """A as a dense float array."""
+        return self.add_to(np.zeros(self.shape))
+
+    def tocsr(self):
+        """A as a symmetric {0,1} scipy CSR matrix."""
+        import scipy.sparse as sp
+        upper = sp.csr_matrix((np.ones(self.edges), self.indices, self.indptr),
+                              shape=self.shape)
+        return upper + upper.T
+
+
+def adjacency_products(triangles) -> list:
+    """Per snapshot the function x -> A x = U x + U^T x, for x of shape (n,)
+    or (n, k).
+
+    U is a scipy CSR view, and U^T a CSC view, of the triangle's own index
+    arrays, whose data is one read-only array of ones shared by every
+    snapshot, so no product holds a copy of its snapshot.
+    """
     import scipy.sparse as sp
-    return sp.hstack([sp.csr_matrix(a) for a in snapshots], format="csr")
+    ones = np.ones(max(tri.edges for tri in triangles))
+    ones.flags.writeable = False
+    products = []
+    for tri in triangles:
+        arrays = (ones[:tri.edges], tri.indices, tri.indptr)
+        upper = sp.csr_matrix(arrays, shape=tri.shape)
+        lower = sp.csc_matrix(arrays, shape=tri.shape)
+        # the constructors copy a data view much shorter than its base array
+        upper.data = lower.data = arrays[0]
+
+        def product(x, upper=upper, lower=lower):
+            out = upper @ x
+            out += lower @ x
+            return out
+
+        products.append(product)
+    return products
+
+
+def unfolding_operator(products, n: int):
+    """The n x (T n) unfolding (A_1 | ... | A_T) of symmetric n x n snapshots
+    as a scipy ``LinearOperator``, from their products x -> A_t x: y ->
+    sum_t A_t y_t for the n-row blocks y_t of y, and x -> (A_1 x; ...; A_T x)
+    for its transpose. Its Gram product is sum_t A_t (A_t x); nothing is
+    concatenated."""
+    from scipy.sparse.linalg import LinearOperator
+
+    def matvec(y):
+        out = products[0](y[:n])
+        for t in range(1, len(products)):
+            out += products[t](y[t * n : (t + 1) * n])
+        return out
+
+    def rmatvec(x):
+        return np.concatenate([product(x) for product in products])
+
+    return LinearOperator((n, len(products) * n), matvec=matvec, rmatvec=rmatvec,
+                          matmat=matvec, rmatmat=rmatvec, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -44,66 +171,68 @@ class IngestStats:
     duplicate_pairs_collapsed: int
 
 
-@dataclass
 class GraphSeries:
     """A sequence of undirected simple graph snapshots on a shared node set.
 
-    snapshots: list of n x n symmetric {0,1} CSR matrices with zero diagonal.
+    triangles: one :class:`UpperTriangle` per snapshot, the only copy held.
+    snapshots: read-only; n x n symmetric {0,1} scipy CSR matrices built from
+        the triangles on each access, for library callers that want them.
     node_labels: original labels, index position = node id.
     times: nominal time value per snapshot (window start, or the model time).
+    stats: ingestion bookkeeping, or None.
+
+    ``snapshots`` may be given as UpperTriangles or as dense or scipy
+    symmetric {0,1} matrices with a zero diagonal; any other matrix raises
+    ValueError naming the snapshot.
     """
 
-    snapshots: list
-    node_labels: list = field(default_factory=list)
-    times: list = field(default_factory=list)
-    stats: IngestStats | None = None
-
-    def __post_init__(self):
-        if not self.snapshots:
+    def __init__(self, snapshots, node_labels=None, times=None,
+                 stats: IngestStats | None = None):
+        if not len(snapshots):
             raise ValueError("need at least one snapshot")
-        n = self.snapshots[0].shape[0]
-        for a in self.snapshots:
-            if a.shape != (n, n):
-                raise ValueError("all snapshots must share the same node set")
-        if not self.node_labels:
-            self.node_labels = list(range(n))
+        self.triangles = [a if isinstance(a, UpperTriangle) else UpperTriangle.from_matrix(a, t)
+                          for t, a in enumerate(snapshots)]
+        n = self.n_nodes
+        if any(tri.n != n for tri in self.triangles):
+            raise ValueError("all snapshots must share the same node set")
+        self.node_labels = list(node_labels) if node_labels else list(range(n))
         if len(self.node_labels) != n:
             raise ValueError("node_labels length must match snapshot side")
-        if not self.times:
-            self.times = list(range(len(self.snapshots)))
-        if len(self.times) != len(self.snapshots):
+        self.times = list(times) if times else list(range(self.n_snapshots))
+        if len(self.times) != self.n_snapshots:
             raise ValueError("times length must match number of snapshots")
+        self.stats = stats
+
+    @property
+    def snapshots(self) -> list:
+        return [tri.tocsr() for tri in self.triangles]
 
     @property
     def n_nodes(self) -> int:
-        return self.snapshots[0].shape[0]
+        return self.triangles[0].n
 
     @property
     def n_snapshots(self) -> int:
-        return len(self.snapshots)
+        return len(self.triangles)
 
     def unfold(self):
-        """Column concatenation (A1 | A2 | ... | AT), an n x (T*n) sparse matrix."""
-        return unfold(self.snapshots)
+        """Column concatenation (A1 | A2 | ... | AT) as an n x (T*n) scipy CSR
+        matrix; the embedders use :func:`unfolding_operator` instead."""
+        import scipy.sparse as sp
+        return sp.hstack(self.snapshots, format="csr")
 
     def densities(self) -> np.ndarray:
         """Share of node pairs joined in each snapshot; 0.0 with no pairs."""
         pairs = self.n_nodes * (self.n_nodes - 1) / 2.0
-        return np.array([a.nnz / 2.0 / pairs if pairs else 0.0 for a in self.snapshots])
+        return np.array([tri.edges / pairs if pairs else 0.0 for tri in self.triangles])
 
     def save(self, directory) -> None:
         """Write ``labels.txt`` and an uncompressed ``snapshots.npz`` holding
-        each snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``.
-        Raises ValueError on a snapshot not symmetric {0,1} with zero diagonal."""
-        import scipy.sparse as sp
+        each snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``."""
         payload = {"format": np.array(SERIES_FORMAT), "n_nodes": np.array([self.n_nodes]),
                    "times": np.asarray(self.times)}
-        for t, a in enumerate(self.snapshots):
-            a = sp.csr_matrix(a)
-            upper = sp.triu(a, k=1, format="csr")
-            if a.diagonal().any() or np.any(upper.data != 1) or (a != a.T).nnz:
-                raise ValueError(f"snapshot {t} is not symmetric 0/1 with a zero diagonal")
-            payload[f"indptr_{t}"], payload[f"indices_{t}"] = upper.indptr, upper.indices
+        for t, tri in enumerate(self.triangles):
+            payload[f"indptr_{t}"], payload[f"indices_{t}"] = tri.indptr, tri.indices
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         np.savez(directory / "snapshots.npz", **payload)
@@ -135,7 +264,7 @@ class GraphSeries:
         require(version == SERIES_FORMAT, f"series format {version} is not {SERIES_FORMAT}; "
                 "re-run `dynembed simulate` to rewrite a series saved by an older version")
         require({"n_nodes", "times"} <= entries.keys(), "no n_nodes or times entry")
-        n, times, snaps = int(entries["n_nodes"][0]), entries["times"].tolist(), []
+        n, times, triangles = int(entries["n_nodes"][0]), entries["times"].tolist(), []
         for t in range(len(times)):
             indptr, indices = entries.get(f"indptr_{t}"), entries.get(f"indices_{t}")
             require(indptr is not None and indices is not None, f"no entries for snapshot {t}")
@@ -147,13 +276,13 @@ class GraphSeries:
                     f"indices_{t} holds an entry outside the strict upper triangle of {n} nodes")
             require(np.all(np.diff(rows * n + indices) > 0),
                     f"indices_{t} repeats or disorders the entries of a row")
-            snaps.append(symmetric_csr(rows, indices, n))
+            triangles.append(UpperTriangle(indptr, indices))
         labels_path = path.parent / "labels.txt"
         with open(labels_path, encoding="utf-8") as fh:
             labels = [line.rstrip("\n") for line in fh]
         if len(labels) != n:
             raise ValueError(f"{labels_path}: {len(labels)} labels for {n} nodes")
-        return cls(snapshots=snaps, node_labels=labels, times=times)
+        return cls(snapshots=triangles, node_labels=labels, times=times)
 
 
 def _in_daily_band(sod, start: float, end: float):
@@ -162,14 +291,6 @@ def _in_daily_band(sod, start: float, end: float):
     if start <= end:
         return (start <= sod) & (sod < end)
     return (start <= sod) | (sod < end)
-
-
-def symmetric_csr(i, j, n: int):
-    """The n x n symmetric {0,1} CSR matrix with edges (i[k], j[k]), built
-    from distinct upper-triangle pairs (i < j)."""
-    import scipy.sparse as sp
-    a = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
-    return a + a.T
 
 
 def ingest_edge_list(
@@ -288,8 +409,8 @@ def ingest_edge_list(
     cuts = np.searchsorted(cells, np.arange(n_windows + 1) * (n * n))
     rows, cols = np.divmod(cells % (n * n), n)
     return GraphSeries(
-        snapshots=[symmetric_csr(rows[cuts[k]:cuts[k + 1]], cols[cuts[k]:cuts[k + 1]], n)
-                   for k in kept],
+        snapshots=[UpperTriangle.from_pairs(rows[cuts[k]:cuts[k + 1]],
+                                            cols[cuts[k]:cuts[k + 1]], n) for k in kept],
         node_labels=labels, times=[lo + k * window_seconds for k in kept],
         stats=IngestStats(
             events_read=t.size,

@@ -270,6 +270,7 @@ class TestEmbed:
         residuals = man["details"]["singular_value_residuals"]
         assert len(residuals) == len(man["details"]["singular_values"])
         assert max(residuals) < 1e-8
+        assert man["details"]["gram_products"] > 0
         assert any(k.endswith("snapshots.npz") for k in man["input_digests"])
         assert man["peak_rss_mib"] > 0
 
@@ -845,15 +846,17 @@ def test_cli_import_skips_scipy_stats():
 
 
 def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
-    # --version, stability and cluster run on numpy alone; the manifest still
-    # names the installed scipy
+    # --version, simulate, stability and cluster run on numpy alone; the
+    # manifest still names the installed scipy
     import scipy
 
     src = str(Path(dynembed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    rep, clus = tmp_path / "rep", tmp_path / "clus"
+    sim, rep, clus = tmp_path / "sim", tmp_path / "rep", tmp_path / "clus"
     calls = [
         ["--version"],
+        ["simulate", "--config", str(sim120.parent / "fourblock120.cfg"), "--seed", "1",
+         "--out", str(sim)],
         ["stability", "--embedding", str(emb120), "--truth",
          str(sim120 / "truth.csv"), *TestStability.PAIRS, "--threshold", "10",
          "--out", str(rep)],
@@ -870,7 +873,7 @@ def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert loaded == []
-    for d in (rep, clus):
+    for d in (sim, rep, clus):
         assert read_manifest(d)["versions"]["scipy"] == scipy.__version__

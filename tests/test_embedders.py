@@ -36,6 +36,55 @@ def random_series(seed, n=15, t=3, p=0.35):
     return GraphSeries(snapshots=snaps)
 
 
+def sign_aligned(a, b):
+    # a's columns flipped to point the way of b's
+    return a * np.where(np.sum(a * b, axis=0) < 0, -1.0, 1.0)
+
+
+EMBEDDERS = {
+    "uase": uase,
+    "omnibus": omnibus_embed,
+    "independent": independent_ase,
+    "separate": separate_embed,
+}
+
+
+class TestSeriesAndMatrixLists:
+    # a GraphSeries reaches the eigensolver through products over its
+    # upper-triangle patterns, a list through CSR matrices; the two routes
+    # differ only in summation order
+
+    # not n = 2: there every nonempty snapshot has eigenvalues +1 and -1, a
+    # tie in magnitude that leaves the singular vectors' basis undefined
+    @pytest.mark.parametrize("n", [1, 30])
+    @pytest.mark.parametrize("method", [*EMBEDDERS, "omnibus matrix-free"])
+    def test_series_equals_its_snapshot_list(self, method, n, monkeypatch):
+        if method == "omnibus matrix-free":
+            monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", 0)
+        embed = EMBEDDERS[method.split()[0]]
+        rng = np.random.default_rng(n)
+        snaps = []
+        for t in range(4):  # snapshot 2 is empty
+            upper = np.triu(rng.random((n, n)) < (0.3 if t != 2 else 0.0), k=1)
+            snaps.append(sp.csr_matrix((upper + upper.T).astype(float)))
+        series = GraphSeries(snapshots=snaps)
+        d = min(3, n)
+        got, want = embed(series, d, seed=5), embed(series.snapshots, d, seed=5)
+        assert got.signatures == want.signatures
+        for g, w in zip(got.points, want.points):
+            np.testing.assert_allclose(sign_aligned(g, w), w, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("method", EMBEDDERS)
+    def test_weighted_dense_matrices_accepted(self, method, fourblock_series):
+        spec, _ = fourblock_series
+        grams = spec.gram_matrices()
+        got = EMBEDDERS[method](grams, 4, seed=1)
+        want = EMBEDDERS[method]([sp.csr_matrix(g) for g in grams], 4, seed=1)
+        assert got.dims == [4, 4]
+        for g, w in zip(got.points, want.points):
+            np.testing.assert_allclose(sign_aligned(g, w), w, rtol=0, atol=1e-10)
+
+
 class TestUase:
     def test_shapes_and_shared_scale(self, fourblock_series):
         _, series = fourblock_series

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 from dynembed.linalg import (
     ProcrustesResult,
@@ -91,6 +92,31 @@ class TestTruncatedSvd:
         res_sparse = truncated_svd(sp.csr_matrix(dense), 5)
         res_dense = truncated_svd(dense, 5)
         np.testing.assert_allclose(res_sparse.s, res_dense.s, rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
+    def test_operator_at_lapack_rank_is_built_through_its_smaller_side(self, shape):
+        # d = smaller side - 1 goes to LAPACK. The operator is materialized by
+        # products with the smaller side's identity (a 40 x 40 identity here
+        # stands for the Tn x Tn one of an unfolding), and the result equals
+        # LAPACK on the dense matrix
+        dense = np.random.default_rng(17).standard_normal(shape)
+        widths = []
+
+        def product(m):
+            def apply(x):
+                widths.append(1 if x.ndim == 1 else x.shape[1])
+                return m @ x
+            return apply
+
+        op = LinearOperator(shape, matvec=product(dense), rmatvec=product(dense.T),
+                            matmat=product(dense), rmatmat=product(dense.T), dtype=float)
+        d = min(shape) - 1
+        got, want = truncated_svd(op, d), truncated_svd(dense, d)
+        assert max(widths) == min(shape)
+        for part in ("u", "s", "v"):
+            np.testing.assert_allclose(getattr(got, part), getattr(want, part), atol=1e-12)
+        assert got.gram_products == want.gram_products == 0
+        assert truncated_svd(op, 2).gram_products > 0
 
     def test_rejects_bad_rank(self):
         m = np.eye(4)

@@ -14,8 +14,8 @@ from dynembed.models import (
 
 def sample_adjacency(p, seed, stream=0):
     # one symmetric Bernoulli(p) draw from the Philox stream keyed by
-    # (seed, stream), through the sampler behind sample_dsbm
-    return models._sample_rows(p.shape[0], lambda lo, hi: p[lo:hi], seed, stream)
+    # (seed, stream), through the sampler behind sample_dsbm, as a CSR matrix
+    return models._sample_rows(p.shape[0], lambda lo, hi: p[lo:hi], seed, stream).tocsr()
 
 
 @pytest.fixture(scope="module")

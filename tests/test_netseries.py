@@ -11,7 +11,9 @@ from dynembed.netseries import (
     GraphSeries,
     IngestStats,
     ParseError,
+    adjacency_products,
     ingest_edge_list,
+    unfolding_operator,
 )
 from helpers import permute
 
@@ -33,6 +35,32 @@ class TestGraphSeries:
         for t in range(3):
             block = unfolded[:, t * 12 : (t + 1) * 12].toarray()
             np.testing.assert_array_equal(block, series.snapshots[t].toarray())
+
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pattern_products_match_dense_hstack(self, n, seed):
+        # oracle: the dense unfolding; snapshot 1 is empty
+        rng = np.random.default_rng(seed)
+        dense = []
+        for t in range(3):
+            upper = np.triu(rng.random((n, n)) < (0.4 if t != 1 else 0.0), k=1)
+            dense.append((upper + upper.T).astype(float))
+        series = GraphSeries(snapshots=dense)
+        assert series.triangles[1].edges == 0
+        for tri, a, csr in zip(series.triangles, dense, series.snapshots):
+            np.testing.assert_array_equal(tri.toarray(), a)
+            np.testing.assert_array_equal(csr.toarray(), a)
+        unfolded = np.hstack(dense)
+        op = unfolding_operator(adjacency_products(series.triangles), n)
+        assert op.shape == unfolded.shape
+        for cols in ((), (4,)):
+            y = rng.standard_normal((3 * n, *cols))
+            x = rng.standard_normal((n, *cols))
+            for got, want in ((op @ y, unfolded @ y), (op.T @ x, unfolded.T @ x),
+                              (op @ (op.T @ x), unfolded @ (unfolded.T @ x))):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * max(1.0, np.abs(want).max()))
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
@@ -58,11 +86,11 @@ class TestGraphSeries:
 
     def test_save_load_round_trip(self, tmp_path):
         for n in (12, 1):
-            series = make_series(seed=5, n=n)
+            snaps = make_series(seed=5, n=n).snapshots
             # an empty snapshot keeps its place in the series
-            series.snapshots.insert(1, sp.csr_matrix((n, n)))
-            series.times = [0.5, 1.5, 2.5, 3.5]
-            series.node_labels = [f"v{k}" for k in range(n)]
+            snaps.insert(1, sp.csr_matrix((n, n)))
+            series = GraphSeries(snapshots=snaps, times=[0.5, 1.5, 2.5, 3.5],
+                                 node_labels=[f"v{k}" for k in range(n)])
             series.save(tmp_path / f"series{n}")
             back = GraphSeries.load(tmp_path / f"series{n}")
             assert back.n_nodes == n
@@ -90,9 +118,10 @@ class TestGraphSeries:
         [[0, 2, 0], [2, 0, 0], [0, 0, 0]],  # a weight other than 1
     ])
     def test_save_refuses_what_one_triangle_cannot_hold(self, tmp_path, dense):
-        series = GraphSeries(snapshots=[sp.csr_matrix(np.array(dense, dtype=float))])
+        # a series holds only what one triangle can, so construction refuses it
         with pytest.raises(ValueError, match="snapshot 0"):
-            series.save(tmp_path / "series")
+            GraphSeries(snapshots=[sp.csr_matrix(np.array(dense, dtype=float))]).save(
+                tmp_path / "series")
         assert not (tmp_path / "series").exists()
 
     @pytest.mark.parametrize("edit", [
