@@ -19,12 +19,12 @@ symmetric dense or scipy matrices, weighted ones included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .linalg import TruncatedSvd, orient_columns, truncated_svd
-from .netseries import GraphSeries, adjacency_products, unfolding_operator
+from .netseries import (GraphSeries, adjacency_products, symmetric_product, unfolding_operator,
+                        upper_matrices)
 
 # omnibus_embed materializes the (T n) x (T n) omnibus matrix up to this many
 # float64 entries (1.6 GB) and applies a matrix-free product above it
@@ -53,13 +53,23 @@ class Embedding:
         self.dims = [p.shape[1] for p in self.points]
 
 
+def _as_matrices(matrices) -> list:
+    """A list of dense, nested-list or scipy matrices as scipy CSR matrices.
+    Raises ValueError on a non-finite entry."""
+    import scipy.sparse as sp
+    mats = [sp.csr_matrix(a, dtype=float) for a in matrices]
+    if not all(np.all(np.isfinite(m.data)) for m in mats):
+        raise ValueError("matrix contains non-finite entries")
+    return mats
+
+
 def _products(series):
     """Per-snapshot functions x -> A_t x, for x of shape (n,) or (n, k), and
     n: over a series' patterns, or by CSR copies of a list of matrices."""
     if isinstance(series, GraphSeries):
         return adjacency_products(series.triangles), series.n_nodes
-    import scipy.sparse as sp
-    return [sp.csr_matrix(a).dot for a in series], series[0].shape[0]
+    mats = _as_matrices(series)
+    return [m.dot for m in mats], mats[0].shape[0]
 
 
 def _symmetric_operator(product, side: int):
@@ -108,12 +118,13 @@ def _signed_symmetric_embedding(a, d: int, seed: int):
     return res.v * np.sqrt(res.s), (positive, d - positive)
 
 
-def _embed_each(matrices, dims, seed: int):
-    """Points and signatures of each matrix embedded on its own; a scalar
+def _embed_each(matrices, count: int, dims, seed: int):
+    """Points and signatures of each of ``count`` matrices embedded on its
+    own, drawn one at a time from the iterable ``matrices``; a scalar
     ``dims`` applies to every matrix."""
     if np.isscalar(dims):
-        dims = [int(dims)] * len(matrices)
-    if len(dims) != len(matrices):
+        dims = [int(dims)] * count
+    if len(dims) != count:
         raise ValueError("need one dimension per snapshot")
     pairs = [_signed_symmetric_embedding(a, d, seed) for a, d in zip(matrices, dims)]
     return [p for p, _ in pairs], [sig for _, sig in pairs]
@@ -126,9 +137,12 @@ def independent_ase(series, dims, seed: int = 0) -> Embedding:
     dimension per snapshot. Point sets from different snapshots live in
     unrelated coordinate systems.
     """
-    products, n = _products(series)
-    points, signatures = _embed_each([_symmetric_operator(f, n) for f in products],
-                                     dims, seed)
+    if isinstance(series, GraphSeries):
+        matrices = [_symmetric_operator(f, series.n_nodes)
+                    for f in adjacency_products(series.triangles)]
+    else:
+        matrices = _as_matrices(series)
+    points, signatures = _embed_each(matrices, len(matrices), dims, seed)
     return Embedding(points=points, method="independent", signatures=signatures)
 
 
@@ -172,21 +186,28 @@ def separate_embed(
     """Embed each snapshot's smoothed history separately.
 
     Snapshot t is replaced by the weighted average of snapshots 0..t under
-    :func:`history_weights`, then spectrally embedded on its own. A series'
-    average is the weighted sum of its snapshots' products, never a matrix.
+    :func:`history_weights`, then spectrally embedded on its own. Each
+    average is built when its turn comes; a series' is held as the weighted
+    sum W of its snapshots' upper triangles and applied as W x + W^T x.
     """
-    products, n = _products(series)
-    blended = []
-    for t in range(len(products)):
-        w = history_weights(t, scheme, forgetting=forgetting, window=window)
-        terms = [(w[s], products[s]) for s in range(t + 1) if w[s] > 0]
-        blended.append(_symmetric_operator(partial(_weighted_sum, terms), n))
-    points, signatures = _embed_each(blended, dims, seed)
+    if isinstance(series, GraphSeries):
+        terms, n = upper_matrices(series.triangles), series.n_nodes
+
+        def as_matrix(upper):
+            return _symmetric_operator(symmetric_product(upper), n)
+    else:
+        terms = _as_matrices(series)
+
+        def as_matrix(blend):
+            return blend
+
+    def blends():
+        for t in range(len(terms)):
+            w = history_weights(t, scheme, forgetting=forgetting, window=window)
+            yield as_matrix(sum(w[s] * terms[s] for s in range(t + 1) if w[s] > 0))
+
+    points, signatures = _embed_each(blends(), len(terms), dims, seed)
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
-
-
-def _weighted_sum(terms, x):
-    return sum(w * product(x) for w, product in terms)
 
 
 def _omnibus_matvec(products, n: int):
@@ -214,15 +235,14 @@ def omnibus_matrix(series) -> np.ndarray:
     array held: a series' snapshots are scattered from their patterns, a
     list's are made dense one at a time.
     """
-    import scipy.sparse as sp
     series_given = isinstance(series, GraphSeries)
-    snaps = series.triangles if series_given else series
+    snaps = series.triangles if series_given else _as_matrices(series)
     t_count = len(snaps)
     n = snaps[0].shape[0]
     m = np.zeros((t_count * n, t_count * n))
     blocks = m.reshape(t_count, n, t_count, n)
     for s, a in enumerate(snaps):
-        half = None if series_given else 0.5 * sp.csr_matrix(a).toarray()
+        half = None if series_given else 0.5 * a.toarray()
         for t in range(t_count):
             for block in (blocks[s, :, t], blocks[t, :, s]):
                 if series_given:
@@ -246,6 +266,8 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; otherwise a matrix-free product
     over the snapshot blocks is used.
     """
+    if not isinstance(series, GraphSeries):
+        series = _as_matrices(series)
     products, n = _products(series)
     t_count = len(products)
     side = t_count * n

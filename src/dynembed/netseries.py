@@ -92,16 +92,11 @@ class UpperTriangle:
         """Row of each edge, aligned with ``indices``."""
         return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
 
-    def add_to(self, out: np.ndarray, weight: float = 1.0) -> np.ndarray:
-        """Add weight * A into the n x n array ``out`` in place; returns it."""
+    def add_to(self, out: np.ndarray, weight: float) -> None:
+        """Add weight * A into the n x n array ``out`` in place."""
         i, j = self.rows(), self.indices
         out[i, j] += weight
         out[j, i] += weight
-        return out
-
-    def toarray(self) -> np.ndarray:
-        """A as a dense float array."""
-        return self.add_to(np.zeros(self.shape))
 
     def tocsr(self):
         """A as a symmetric {0,1} scipy CSR matrix."""
@@ -111,32 +106,40 @@ class UpperTriangle:
         return upper + upper.T
 
 
-def adjacency_products(triangles) -> list:
-    """Per snapshot the function x -> A x = U x + U^T x, for x of shape (n,)
-    or (n, k).
-
-    U is a scipy CSR view, and U^T a CSC view, of the triangle's own index
+def upper_matrices(triangles) -> list:
+    """Each triangle's U as a scipy CSR matrix over the triangle's own index
     arrays, whose data is one read-only array of ones shared by every
-    snapshot, so no product holds a copy of its snapshot.
-    """
+    snapshot, so no matrix holds a copy of its snapshot."""
     import scipy.sparse as sp
     ones = np.ones(max(tri.edges for tri in triangles))
     ones.flags.writeable = False
-    products = []
+    uppers = []
     for tri in triangles:
-        arrays = (ones[:tri.edges], tri.indices, tri.indptr)
-        upper = sp.csr_matrix(arrays, shape=tri.shape)
-        lower = sp.csc_matrix(arrays, shape=tri.shape)
-        # the constructors copy a data view much shorter than its base array
-        upper.data = lower.data = arrays[0]
+        upper = sp.csr_matrix((ones[:tri.edges], tri.indices, tri.indptr), shape=tri.shape)
+        # the constructor copies a data view much shorter than its base array
+        upper.data = ones[:tri.edges]
+        uppers.append(upper)
+    return uppers
 
-        def product(x, upper=upper, lower=lower):
-            out = upper @ x
-            out += lower @ x
-            return out
 
-        products.append(product)
-    return products
+def symmetric_product(upper):
+    """The function x -> U x + U^T x, for x of shape (n,) or (n, k), of the
+    symmetric matrix whose strict upper triangle is the scipy CSR matrix U,
+    weighted or not. U^T is a CSC view sharing U's arrays."""
+    lower = upper.T
+    lower.data = upper.data  # the transpose copies the data array
+
+    def product(x):
+        out = upper @ x
+        out += lower @ x
+        return out
+
+    return product
+
+
+def adjacency_products(triangles) -> list:
+    """Per snapshot the function x -> A x = U x + U^T x over its pattern."""
+    return [symmetric_product(upper) for upper in upper_matrices(triangles)]
 
 
 def unfolding_operator(products, n: int):

@@ -76,13 +76,50 @@ class TestSeriesAndMatrixLists:
 
     @pytest.mark.parametrize("method", EMBEDDERS)
     def test_weighted_dense_matrices_accepted(self, method, fourblock_series):
+        # oracle: LAPACK on the dense matrix each method decomposes
         spec, _ = fourblock_series
         grams = spec.gram_matrices()
-        got = EMBEDDERS[method](grams, 4, seed=1)
-        want = EMBEDDERS[method]([sp.csr_matrix(g) for g in grams], 4, seed=1)
-        assert got.dims == [4, 4]
-        for g, w in zip(got.points, want.points):
+        # the second matrix has rank 3, so a fourth direction is arbitrary
+        n, d = grams[0].shape[0], 3
+        got = EMBEDDERS[method](grams, d, seed=1)
+        assert got.dims == [d, d]
+        if method == "uase":
+            _, s, vt = np.linalg.svd(np.hstack(grams))
+            right = vt[:d].T * np.sqrt(s[:d])
+            want = [right[t * n : (t + 1) * n] for t in range(2)]
+        else:
+            if method == "omnibus":
+                decomposed = [np.block([[(a + b) / 2 for b in grams] for a in grams])]
+            elif method == "independent":
+                decomposed = grams
+            else:
+                decomposed = [sum(w * g for w, g in zip(history_weights(t, "exponential"), grams))
+                              for t in range(2)]
+            want, signatures = [], []
+            for m in decomposed:
+                lam, vec = np.linalg.eigh(m)
+                top = np.argsort(-np.abs(lam))[:d]
+                want.append(vec[:, top] * np.sqrt(np.abs(lam[top])))
+                signatures.append((int(np.sum(lam[top] > 0)), int(np.sum(lam[top] < 0))))
+            assert got.signatures == signatures
+            if method == "omnibus":
+                want = [want[0][t * n : (t + 1) * n] for t in range(2)]
+        for g, w in zip(got.points, want):
             np.testing.assert_allclose(sign_aligned(g, w), w, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("method", EMBEDDERS)
+    def test_nested_lists_accepted_and_non_finite_rejected(self, method):
+        # the paw graph: a triangle 0-1-2 with node 3 hanging from node 2;
+        # its eigenvalues differ in magnitude
+        paw = [[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0]]
+        got = EMBEDDERS[method]([paw, paw], 2, seed=0)
+        want = EMBEDDERS[method]([np.array(paw, dtype=float)] * 2, 2, seed=0)
+        for g, w in zip(got.points, want.points):
+            np.testing.assert_array_equal(g, w)
+        broken = np.array(paw, dtype=float)
+        broken[0, 3] = broken[3, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            EMBEDDERS[method]([paw, broken], 2, seed=0)
 
 
 class TestUase:

@@ -48,7 +48,7 @@ class TestGraphSeries:
         series = GraphSeries(snapshots=dense)
         assert series.triangles[1].edges == 0
         for tri, a, csr in zip(series.triangles, dense, series.snapshots):
-            np.testing.assert_array_equal(tri.toarray(), a)
+            np.testing.assert_array_equal(tri.tocsr().toarray(), a)
             np.testing.assert_array_equal(csr.toarray(), a)
         unfolded = np.hstack(dense)
         op = unfolding_operator(adjacency_products(series.triangles), n)
