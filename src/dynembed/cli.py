@@ -39,7 +39,7 @@ from .embedders import (
 )
 from .linalg import truncated_svd
 from .models import bundled_config_path, load_dsbm_config, sample_dsbm
-from .netseries import GraphSeries, adjacency_products, ingest_edge_list, unfolding_operator
+from .netseries import GraphSeries, ingest_edge_list, unfolding_operator, upper_matrices
 from .stability import DEFAULT_GAP_THRESHOLD, stability_report
 
 EXIT_OK = 0
@@ -398,7 +398,7 @@ def cmd_embed(args) -> int:
     rank = min(SCREE_LENGTH, n) if dims is None else int(np.max(dims))
     if rank > n:
         raise DataError(f"dimension {rank} out of range for {n} nodes")
-    unfolded = unfolding_operator(adjacency_products(series.triangles), n)
+    unfolded = unfolding_operator(upper_matrices(series.triangles), n)
     svd = truncated_svd(unfolded, rank, seed=args.seed)
     # ||A v_j - s_j u_j|| / s_1 for each scree triplet
     residuals = np.linalg.norm(unfolded @ svd.v - svd.u * svd.s, axis=0)

@@ -11,9 +11,11 @@ Four methods producing, for each snapshot, one point per node:
 - :func:`separate_embed`: each snapshot replaced by a weighted average of its
   history, then embedded on its own.
 
-Each takes a :class:`~dynembed.netseries.GraphSeries`, whose snapshots reach
-the eigensolver as products over their upper-triangle patterns, or a list of
-symmetric dense or scipy matrices, weighted ones included.
+Each takes a :class:`~dynembed.netseries.GraphSeries` or a list of square
+dense, nested-list or scipy matrices, weighted ones included, and sees them
+in one form, decided in :func:`_halves`: CSR matrices W_t with A_t = W_t +
+W_t^T, a series' upper triangles or half of each list matrix M, which is
+thus embedded as its symmetric part (M + M^T) / 2.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import TruncatedSvd, orient_columns, truncated_svd
-from .netseries import (GraphSeries, adjacency_products, symmetric_product, unfolding_operator,
-                        upper_matrices)
+from .netseries import GraphSeries, symmetric_product, unfolding_operator, upper_matrices
 
 # omnibus_embed materializes the (T n) x (T n) omnibus matrix up to this many
 # float64 entries (1.6 GB) and applies a matrix-free product above it
@@ -53,23 +54,25 @@ class Embedding:
         self.dims = [p.shape[1] for p in self.points]
 
 
-def _as_matrices(matrices) -> list:
-    """A list of dense, nested-list or scipy matrices as scipy CSR matrices.
-    Raises ValueError on a non-finite entry."""
-    import scipy.sparse as sp
-    mats = [sp.csr_matrix(a, dtype=float) for a in matrices]
-    if not all(np.all(np.isfinite(m.data)) for m in mats):
-        raise ValueError("matrix contains non-finite entries")
-    return mats
-
-
-def _products(series):
-    """Per-snapshot functions x -> A_t x, for x of shape (n,) or (n, k), and
-    n: over a series' patterns, or by CSR copies of a list of matrices."""
+def _halves(series):
+    """Per snapshot the n x n scipy CSR matrix W_t with A_t = W_t + W_t^T,
+    and n: a series' strict upper triangles, or M / 2 in canonical form for
+    each matrix M of a list. Raises ValueError, naming the matrix, unless
+    every list matrix is finite and n x n for the first one's n."""
     if isinstance(series, GraphSeries):
-        return adjacency_products(series.triangles), series.n_nodes
-    mats = _as_matrices(series)
-    return [m.dot for m in mats], mats[0].shape[0]
+        return upper_matrices(series.triangles), series.n_nodes
+    import scipy.sparse as sp
+    halves = [0.5 * sp.csr_matrix(a, dtype=float) for a in series]
+    if not halves:
+        raise ValueError("need at least one snapshot")
+    n = halves[0].shape[0]
+    for t, half in enumerate(halves):
+        if half.shape != (n, n):
+            raise ValueError(f"matrix {t} is {half.shape[0]} x {half.shape[1]}, not {n} x {n}")
+        if not np.all(np.isfinite(half.data)):
+            raise ValueError(f"matrix {t} contains non-finite entries")
+        half.sum_duplicates()
+    return halves, n
 
 
 def _symmetric_operator(product, side: int):
@@ -89,9 +92,8 @@ def uase(series, d: int, seed: int = 0) -> Embedding:
     snapshot, all living in one coordinate system; the left factor is a single
     time-invariant point set.
     """
-    products, n = _products(series)
-    return uase_from_svd(truncated_svd(unfolding_operator(products, n), d, seed), d,
-                         len(products))
+    halves, n = _halves(series)
+    return uase_from_svd(truncated_svd(unfolding_operator(halves, n), d, seed), d, len(halves))
 
 
 def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
@@ -110,11 +112,12 @@ def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
 
 def _signed_symmetric_embedding(a, d: int, seed: int):
     """Point set v * sqrt(sigma) from the SVD of a symmetric matrix or
-    operator, plus the eigenvalue signature recovered from the left/right
-    vector orientation."""
+    operator, plus its eigenvalue signature: the signs, zero counted positive,
+    of the eigenvalues of the compression u^T A u = (u^T v) sigma. This keeps
+    apart a tied +lambda and -lambda that are both among the top d; a d that
+    splits such a tie (the 3-node path at d = 1) has no defined answer."""
     res = truncated_svd(a, d, seed)
-    orientation = np.sum(res.u * res.v, axis=0)  # +1 or -1 per component
-    positive = int(np.sum(orientation > 0))
+    positive = int(np.sum(np.linalg.eigvalsh(res.u.T @ res.v * res.s) >= 0))
     return res.v * np.sqrt(res.s), (positive, d - positive)
 
 
@@ -137,11 +140,8 @@ def independent_ase(series, dims, seed: int = 0) -> Embedding:
     dimension per snapshot. Point sets from different snapshots live in
     unrelated coordinate systems.
     """
-    if isinstance(series, GraphSeries):
-        matrices = [_symmetric_operator(f, series.n_nodes)
-                    for f in adjacency_products(series.triangles)]
-    else:
-        matrices = _as_matrices(series)
+    halves, n = _halves(series)
+    matrices = [_symmetric_operator(symmetric_product(half), n) for half in halves]
     points, signatures = _embed_each(matrices, len(matrices), dims, seed)
     return Embedding(points=points, method="independent", signatures=signatures)
 
@@ -187,32 +187,25 @@ def separate_embed(
 
     Snapshot t is replaced by the weighted average of snapshots 0..t under
     :func:`history_weights`, then spectrally embedded on its own. Each
-    average is built when its turn comes; a series' is held as the weighted
-    sum W of its snapshots' upper triangles and applied as W x + W^T x.
+    average is built when its turn comes, as the weighted sum W of the
+    history's halves, and applied as W x + W^T x.
     """
-    if isinstance(series, GraphSeries):
-        terms, n = upper_matrices(series.triangles), series.n_nodes
-
-        def as_matrix(upper):
-            return _symmetric_operator(symmetric_product(upper), n)
-    else:
-        terms = _as_matrices(series)
-
-        def as_matrix(blend):
-            return blend
+    halves, n = _halves(series)
 
     def blends():
-        for t in range(len(terms)):
+        for t in range(len(halves)):
             w = history_weights(t, scheme, forgetting=forgetting, window=window)
-            yield as_matrix(sum(w[s] * terms[s] for s in range(t + 1) if w[s] > 0))
+            blend = sum(w[s] * halves[s] for s in range(t + 1) if w[s] > 0)
+            yield _symmetric_operator(symmetric_product(blend), n)
 
-    points, signatures = _embed_each(blends(), len(terms), dims, seed)
+    points, signatures = _embed_each(blends(), len(halves), dims, seed)
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
 
 
-def _omnibus_matvec(products, n: int):
+def _omnibus_matvec(halves, n: int):
     # (M v)_s = (A_s * sum_t v_t + sum_t A_t v_t) / 2 where v_t are the n-row
     # blocks of v; avoids materializing the (T n) x (T n) matrix
+    products = [symmetric_product(half) for half in halves]
     t_count = len(products)
 
     def matvec(block):
@@ -228,27 +221,24 @@ def _omnibus_matvec(products, n: int):
 
 
 def omnibus_matrix(series) -> np.ndarray:
-    """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2.
+    """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2."""
+    return _omnibus_dense(*_halves(series))
 
-    Each snapshot is added at half weight, in place, to every block of its
-    block row and block column, so the matrix is the only (T n) x (T n)
-    array held: a series' snapshots are scattered from their patterns, a
-    list's are made dense one at a time.
-    """
-    series_given = isinstance(series, GraphSeries)
-    snaps = series.triangles if series_given else _as_matrices(series)
-    t_count = len(snaps)
-    n = snaps[0].shape[0]
+
+def _omnibus_dense(halves, n: int) -> np.ndarray:
+    # each W_s and W_s^T is scattered in place into every block of its block
+    # row and column, so the matrix is the only (T n) x (T n) array held;
+    # halving the sums at the end rounds as adding halves would
+    t_count = len(halves)
     m = np.zeros((t_count * n, t_count * n))
     blocks = m.reshape(t_count, n, t_count, n)
-    for s, a in enumerate(snaps):
-        half = None if series_given else 0.5 * a.toarray()
+    for s, half in enumerate(halves):
+        i, j = np.repeat(np.arange(n, dtype=half.indices.dtype), np.diff(half.indptr)), half.indices
         for t in range(t_count):
             for block in (blocks[s, :, t], blocks[t, :, s]):
-                if series_given:
-                    a.add_to(block, 0.5)
-                else:
-                    block += half
+                block[i, j] += half.data
+                block[j, i] += half.data
+    m *= 0.5
     return m
 
 
@@ -266,15 +256,13 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; otherwise a matrix-free product
     over the snapshot blocks is used.
     """
-    if not isinstance(series, GraphSeries):
-        series = _as_matrices(series)
-    products, n = _products(series)
-    t_count = len(products)
-    side = t_count * n
+    halves, n = _halves(series)
+    t_count, side = len(halves), len(halves) * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        m = omnibus_matrix(series)
+        m = _omnibus_dense(halves, n)
+        del halves  # m holds all the eigensolver needs
     else:
-        m = _symmetric_operator(_omnibus_matvec(products, n), side)
+        m = _symmetric_operator(_omnibus_matvec(halves, n), side)
     scaled, signature = _signed_symmetric_embedding(m, d, seed)
     # the omnibus point set keeps its own largest entries positive; the
     # per-snapshot methods follow the left vectors, as uase does

@@ -2,10 +2,11 @@
 
 A snapshot is held as :class:`UpperTriangle`, the CSR pattern of its strict
 upper triangle with no data array, from ``snapshots.npz`` to the eigensolver:
-:func:`adjacency_products` applies A x = U x + U^T x and
-:func:`unfolding_operator` the n x Tn unfolding (A_1 | ... | A_T) without
-building either. scipy is imported only where a product or a scipy matrix is
-asked for, so sampling, saving and loading a series run on numpy alone.
+:func:`upper_matrices` views it as CSR U over shared ones, the form W of A =
+W + W^T that every embedder takes, and :func:`symmetric_product` and
+:func:`unfolding_operator` apply A and the n x Tn unfolding (A_1 | ... | A_T)
+without building either. scipy is imported only where a product or a scipy
+matrix is asked for, so sampling, saving and loading run on numpy alone.
 """
 
 from __future__ import annotations
@@ -92,17 +93,9 @@ class UpperTriangle:
         """Row of each edge, aligned with ``indices``."""
         return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
 
-    def add_to(self, out: np.ndarray, weight: float) -> None:
-        """Add weight * A into the n x n array ``out`` in place."""
-        i, j = self.rows(), self.indices
-        out[i, j] += weight
-        out[j, i] += weight
-
     def tocsr(self):
         """A as a symmetric {0,1} scipy CSR matrix."""
-        import scipy.sparse as sp
-        upper = sp.csr_matrix((np.ones(self.edges), self.indices, self.indptr),
-                              shape=self.shape)
+        (upper,) = upper_matrices([self])
         return upper + upper.T
 
 
@@ -122,33 +115,29 @@ def upper_matrices(triangles) -> list:
     return uppers
 
 
-def symmetric_product(upper):
-    """The function x -> U x + U^T x, for x of shape (n,) or (n, k), of the
-    symmetric matrix whose strict upper triangle is the scipy CSR matrix U,
-    weighted or not. U^T is a CSC view sharing U's arrays."""
-    lower = upper.T
-    lower.data = upper.data  # the transpose copies the data array
+def symmetric_product(half):
+    """The function x -> W x + W^T x, for x of shape (n,) or (n, k), of A =
+    W + W^T given as the scipy CSR matrix W, W^T being a CSC view of W's
+    arrays. For W = M / 2 with M symmetric and canonical this is M x bit for
+    bit: halving is exact and both products add the same terms in order."""
+    lower = half.T
+    lower.data = half.data  # the transpose copies the data array
 
     def product(x):
-        out = upper @ x
+        out = half @ x
         out += lower @ x
         return out
 
     return product
 
 
-def adjacency_products(triangles) -> list:
-    """Per snapshot the function x -> A x = U x + U^T x over its pattern."""
-    return [symmetric_product(upper) for upper in upper_matrices(triangles)]
-
-
-def unfolding_operator(products, n: int):
-    """The n x (T n) unfolding (A_1 | ... | A_T) of symmetric n x n snapshots
-    as a scipy ``LinearOperator``, from their products x -> A_t x: y ->
-    sum_t A_t y_t for the n-row blocks y_t of y, and x -> (A_1 x; ...; A_T x)
-    for its transpose. Its Gram product is sum_t A_t (A_t x); nothing is
-    concatenated."""
+def unfolding_operator(halves, n: int):
+    """The n x (T n) unfolding (A_1 | ... | A_T) of A_t = W_t + W_t^T, given
+    the n x n CSR matrices W_t, as a scipy ``LinearOperator``: y -> sum_t A_t
+    y_t for the n-row blocks y_t of y, and x -> (A_1 x; ...; A_T x) for its
+    transpose. Its Gram product is sum_t A_t (A_t x); nothing is concatenated."""
     from scipy.sparse.linalg import LinearOperator
+    products = [symmetric_product(half) for half in halves]
 
     def matvec(y):
         out = products[0](y[:n])

@@ -835,6 +835,22 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
+def test_embedders_tell_series_from_lists_in_one_place():
+    # every embedder sees its input through embedders._halves, the only
+    # isinstance(..., GraphSeries) test in the module
+    import ast
+
+    tree = ast.parse(Path(embedders.__file__).read_text(encoding="utf-8"))
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                        and "GraphSeries" in ast.unparse(node.args[1])):
+                    found.append(func.name)
+    assert found == ["_halves"]
+
+
 def test_cli_import_skips_scipy_stats():
     # scipy.stats takes most of a second to import and no subcommand needs it
     src = str(Path(dynembed.__file__).resolve().parents[1])

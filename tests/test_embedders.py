@@ -122,6 +122,26 @@ class TestSeriesAndMatrixLists:
             EMBEDDERS[method]([paw, broken], 2, seed=0)
 
 
+    @pytest.mark.parametrize("method", EMBEDDERS)
+    def test_matrices_of_other_sizes_rejected(self, method):
+        # a list is checked as GraphSeries checks a series: every matrix
+        # n x n for the first one's n
+        path = np.ones((4, 4)) - np.eye(4)
+        with pytest.raises(ValueError, match="matrix 1 is 5 x 5, not 4 x 4"):
+            EMBEDDERS[method]([path, np.ones((5, 5)) - np.eye(5)], 2, seed=0)
+        with pytest.raises(ValueError, match="matrix 0 is 4 x 3, not 4 x 4"):
+            EMBEDDERS[method]([np.ones((4, 3)), path], 2, seed=0)
+
+    def test_non_symmetric_matrix_embeds_as_its_symmetric_part(self):
+        # a list matrix M is taken as W = M / 2 with A = W + W^T
+        m = np.random.default_rng(4).random((30, 30))
+        got = independent_ase([m], 3, seed=0)
+        want = independent_ase([(m + m.T) / 2], 3, seed=0)
+        assert got.signatures == want.signatures
+        np.testing.assert_allclose(sign_aligned(got.points[0], want.points[0]),
+                                   want.points[0], rtol=0, atol=1e-12)
+
+
 class TestUase:
     def test_shapes_and_shared_scale(self, fourblock_series):
         _, series = fourblock_series
@@ -241,8 +261,9 @@ class TestOmnibus:
         # side^2 entries and not one entry below
         calls = []
         monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", 60 * 60 + slack)
-        monkeypatch.setattr(embedders, "omnibus_matrix",
-                            lambda snaps: calls.append(1) or omnibus_matrix(snaps))
+        fill = embedders._omnibus_dense
+        monkeypatch.setattr(embedders, "_omnibus_dense",
+                            lambda halves, n: calls.append(1) or fill(halves, n))
         omnibus_embed(random_series(31, n=20, t=3), 5, seed=2)
         assert calls == ([1] if dense else [])
 
@@ -279,6 +300,15 @@ class TestIndependent:
         np.testing.assert_array_equal(emb.points[1], np.zeros((4, 2)))
         assert emb.signatures[1] == (2, 0)
         assert np.all(np.linalg.norm(emb.points[0], axis=0) > 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_opposite_eigenvalues_counted_once_each(self, seed):
+        # one edge has eigenvalues +1 and -1, the 3-node path +-sqrt 2 and 0;
+        # at d = 2 both members of the tie are kept, one of each sign
+        edge = [[0, 1], [1, 0]]
+        path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+        assert independent_ase([edge], 2, seed=seed).signatures == [(1, 1)]
+        assert independent_ase([path], 2, seed=seed).signatures == [(1, 1)]
 
     def test_dims_length_mismatch(self):
         series = random_series(15, t=2)

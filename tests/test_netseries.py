@@ -11,9 +11,10 @@ from dynembed.netseries import (
     GraphSeries,
     IngestStats,
     ParseError,
-    adjacency_products,
     ingest_edge_list,
+    symmetric_product,
     unfolding_operator,
+    upper_matrices,
 )
 from helpers import permute
 
@@ -51,7 +52,7 @@ class TestGraphSeries:
             np.testing.assert_array_equal(tri.tocsr().toarray(), a)
             np.testing.assert_array_equal(csr.toarray(), a)
         unfolded = np.hstack(dense)
-        op = unfolding_operator(adjacency_products(series.triangles), n)
+        op = unfolding_operator(upper_matrices(series.triangles), n)
         assert op.shape == unfolded.shape
         for cols in ((), (4,)):
             y = rng.standard_normal((3 * n, *cols))
@@ -61,6 +62,20 @@ class TestGraphSeries:
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=0,
                                            atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_half_product_is_the_csr_product_bit_for_bit(self, n):
+        # a symmetric float matrix with a nonzero diagonal and some zeros,
+        # applied as W x + W^T x for W = M / 2, against M x
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
+        m = m + m.T + np.diag(rng.standard_normal(n))
+        assert np.all(np.diag(m) != 0)
+        csr = sp.csr_matrix(m)
+        product = symmetric_product(0.5 * csr)
+        for cols in ((), (3,)):
+            x = rng.standard_normal((n, *cols))
+            np.testing.assert_array_equal(product(x), csr @ x)
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -288,6 +288,19 @@ def test_clt_constant_kernel_matches_closed_form():
     assert np.all(np.abs(rep.excess_kurtosis) < 0.6)
 
 
+def test_clt_moments_match_scipy(monkeypatch):
+    # the pooled residuals are what clt_check passes to np.cov last
+    from scipy import stats
+
+    pooled, cov = [], np.cov
+    monkeypatch.setattr(np, "cov", lambda m, *a, **k: pooled.append(m.T) or cov(m, *a, **k))
+    rep = clt_check(fourblock_spec(200), 4, 1, 0, reps=2, seed=3)
+    resid = pooled[-1]
+    assert resid.shape == (rep.n_samples, 4)
+    np.testing.assert_allclose(rep.skewness, stats.skew(resid, axis=0), rtol=1e-12)
+    np.testing.assert_allclose(rep.excess_kurtosis, stats.kurtosis(resid, axis=0), rtol=1e-12)
+
+
 def test_clt_merged_communities_share_error_distribution():
     spec = fourblock_spec(500)
     r0 = clt_check(spec, 4, 1, 0, reps=3, seed=2)
