@@ -226,19 +226,19 @@ def omnibus_matrix(series) -> np.ndarray:
 
 
 def _omnibus_dense(halves, n: int) -> np.ndarray:
-    # each W_s and W_s^T is scattered in place into every block of its block
-    # row and column, so the matrix is the only (T n) x (T n) array held;
-    # halving the sums at the end rounds as adding halves would
+    # diagonal block s is set to W_s (canonical: no entry repeats), then W_s^T
+    # is added, giving A_s; each other block averages two of them in place
     t_count = len(halves)
     m = np.zeros((t_count * n, t_count * n))
     blocks = m.reshape(t_count, n, t_count, n)
     for s, half in enumerate(halves):
-        i, j = np.repeat(np.arange(n, dtype=half.indices.dtype), np.diff(half.indptr)), half.indices
-        for t in range(t_count):
-            for block in (blocks[s, :, t], blocks[t, :, s]):
-                block[i, j] += half.data
-                block[j, i] += half.data
-    m *= 0.5
+        coo = half.tocoo(copy=False)  # shares W_s's data and column indices
+        blocks[s, :, s][coo.row, coo.col] = coo.data
+        blocks[s, :, s][coo.col, coo.row] += coo.data
+    for s, t in zip(*np.triu_indices(t_count, 1)):
+        np.add(blocks[s, :, s], blocks[t, :, t], out=blocks[s, :, t])
+        blocks[s, :, t] *= 0.5
+        blocks[t, :, s] = blocks[s, :, t]  # the same average (A_t + A_s) / 2
     return m
 
 

@@ -203,12 +203,14 @@ class TestUase:
 
 class TestOmnibus:
     def test_matrix_layout(self):
-        series = random_series(11, n=6, t=3)
-        m = omnibus_matrix(series)
+        series = random_series(11, n=30, t=3)
         a = [x.toarray() for x in series.snapshots]
-        np.testing.assert_array_equal(m[:6, :6], a[0])
-        np.testing.assert_array_equal(m[6:12, :6], (a[1] + a[0]) / 2)
-        np.testing.assert_array_equal(m[12:, 6:12], (a[2] + a[1]) / 2)
+        w = np.random.default_rng(0).random((3, 30, 30))
+        weighted = [x * (v + v.T) for x, v in zip(a, w)]
+        for snaps, dense in ((series, a), (weighted, weighted)):
+            expected = np.block([[0.5 * dense[s] + 0.5 * dense[t] for t in range(3)]
+                                 for s in range(3)])
+            np.testing.assert_array_equal(omnibus_matrix(snaps), expected)
 
     def test_against_dense_eigendecomposition_oracle(self, fourblock_series):
         spec, small = fourblock_series
@@ -304,11 +306,17 @@ class TestIndependent:
     @pytest.mark.parametrize("seed", range(4))
     def test_tied_opposite_eigenvalues_counted_once_each(self, seed):
         # one edge has eigenvalues +1 and -1, the 3-node path +-sqrt 2 and 0;
-        # at d = 2 both members of the tie are kept, one of each sign
+        # at d = 2 both members of the tie are kept, one of each sign. K_{5,7}
+        # and the 20-node path (as a series) reach ARPACK, where the tie is
+        # one repeated eigenvalue lambda^2 of the Gram operator
         edge = [[0, 1], [1, 0]]
         path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-        assert independent_ase([edge], 2, seed=seed).signatures == [(1, 1)]
-        assert independent_ase([path], 2, seed=seed).signatures == [(1, 1)]
+        k57 = np.zeros((12, 12))
+        k57[:5, 5:] = 1
+        long_path = np.diag(np.ones(19), 1)
+        for graphs in ([edge], [path], [k57 + k57.T],
+                       GraphSeries(snapshots=[long_path + long_path.T])):
+            assert independent_ase(graphs, 2, seed=seed).signatures == [(1, 1)]
 
     def test_dims_length_mismatch(self):
         series = random_series(15, t=2)
