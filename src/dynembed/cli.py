@@ -31,6 +31,7 @@ from . import __version__
 from .cluster import assign, fit_gmm_bic, pool_spherical
 from .embedders import (
     Embedding,
+    as_patterns,
     independent_ase,
     omnibus_embed,
     select_dimension,
@@ -39,7 +40,7 @@ from .embedders import (
 )
 from .linalg import truncated_svd
 from .models import bundled_config_path, load_dsbm_config, sample_dsbm
-from .netseries import GraphSeries, ingest_edge_list, unfolding_operator, upper_matrices
+from .netseries import GraphSeries, Unfolding, ingest_edge_list
 from .stability import DEFAULT_GAP_THRESHOLD, stability_report
 
 EXIT_OK = 0
@@ -68,15 +69,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _scipy_version() -> str:
-    # stability and cluster never import scipy; its installed metadata is
-    # cheaper to read than the package is to import
-    if "scipy" in sys.modules:
-        return sys.modules["scipy"].__version__
-    from importlib.metadata import version
-    return version("scipy")
 
 
 def _peak_rss_mib() -> float | None:
@@ -111,7 +103,6 @@ def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
             "dynembed": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": _scipy_version(),
         },
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
@@ -398,8 +389,11 @@ def cmd_embed(args) -> int:
     rank = min(SCREE_LENGTH, n) if dims is None else int(np.max(dims))
     if rank > n:
         raise DataError(f"dimension {rank} out of range for {n} nodes")
-    unfolded = unfolding_operator(upper_matrices(series.triangles), n)
-    svd = truncated_svd(unfolded, rank, seed=args.seed)
+    # the patterns are built once: the scree's unfolding and every
+    # embedder below apply the same arrays
+    patterns, _ = as_patterns(series)
+    unfolded = Unfolding(patterns)
+    svd = truncated_svd(unfolded, rank, seed=args.seed, symmetric=len(patterns) == 1)
     # ||A v_j - s_j u_j|| / s_1 for each scree triplet
     residuals = np.linalg.norm(unfolded @ svd.v - svd.u * svd.s, axis=0)
     if svd.s[0] > 0:
@@ -411,12 +405,12 @@ def cmd_embed(args) -> int:
     if args.method == "uase":
         emb = uase_from_svd(svd, dims, series.n_snapshots)
     elif args.method == "omnibus":
-        emb = omnibus_embed(series, dims, seed=args.seed)
+        emb = omnibus_embed(patterns, dims, seed=args.seed)
     elif args.method == "independent":
-        emb = independent_ase(series, dims, seed=args.seed)
+        emb = independent_ase(patterns, dims, seed=args.seed)
     else:
         emb = separate_embed(
-            series, dims, seed=args.seed,
+            patterns, dims, seed=args.seed,
             scheme=args.scheme, forgetting=args.forgetting,
             window=args.window,
         )

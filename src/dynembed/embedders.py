@@ -12,10 +12,10 @@ Four methods producing, for each snapshot, one point per node:
   history, then embedded on its own.
 
 Each takes a :class:`~dynembed.netseries.GraphSeries` or a list of square
-dense, nested-list or scipy matrices, weighted ones included, and sees them
-in one form, decided in :func:`_halves`: CSR matrices W_t with A_t = W_t +
-W_t^T, a series' upper triangles or half of each list matrix M, which is
-thus embedded as its symmetric part (M + M^T) / 2.
+dense, nested-list or scipy matrices, weighted ones included, or of
+:class:`~dynembed.netseries.SymmetricPattern`, and sees them in one form,
+decided in :func:`as_patterns`: a symmetric pattern A_t per snapshot, which
+for a list matrix M is its symmetric part (M + M^T) / 2.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TruncatedSvd, orient_columns, truncated_svd
-from .netseries import GraphSeries, symmetric_product, unfolding_operator, upper_matrices
+from .linalg import SymmetricOperator, TruncatedSvd, orient_columns, truncated_svd
+from .netseries import GraphSeries, SymmetricPattern, Unfolding
 
 # omnibus_embed materializes the (T n) x (T n) omnibus matrix up to this many
 # float64 entries (1.6 GB) and applies a matrix-free product above it
@@ -54,46 +54,40 @@ class Embedding:
         self.dims = [p.shape[1] for p in self.points]
 
 
-def _halves(series):
-    """Per snapshot the n x n scipy CSR matrix W_t with A_t = W_t + W_t^T,
-    and n: a series' strict upper triangles, or M / 2 in canonical form for
-    each matrix M of a list. Raises ValueError, naming the matrix, unless
-    every list matrix is finite and n x n for the first one's n."""
+def as_patterns(series):
+    """Per snapshot the :class:`~dynembed.netseries.SymmetricPattern` A_t,
+    and n. Raises ValueError, naming the matrix, unless every list matrix is
+    finite and n x n for the first one's n."""
     if isinstance(series, GraphSeries):
-        return upper_matrices(series.triangles), series.n_nodes
-    import scipy.sparse as sp
-    halves = [0.5 * sp.csr_matrix(a, dtype=float) for a in series]
-    if not halves:
+        return [SymmetricPattern.from_triangle(tri) for tri in series.triangles], series.n_nodes
+    if not len(series):
         raise ValueError("need at least one snapshot")
-    n = halves[0].shape[0]
-    for t, half in enumerate(halves):
-        if half.shape != (n, n):
-            raise ValueError(f"matrix {t} is {half.shape[0]} x {half.shape[1]}, not {n} x {n}")
-        if not np.all(np.isfinite(half.data)):
+    n, patterns = np.shape(series[0])[0], []
+    for t, m in enumerate(series):
+        rows, cols = np.shape(m)
+        if (rows, cols) != (n, n):
+            raise ValueError(f"matrix {t} is {rows} x {cols}, not {n} x {n}")
+        pattern = m if isinstance(m, SymmetricPattern) else SymmetricPattern.from_matrix(m)
+        if pattern.data is not None and not np.all(np.isfinite(pattern.data)):
             raise ValueError(f"matrix {t} contains non-finite entries")
-        half.sum_duplicates()
-    return halves, n
-
-
-def _symmetric_operator(product, side: int):
-    """A symmetric side x side product as a scipy LinearOperator."""
-    from scipy.sparse.linalg import LinearOperator
-    return LinearOperator((side, side), matvec=product, rmatvec=product,
-                          matmat=product, rmatmat=product, dtype=float)
+        patterns.append(pattern)
+    return patterns, n
 
 
 def uase(series, d: int, seed: int = 0) -> Embedding:
     """Unfolded adjacency spectral embedding.
 
     Takes the rank-d SVD of the n x (T n) column concatenation of the
-    snapshots (applied as :func:`~dynembed.netseries.unfolding_operator`,
-    never built) and scales both factors by the square-rooted singular values.
+    snapshots (applied as an :class:`~dynembed.netseries.Unfolding`, never
+    built) and scales both factors by the square-rooted singular values.
     The right factor splits into T blocks of n rows, one point set per
     snapshot, all living in one coordinate system; the left factor is a single
-    time-invariant point set.
+    time-invariant point set. One snapshot is symmetric and is decomposed as
+    such, so its points are those of :func:`independent_ase`.
     """
-    halves, n = _halves(series)
-    return uase_from_svd(truncated_svd(unfolding_operator(halves, n), d, seed), d, len(halves))
+    patterns, _ = as_patterns(series)
+    svd = truncated_svd(Unfolding(patterns), d, seed, symmetric=len(patterns) == 1)
+    return uase_from_svd(svd, d, len(patterns))
 
 
 def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
@@ -111,12 +105,12 @@ def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
 
 
 def _signed_symmetric_embedding(a, d: int, seed: int):
-    """Point set v * sqrt(sigma) from the SVD of a symmetric matrix or
-    operator, plus its eigenvalue signature: the signs, zero counted positive,
-    of the eigenvalues of the compression u^T A u = (u^T v) sigma. This keeps
-    apart a tied +lambda and -lambda that are both among the top d; a d that
-    splits such a tie (the 3-node path at d = 1) has no defined answer."""
-    res = truncated_svd(a, d, seed)
+    """Point set v sqrt(s) = q sign(l) sqrt|l| from the top-d eigenpairs (l,
+    q) of a symmetric matrix or operator, and its signature: the signs, zero
+    counted positive, of the eigenvalues l of the compression u^T A u = (u^T
+    v) diag(s), which also separates a tied +l, -l where LAPACK decomposes a
+    small matrix. A d that splits such a tie has no defined answer."""
+    res = truncated_svd(a, d, seed, symmetric=True)
     positive = int(np.sum(np.linalg.eigvalsh(res.u.T @ res.v * res.s) >= 0))
     return res.v * np.sqrt(res.s), (positive, d - positive)
 
@@ -140,9 +134,8 @@ def independent_ase(series, dims, seed: int = 0) -> Embedding:
     dimension per snapshot. Point sets from different snapshots live in
     unrelated coordinate systems.
     """
-    halves, n = _halves(series)
-    matrices = [_symmetric_operator(symmetric_product(half), n) for half in halves]
-    points, signatures = _embed_each(matrices, len(matrices), dims, seed)
+    patterns, _ = as_patterns(series)
+    points, signatures = _embed_each(patterns, len(patterns), dims, seed)
     return Embedding(points=points, method="independent", signatures=signatures)
 
 
@@ -186,35 +179,33 @@ def separate_embed(
     """Embed each snapshot's smoothed history separately.
 
     Snapshot t is replaced by the weighted average of snapshots 0..t under
-    :func:`history_weights`, then spectrally embedded on its own. Each
-    average is built when its turn comes, as the weighted sum W of the
-    history's halves, and applied as W x + W^T x.
+    :func:`history_weights`, then spectrally embedded on its own. No average
+    is built: it is applied as the weighted sum of the history's products.
     """
-    halves, n = _halves(series)
+    patterns, n = as_patterns(series)
 
-    def blends():
-        for t in range(len(halves)):
-            w = history_weights(t, scheme, forgetting=forgetting, window=window)
-            blend = sum(w[s] * halves[s] for s in range(t + 1) if w[s] > 0)
-            yield _symmetric_operator(symmetric_product(blend), n)
+    def blend(w):
+        used = [(w[s], patterns[s]) for s in range(w.size) if w[s] > 0]
+        return SymmetricOperator(lambda x: sum(ws * (a @ x) for ws, a in used), n)
 
-    points, signatures = _embed_each(blends(), len(halves), dims, seed)
+    blends = (blend(history_weights(t, scheme, forgetting=forgetting, window=window))
+              for t in range(len(patterns)))
+    points, signatures = _embed_each(blends, len(patterns), dims, seed)
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
 
 
-def _omnibus_matvec(halves, n: int):
+def _omnibus_matvec(patterns, n: int):
     # (M v)_s = (A_s * sum_t v_t + sum_t A_t v_t) / 2 where v_t are the n-row
     # blocks of v; avoids materializing the (T n) x (T n) matrix
-    products = [symmetric_product(half) for half in halves]
-    t_count = len(products)
+    t_count = len(patterns)
 
     def matvec(block):
         blocks = [block[t * n : (t + 1) * n] for t in range(t_count)]
         total = sum(blocks)
-        sum_av = sum(products[t](blocks[t]) for t in range(t_count))
+        sum_av = sum(patterns[t] @ blocks[t] for t in range(t_count))
         out = np.empty_like(block)
         for s in range(t_count):
-            out[s * n : (s + 1) * n] = (products[s](total) + sum_av) / 2.0
+            out[s * n : (s + 1) * n] = (patterns[s] @ total + sum_av) / 2.0
         return out
 
     return matvec
@@ -222,19 +213,17 @@ def _omnibus_matvec(halves, n: int):
 
 def omnibus_matrix(series) -> np.ndarray:
     """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2."""
-    return _omnibus_dense(*_halves(series))
+    return _omnibus_dense(*as_patterns(series))
 
 
-def _omnibus_dense(halves, n: int) -> np.ndarray:
-    # diagonal block s is set to W_s (canonical: no entry repeats), then W_s^T
-    # is added, giving A_s; each other block averages two of them in place
-    t_count = len(halves)
+def _omnibus_dense(patterns, n: int) -> np.ndarray:
+    # diagonal block s is set to A_s; each other block averages two of them
+    # in place
+    t_count = len(patterns)
     m = np.zeros((t_count * n, t_count * n))
     blocks = m.reshape(t_count, n, t_count, n)
-    for s, half in enumerate(halves):
-        coo = half.tocoo(copy=False)  # shares W_s's data and column indices
-        blocks[s, :, s][coo.row, coo.col] = coo.data
-        blocks[s, :, s][coo.col, coo.row] += coo.data
+    for s, pattern in enumerate(patterns):
+        pattern.scatter(blocks[s, :, s])
     for s, t in zip(*np.triu_indices(t_count, 1)):
         np.add(blocks[s, :, s], blocks[t, :, t], out=blocks[s, :, t])
         blocks[s, :, t] *= 0.5
@@ -256,13 +245,13 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; otherwise a matrix-free product
     over the snapshot blocks is used.
     """
-    halves, n = _halves(series)
-    t_count, side = len(halves), len(halves) * n
+    patterns, n = as_patterns(series)
+    t_count, side = len(patterns), len(patterns) * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        m = _omnibus_dense(halves, n)
-        del halves  # m holds all the eigensolver needs
+        m = _omnibus_dense(patterns, n)
+        del patterns  # m holds all the eigensolver needs
     else:
-        m = _symmetric_operator(_omnibus_matvec(halves, n), side)
+        m = SymmetricOperator(_omnibus_matvec(patterns, n), side)
     scaled, signature = _signed_symmetric_embedding(m, d, seed)
     # the omnibus point set keeps its own largest entries positive; the
     # per-snapshot methods follow the left vectors, as uase does

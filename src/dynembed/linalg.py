@@ -18,8 +18,9 @@ class TruncatedSvd:
     u: (m, d) column-orthonormal left vectors.
     s: (d,) singular values, non-increasing.
     v: (p, d) column-orthonormal right vectors.
-    gram_products: Gram operator products Lanczos applied; 0 where LAPACK
-        decomposed the whole matrix.
+    gram_products: products Lanczos applied, of the Gram operator or, for a
+        symmetric matrix, of the matrix itself; 0 where LAPACK decomposed
+        the whole matrix.
     """
 
     u: np.ndarray
@@ -42,59 +43,122 @@ def orient_columns(u: np.ndarray, *partners: np.ndarray):
     return (u * signs,) + tuple(p * signs for p in partners)
 
 
-def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
+# largest residual |beta s_ki| of a converged Ritz pair, per largest Ritz value
+LANCZOS_TOLERANCE = 1e-14
+
+
+def _lanczos(apply, side: int, d: int, start: np.ndarray):
+    """Top-d eigenpairs by magnitude of the symmetric operator x -> apply(x)
+    on vectors of length ``side``: Lanczos from ``start``, each new vector
+    projected off the whole basis. A step whose residual vanishes has found
+    an invariant subspace (the range of an operator of rank below d, say);
+    the run goes on from a fresh random direction with a zero coupling.
+    Convergence is tested every eighth of the steps so far, since each test
+    solves the projected matrix h anew. A basis of 2d + 32 vectors restarts
+    thick (Wu & Simon 2000): it keeps the Ritz vectors of the d + 16 largest
+    Ritz values, to which the residual stays coupled, so memory stays at 2d +
+    32 vectors. Returns the d values by decreasing magnitude, the (side, d)
+    orthonormal Ritz vectors and the product count.
+    """
+    limit = min(side, 2 * d + 32)
+    basis = np.empty((min(limit, 32), side))  # one Lanczos vector per row
+    h = np.zeros((len(basis), len(basis)))  # the operator in that basis
+    fresh = np.random.default_rng(side)
+    q, coupling = start / np.linalg.norm(start), np.zeros(0)
+    k, products, check, scale = 0, 0, 2 * d, 0.0
+    while True:
+        if k == len(basis):
+            grown = min(2 * k, limit)
+            basis = np.concatenate([basis, np.empty((grown - k, side))])
+            h = np.pad(h, (0, grown - k))
+        basis[k], h[k, :k], h[:k, k] = q, coupling, coupling
+        w = apply(q)
+        products += 1
+        h[k, k] = q @ w
+        linked = np.flatnonzero(coupling)  # the previous vector, or all kept ones
+        w -= h[k, k] * q + basis[linked].T @ coupling[linked]
+        k += 1
+        w -= basis[:k].T @ (basis[:k] @ w)  # after the recurrence one pass suffices
+        beta = np.linalg.norm(w)
+        if not np.isfinite(beta):
+            raise ValueError("operator returned non-finite values")
+        scale = max(scale, abs(h[k - 1, k - 1]), beta)
+        if k < side and beta <= np.finfo(float).eps * scale:
+            beta, w = 0.0, fresh.standard_normal(side)
+            for _ in range(2):  # a random vector needs a second pass
+                w -= basis[:k].T @ (basis[:k] @ w)
+        coupling = np.zeros(k)
+        coupling[-1] = beta
+        if k == side or k >= check or k == limit:
+            values, s = np.linalg.eigh(h[:k, :k])
+            order = np.argsort(-np.abs(values), kind="stable")
+            residuals = np.abs(beta * s[-1, order[:d]])
+            if k == side or np.all(residuals <= LANCZOS_TOLERANCE * np.abs(values).max()):
+                return values[order[:d]], basis[:k].T @ s[:, order[:d]], products
+            if k == limit:
+                keep = order[:d + 16]
+                basis[:keep.size] = s[:, keep].T @ basis[:k]
+                h[:k, :k] = np.diag(np.pad(values[keep], (0, k - keep.size)))
+                coupling, k = beta * s[-1, keep], keep.size
+            check = k + max(1, k // 8)
+        q = w / np.linalg.norm(w)
+
+
+class SymmetricOperator:
+    """The symmetric side x side matrix x -> apply(x), as truncated_svd reads it."""
+
+    def __init__(self, apply, side: int):
+        self.apply, self.shape = apply, (side, side)
+
+    def __matmul__(self, x):
+        return self.apply(x)
+
+    @property
+    def T(self) -> "SymmetricOperator":
+        return self
+
+
+def truncated_svd(m, d: int, seed: int = 0, *, symmetric: bool = False) -> TruncatedSvd:
     """Rank-d truncated SVD with a canonical sign convention.
 
-    ``m`` may be a dense array, a sparse matrix or a
-    ``scipy.sparse.linalg.LinearOperator``. The top-d eigenvectors q of the
-    smaller-side Gram operator x -> a @ (a.T @ x) come from implicitly
-    restarted Lanczos (ARPACK ``eigsh``, converged to machine precision,
-    started from a vector drawn with ``seed``); one dense SVD of the d-row
-    projection q.T @ m then gives the singular values and both orthonormal
-    factors. LAPACK decomposes the whole matrix only where ARPACK cannot
-    run (d >= smaller side - 1); an operator is then materialized by its
-    products with the identity of its smaller side. A zero matrix has zero
-    singular values.
+    ``m`` may be a dense array or any operator with ``.shape``, ``@`` and
+    ``.T`` (a sparse matrix, :class:`~dynembed.netseries.Unfolding`). The
+    top-d eigenvectors q of the smaller-side Gram operator x -> a @ (a.T @ x)
+    come from :func:`_lanczos`, started from a vector drawn with ``seed``;
+    one dense SVD of the d-row projection q.T @ m then gives the singular
+    values and both factors. A ``symmetric`` m is decomposed directly, with
+    half the products: its top-d eigenpairs (l, q) by magnitude give u = q,
+    s = |l| and v = sign(l) q, a zero counted positive. LAPACK decomposes
+    the whole matrix where d >= smaller side - 1; an operator is then made
+    dense through its smaller side. A zero matrix has zero singular values.
 
     Raises ValueError when d is out of range or the matrix has non-finite
     entries.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import LinearOperator, eigsh
-    operator = isinstance(m, LinearOperator)
-    if not (operator or sp.issparse(m)):
+    if isinstance(m, np.ndarray) or not hasattr(m, "T"):
         m = np.asarray(m, dtype=float)
     rows, cols = m.shape
     if not 1 <= d <= min(rows, cols):
         raise ValueError(f"d={d} out of range for {rows}x{cols} matrix")
-    finite = operator or np.all(np.isfinite(m.data if sp.issparse(m) else m))
-    if not finite:
+    # a sparse matrix or weighted pattern holds its entries in .data
+    entries = m if isinstance(m, np.ndarray) else getattr(m, "data", None)
+    if entries is not None and not np.all(np.isfinite(entries)):
         raise ValueError("matrix contains non-finite entries")
     products = 0
     if d >= min(rows, cols) - 1:
-        if operator:
+        if not isinstance(m, np.ndarray):
             m = m @ np.eye(cols) if cols <= rows else (m.T @ np.eye(rows)).T
-        elif sp.issparse(m):
-            m = m.toarray()
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         u, s, v = u[:, :d], s[:d], vt[:d].T
     else:
         # a is the wide orientation of m: its rows are the smaller side
         a = m if rows <= cols else m.T
-        side = a.shape[0]
-        start = np.random.default_rng(seed).standard_normal(side)
-        # ARPACK cannot start where the start vector maps to zero (an empty
-        # snapshot); LAPACK's answer for a zero matrix is kept instead
-        if not np.any(a.T @ start):
-            u, s, v = np.eye(rows, d), np.zeros(d), np.eye(cols, d)
+        start = np.random.default_rng(seed).standard_normal(a.shape[0])
+        if symmetric:
+            values, u, products = _lanczos(lambda x: m @ x, rows, d, start)
+            s, v = np.abs(values), u * np.where(values < 0, -1.0, 1.0)
         else:
-            def gram_product(x):
-                nonlocal products
-                products += 1
-                return a @ (a.T @ x)
-
-            gram = LinearOperator((side, side), matvec=gram_product, dtype=float)
-            _, q = eigsh(gram, d, which="LA", v0=start)
+            _, q, products = _lanczos(lambda x: a @ (a.T @ x), a.shape[0], d, start)
             ub, s, vbt = np.linalg.svd((a.T @ q).T, full_matrices=False)
             small, large = q @ ub, vbt.T
             u, v = (small, large) if rows <= cols else (large, small)

@@ -1,12 +1,13 @@
 """Adjacency snapshot sequences and timestamped edge list ingestion.
 
 A snapshot is held as :class:`UpperTriangle`, the CSR pattern of its strict
-upper triangle with no data array, from ``snapshots.npz`` to the eigensolver:
-:func:`upper_matrices` views it as CSR U over shared ones, the form W of A =
-W + W^T that every embedder takes, and :func:`symmetric_product` and
-:func:`unfolding_operator` apply A and the n x Tn unfolding (A_1 | ... | A_T)
-without building either. scipy is imported only where a product or a scipy
-matrix is asked for, so sampling, saving and loading run on numpy alone.
+upper triangle with no data array, in memory and in ``snapshots.npz``. The
+embedders apply each snapshot A as a :class:`SymmetricPattern`, the full
+symmetric pattern as numpy arrays, and the n x Tn unfolding (A_1 | ... |
+A_T) as an :class:`Unfolding` of those, building neither matrix. Everything
+here runs on numpy alone; scipy is imported only by the helpers that take or
+return scipy matrices (``UpperTriangle.from_matrix``, ``tocsr``,
+``GraphSeries.snapshots`` and ``unfold``).
 """
 
 from __future__ import annotations
@@ -95,61 +96,95 @@ class UpperTriangle:
 
     def tocsr(self):
         """A as a symmetric {0,1} scipy CSR matrix."""
-        (upper,) = upper_matrices([self])
-        return upper + upper.T
+        import scipy.sparse as sp
+        upper = sp.csr_matrix((np.ones(self.edges), self.indices, self.indptr), shape=self.shape)
+        return (upper + upper.T).tocsr()
 
 
-def upper_matrices(triangles) -> list:
-    """Each triangle's U as a scipy CSR matrix over the triangle's own index
-    arrays, whose data is one read-only array of ones shared by every
-    snapshot, so no matrix holds a copy of its snapshot."""
-    import scipy.sparse as sp
-    ones = np.ones(max(tri.edges for tri in triangles))
-    ones.flags.writeable = False
-    uppers = []
-    for tri in triangles:
-        upper = sp.csr_matrix((ones[:tri.edges], tri.indices, tri.indptr), shape=tri.shape)
-        # the constructor copies a data view much shorter than its base array
-        upper.data = ones[:tri.edges]
-        uppers.append(upper)
-    return uppers
+class SymmetricPattern:
+    """A symmetric n x n matrix A, given by its entries in row-major order, as
+    numpy CSR arrays: ``cols`` (intp, which a gather takes unconverted),
+    ``starts`` of the rows and ``data``, None for a 0/1 matrix. A x is one
+    gather and one ``np.add.reduceat``; reduceat cannot sum an empty run, so
+    an empty row holds one entry in column n, which reads a zero appended to x.
+    """
+
+    def __init__(self, rows, cols, data, n: int):
+        counts = np.bincount(rows, minlength=n)
+        where = (np.cumsum(counts) - counts)[counts == 0]
+        self.n, self.shape = n, (n, n)
+        self.cols = np.insert(np.asarray(cols, dtype=np.intp), where, n)
+        self.data = None if data is None else np.insert(data, where, 0.0)
+        sizes = np.maximum(counts, 1)
+        self.starts = np.cumsum(sizes) - sizes
+
+    @classmethod
+    def from_triangle(cls, tri: UpperTriangle) -> "SymmetricPattern":
+        """The 0/1 matrix A = U + U^T of a snapshot."""
+        n, rows = tri.n, tri.rows().astype(np.int64)
+        keys = np.concatenate([rows * n + tri.indices, tri.indices.astype(np.int64) * n + rows])
+        keys.sort()
+        return cls(keys // n, keys % n, None, n)
+
+    @classmethod
+    def from_matrix(cls, m) -> "SymmetricPattern":
+        """(M + M^T) / 2 for a square dense, nested-list or scipy sparse M,
+        which for a symmetric M is M exactly; a sparse M is added by its own
+        methods."""
+        if not hasattr(m, "tocsr"):
+            m = np.asarray(m, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix of shape {m.shape} is not square")
+        if isinstance(m, np.ndarray):
+            half = (m + m.T) * 0.5
+            rows, cols = np.nonzero(half)
+            return cls(rows, cols, half[rows, cols], m.shape[0])
+        half = ((m + m.T) * 0.5).tocsr()
+        half.sum_duplicates()  # sorted columns, no repeats
+        half = half.tocoo()
+        return cls(half.row, half.col, half.data, m.shape[0])
+
+    @property
+    def T(self) -> "SymmetricPattern":
+        return self
+
+    def __matmul__(self, x):
+        if x.ndim == 2:
+            return np.stack([self @ column for column in x.T], axis=1)
+        gathered = np.append(x, 0.0).take(self.cols)
+        if self.data is not None:
+            gathered *= self.data
+        return np.add.reduceat(gathered, self.starts)
+
+    def scatter(self, out) -> None:
+        """Write A's entries into the n x n array ``out``."""
+        rows = np.repeat(np.arange(self.n), np.diff(np.append(self.starts, self.cols.size)))
+        real = self.cols < self.n
+        out[rows[real], self.cols[real]] = 1.0 if self.data is None else self.data[real]
 
 
-def symmetric_product(half):
-    """The function x -> W x + W^T x, for x of shape (n,) or (n, k), of A =
-    W + W^T given as the scipy CSR matrix W, W^T being a CSC view of W's
-    arrays. For W = M / 2 with M symmetric and canonical this is M x bit for
-    bit: halving is exact and both products add the same terms in order."""
-    lower = half.T
-    lower.data = half.data  # the transpose copies the data array
+class Unfolding:
+    """The n x (T n) unfolding (A_1 | ... | A_T) of symmetric patterns, or
+    its transpose: y -> sum_t A_t y_t for the n-row blocks y_t of y, and x
+    -> (A_1 x; ...; A_T x). Nothing is concatenated."""
 
-    def product(x):
-        out = half @ x
-        out += lower @ x
+    def __init__(self, patterns, transposed: bool = False):
+        self.patterns, self.transposed = patterns, transposed
+        n, width = patterns[0].n, len(patterns) * patterns[0].n
+        self.shape = (width, n) if transposed else (n, width)
+
+    @property
+    def T(self) -> "Unfolding":
+        return Unfolding(self.patterns, not self.transposed)
+
+    def __matmul__(self, x):
+        if self.transposed:
+            return np.concatenate([a @ x for a in self.patterns])
+        n = self.shape[0]
+        out = self.patterns[0] @ x[:n]
+        for t in range(1, len(self.patterns)):
+            out += self.patterns[t] @ x[t * n : (t + 1) * n]
         return out
-
-    return product
-
-
-def unfolding_operator(halves, n: int):
-    """The n x (T n) unfolding (A_1 | ... | A_T) of A_t = W_t + W_t^T, given
-    the n x n CSR matrices W_t, as a scipy ``LinearOperator``: y -> sum_t A_t
-    y_t for the n-row blocks y_t of y, and x -> (A_1 x; ...; A_T x) for its
-    transpose. Its Gram product is sum_t A_t (A_t x); nothing is concatenated."""
-    from scipy.sparse.linalg import LinearOperator
-    products = [symmetric_product(half) for half in halves]
-
-    def matvec(y):
-        out = products[0](y[:n])
-        for t in range(1, len(products)):
-            out += products[t](y[t * n : (t + 1) * n])
-        return out
-
-    def rmatvec(x):
-        return np.concatenate([product(x) for product in products])
-
-    return LinearOperator((n, len(products) * n), matvec=matvec, rmatvec=rmatvec,
-                          matmat=matvec, rmatmat=rmatvec, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -209,7 +244,7 @@ class GraphSeries:
 
     def unfold(self):
         """Column concatenation (A1 | A2 | ... | AT) as an n x (T*n) scipy CSR
-        matrix; the embedders use :func:`unfolding_operator` instead."""
+        matrix; the embedders apply an :class:`Unfolding` instead."""
         import scipy.sparse as sp
         return sp.hstack(self.snapshots, format="csr")
 

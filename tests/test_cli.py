@@ -836,7 +836,7 @@ def test_no_module_reads_the_environment():
 
 
 def test_embedders_tell_series_from_lists_in_one_place():
-    # every embedder sees its input through embedders._halves, the only
+    # every embedder sees its input through embedders.as_patterns, the only
     # isinstance(..., GraphSeries) test in the module
     import ast
 
@@ -848,7 +848,37 @@ def test_embedders_tell_series_from_lists_in_one_place():
                 if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
                         and "GraphSeries" in ast.unparse(node.args[1])):
                     found.append(func.name)
-    assert found == ["_halves"]
+    assert found == ["as_patterns"]
+
+
+def test_only_interop_helpers_import_scipy():
+    # the program runs on numpy alone; scipy is imported only by the helpers
+    # that take or return scipy matrices, never at module level
+    import ast
+
+    src = Path(dynembed.__file__).resolve().parent
+    helpers = {"UpperTriangle.from_matrix", "UpperTriangle.tocsr",
+               "GraphSeries.snapshots", "GraphSeries.unfold"}
+    importers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(".".join(scope) or f"{path.name} module level")
+            visit(child, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    assert importers and set(importers) <= helpers, importers
 
 
 def test_cli_import_skips_scipy_stats():
@@ -862,14 +892,20 @@ def test_cli_import_skips_scipy_stats():
 
 
 def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
-    # --version, simulate, stability and cluster run on numpy alone; the
-    # manifest still names the installed scipy
-    import scipy
-
+    # every command runs on numpy alone: --version, simulate, embed by each
+    # method and with --dim auto, stability and cluster; so the manifest
+    # names no scipy version
     src = str(Path(dynembed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     sim, rep, clus = tmp_path / "sim", tmp_path / "rep", tmp_path / "clus"
+    embeds = {method: tmp_path / method
+              for method in ("uase", "omnibus", "independent", "separate", "auto")}
     calls = [
+        ["embed", "--input", str(sim120 / "series"), "--seed", "1", "--out", str(out),
+         "--method", method if method != "auto" else "uase",
+         "--dim", "3" if method != "auto" else "auto"]
+        for method, out in embeds.items()
+    ] + [
         ["--version"],
         ["simulate", "--config", str(sim120.parent / "fourblock120.cfg"), "--seed", "1",
          "--out", str(sim)],
@@ -889,7 +925,7 @@ def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0] * len(calls)
     assert loaded == []
-    for d in (sim, rep, clus):
-        assert read_manifest(d)["versions"]["scipy"] == scipy.__version__
+    for d in (sim, rep, clus, *embeds.values()):
+        assert "scipy" not in read_manifest(d)["versions"]

@@ -4,8 +4,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator
 
+from dynembed.netseries import SymmetricPattern, Unfolding
+
 from dynembed.linalg import (
     ProcrustesResult,
+    SymmetricOperator,
+    _lanczos,
     orient_columns,
     procrustes,
     spherical_coordinates,
@@ -130,6 +134,81 @@ class TestTruncatedSvd:
         m[1, 2] = np.nan
         with pytest.raises(ValueError):
             truncated_svd(m, 2)
+        # an operator shows no entries; Lanczos refuses what it returns
+        op = SymmetricOperator(lambda x: m @ x, 4)
+        with pytest.raises(ValueError, match="non-finite"):
+            truncated_svd(op, 1, symmetric=True)
+
+
+def orthonormal_columns(rng, side, count):
+    q, _ = np.linalg.qr(rng.standard_normal((side, count)))
+    return q
+
+
+class TestLanczos:
+    def test_rank_two_operator_at_four_dimensions(self):
+        # the Krylov space is invariant after three steps; the run goes on
+        # from fresh directions, which the operator maps to zero
+        rng = np.random.default_rng(61)
+        q = orthonormal_columns(rng, 30, 2)
+        m = q @ np.diag([3.0, -2.0]) @ q.T
+        values, vectors, products = _lanczos(lambda x: m @ x, 30, 4, rng.standard_normal(30))
+        np.testing.assert_allclose(values[:2], [3.0, -2.0], rtol=1e-12)
+        np.testing.assert_allclose(values[2:], 0.0, atol=1e-12)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(m @ vectors[:, :2], vectors[:, :2] * values[:2], atol=1e-12)
+        assert products < 30
+        for res in (truncated_svd(m, 4, seed=3), truncated_svd(m, 4, seed=3, symmetric=True)):
+            np.testing.assert_allclose(res.s, [3.0, 2.0, 0.0, 0.0], rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(res.u.T @ res.u, np.eye(4), atol=1e-12)
+            np.testing.assert_allclose(res.v.T @ res.v, np.eye(4), atol=1e-12)
+
+    def test_tied_opposite_eigenvalues_match_eigh(self):
+        # oracle: LAPACK's eigh of the same dense matrix; +5 and -5 tie in
+        # magnitude and both are among the top four
+        rng = np.random.default_rng(67)
+        q = orthonormal_columns(rng, 40, 40)
+        spectrum = np.concatenate([[5.0, -5.0, 3.5, -2.5], rng.uniform(-1.0, 1.0, 36)])
+        m = q @ np.diag(spectrum) @ q.T
+        m = (m + m.T) / 2
+        values, vectors, _ = _lanczos(lambda x: m @ x, 40, 4, rng.standard_normal(40))
+        exact = np.linalg.eigvalsh(m)
+        want = exact[np.argsort(-np.abs(exact), kind="stable")[:4]]
+        np.testing.assert_allclose(np.sort(values), np.sort(want), rtol=1e-12)
+        np.testing.assert_allclose(m @ vectors, vectors * values, atol=1e-12)
+        res = truncated_svd(SymmetricOperator(lambda x: m @ x, 40), 4, symmetric=True)
+        np.testing.assert_allclose(res.s, np.abs(want), rtol=1e-12)
+        assert np.sum(np.sum(res.u * res.v, axis=0) < 0) == 2
+
+    def test_thick_restarts_keep_the_top_eigenpairs(self):
+        # a Wigner matrix has no gap at its edges, so the 2d + 32 = 52 vector
+        # basis restarts many times; oracle: eigh of the same matrix
+        rng = np.random.default_rng(73)
+        m = rng.standard_normal((300, 300))
+        m = (m + m.T) / np.sqrt(600)
+        values, vectors, products = _lanczos(lambda x: m @ x, 300, 10, rng.standard_normal(300))
+        exact = np.linalg.eigvalsh(m)
+        want = exact[np.argsort(-np.abs(exact))[:10]]
+        assert products > 52
+        np.testing.assert_allclose(values, want, rtol=1e-12)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(10), atol=1e-12)
+        np.testing.assert_allclose(m @ vectors, vectors * values, atol=1e-12)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_pattern_unfolding_at_lapack_rank_is_made_dense(self, transpose):
+        # d = n - 1 goes to LAPACK through the n x n identity of the smaller
+        # side, for the n x 3n unfolding and its transpose alike
+        rng = np.random.default_rng(71)
+        dense = [np.triu(rng.random((9, 9)) < 0.4, 1).astype(float) for _ in range(3)]
+        dense = [a + a.T for a in dense]
+        op = Unfolding([SymmetricPattern.from_matrix(a) for a in dense])
+        full = np.hstack(dense)
+        if transpose:
+            op, full = op.T, full.T
+        got, want = truncated_svd(op, 8), truncated_svd(full, 8)
+        assert got.gram_products == want.gram_products == 0
+        for part in ("u", "s", "v"):
+            np.testing.assert_allclose(getattr(got, part), getattr(want, part), atol=1e-12)
 
 
 class TestOrientColumns:

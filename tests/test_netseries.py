@@ -11,10 +11,9 @@ from dynembed.netseries import (
     GraphSeries,
     IngestStats,
     ParseError,
+    SymmetricPattern,
+    Unfolding,
     ingest_edge_list,
-    symmetric_product,
-    unfolding_operator,
-    upper_matrices,
 )
 from helpers import permute
 
@@ -52,7 +51,7 @@ class TestGraphSeries:
             np.testing.assert_array_equal(tri.tocsr().toarray(), a)
             np.testing.assert_array_equal(csr.toarray(), a)
         unfolded = np.hstack(dense)
-        op = unfolding_operator(upper_matrices(series.triangles), n)
+        op = Unfolding([SymmetricPattern.from_triangle(tri) for tri in series.triangles])
         assert op.shape == unfolded.shape
         for cols in ((), (4,)):
             y = rng.standard_normal((3 * n, *cols))
@@ -66,16 +65,23 @@ class TestGraphSeries:
     @pytest.mark.parametrize("n", [1, 7, 40])
     def test_half_product_is_the_csr_product_bit_for_bit(self, n):
         # a symmetric float matrix with a nonzero diagonal and some zeros,
-        # applied as W x + W^T x for W = M / 2, against M x
+        # held as the pattern of (M + M^T) / 2, dense or from CSR: halving is
+        # exact, so the pattern holds M's entries bit for bit. reduceat sums
+        # a row pairwise where scipy sums it in order, so M x agrees within
+        # the bound on reordering a sum of n terms, n eps sum_j |M_ij x_j|
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
         m = m + m.T + np.diag(rng.standard_normal(n))
         assert np.all(np.diag(m) != 0)
         csr = sp.csr_matrix(m)
-        product = symmetric_product(0.5 * csr)
-        for cols in ((), (3,)):
-            x = rng.standard_normal((n, *cols))
-            np.testing.assert_array_equal(product(x), csr @ x)
+        for pattern in (SymmetricPattern.from_matrix(m), SymmetricPattern.from_matrix(csr)):
+            np.testing.assert_array_equal(pattern.cols, csr.indices)
+            np.testing.assert_array_equal(pattern.starts, csr.indptr[:-1])
+            np.testing.assert_array_equal(pattern.data, csr.data)
+            for cols in ((), (3,)):
+                x = rng.standard_normal((n, *cols))
+                bound = n * np.finfo(float).eps * (abs(csr) @ np.abs(x))
+                assert np.all(np.abs(pattern @ x - csr @ x) <= bound)
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
