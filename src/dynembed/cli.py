@@ -31,7 +31,6 @@ from . import __version__
 from .cluster import assign, fit_gmm_bic, pool_spherical
 from .embedders import (
     Embedding,
-    as_patterns,
     independent_ase,
     omnibus_embed,
     select_dimension,
@@ -332,21 +331,17 @@ def cmd_simulate(args) -> int:
     spec = load_dsbm_config(config)
     series = sample_dsbm(spec, seed=args.seed)
     # human-facing labels and times start at 1
-    series = GraphSeries(
-        snapshots=series.triangles,
-        node_labels=[str(i + 1) for i in range(spec.n_nodes)],
-        times=list(range(1, spec.n_snapshots + 1)),
-    )
+    series.node_labels = [str(i + 1) for i in range(spec.n_nodes)]
+    series.times = list(range(1, spec.n_snapshots + 1))
     t1 = time.perf_counter()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     series.save(out / "series")
     outputs = [out / "series" / "snapshots.npz", out / "series" / "labels.txt"]
     t2 = time.perf_counter()
     labels = np.array(series.node_labels, dtype=object)
-    for t, tri in enumerate(series.triangles):
+    for t, pattern in enumerate(series.patterns):
         path = out / f"edges_{t + 1}.csv"
-        _write_csv(path, ["u", "v"], [labels[tri.rows()], labels[tri.indices]])
+        _write_csv(path, ["u", "v"], [labels[ends] for ends in pattern.upper()])
         outputs.append(path)
     t3 = time.perf_counter()
     truth = out / "truth.csv"
@@ -389,11 +384,8 @@ def cmd_embed(args) -> int:
     rank = min(SCREE_LENGTH, n) if dims is None else int(np.max(dims))
     if rank > n:
         raise DataError(f"dimension {rank} out of range for {n} nodes")
-    # the patterns are built once: the scree's unfolding and every
-    # embedder below apply the same arrays
-    patterns, _ = as_patterns(series)
-    unfolded = Unfolding(patterns)
-    svd = truncated_svd(unfolded, rank, seed=args.seed, symmetric=len(patterns) == 1)
+    unfolded = Unfolding(series.patterns)
+    svd = truncated_svd(unfolded, rank, seed=args.seed, symmetric=series.n_snapshots == 1)
     # ||A v_j - s_j u_j|| / s_1 for each scree triplet
     residuals = np.linalg.norm(unfolded @ svd.v - svd.u * svd.s, axis=0)
     if svd.s[0] > 0:
@@ -405,12 +397,12 @@ def cmd_embed(args) -> int:
     if args.method == "uase":
         emb = uase_from_svd(svd, dims, series.n_snapshots)
     elif args.method == "omnibus":
-        emb = omnibus_embed(patterns, dims, seed=args.seed)
+        emb = omnibus_embed(series, dims, seed=args.seed)
     elif args.method == "independent":
-        emb = independent_ase(patterns, dims, seed=args.seed)
+        emb = independent_ase(series, dims, seed=args.seed)
     else:
         emb = separate_embed(
-            patterns, dims, seed=args.seed,
+            series, dims, seed=args.seed,
             scheme=args.scheme, forgetting=args.forgetting,
             window=args.window,
         )

@@ -59,7 +59,7 @@ def as_patterns(series):
     and n. Raises ValueError, naming the matrix, unless every list matrix is
     finite and n x n for the first one's n."""
     if isinstance(series, GraphSeries):
-        return [SymmetricPattern.from_triangle(tri) for tri in series.triangles], series.n_nodes
+        return series.patterns, series.n_nodes
     if not len(series):
         raise ValueError("need at least one snapshot")
     n, patterns = np.shape(series[0])[0], []
@@ -223,7 +223,8 @@ def _omnibus_dense(patterns, n: int) -> np.ndarray:
     m = np.zeros((t_count * n, t_count * n))
     blocks = m.reshape(t_count, n, t_count, n)
     for s, pattern in enumerate(patterns):
-        pattern.scatter(blocks[s, :, s])
+        rows, cols, data = pattern.entries()
+        blocks[s, :, s][rows, cols] = 1.0 if data is None else data
     for s, t in zip(*np.triu_indices(t_count, 1)):
         np.add(blocks[s, :, s], blocks[t, :, t], out=blocks[s, :, t])
         blocks[s, :, t] *= 0.5

@@ -8,8 +8,8 @@ Edge probabilities are
     P_t[i, j] = rho * w_i * w_j * B_t[z_i(t), z_j(t)]
 
 and snapshots are independent Bernoulli draws on the strict upper triangle,
-kept as that triangle's pattern (:class:`~dynembed.netseries.UpperTriangle`):
-sampling needs numpy alone.
+each kept as the symmetric 0/1 pattern of its edges
+(:class:`~dynembed.netseries.SymmetricPattern`): sampling needs numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .netseries import GraphSeries, UpperTriangle
+from .netseries import GraphSeries, SymmetricPattern
 
 
 @dataclass
@@ -115,7 +115,7 @@ class DsbmSpec:
 _SLAB_CELLS = 1 << 18
 
 
-def _sample_rows(n: int, probability_rows, seed: int, stream: int) -> UpperTriangle:
+def _sample_rows(n: int, probability_rows, seed: int, stream: int) -> SymmetricPattern:
     """Bernoulli draw of the strict upper triangle, slab of rows by slab.
 
     ``probability_rows(lo, hi)`` returns rows lo..hi-1 of the n x n edge
@@ -127,7 +127,7 @@ def _sample_rows(n: int, probability_rows, seed: int, stream: int) -> UpperTrian
     rng = np.random.Generator(np.random.Philox(key=(seed, stream)))
     step = max(1, _SLAB_CELLS // max(n, 1))
     cols = np.arange(n)
-    rows_hit, cols_hit = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    hits = [np.empty((2, 0), np.int32)]  # (row, column) of each edge
     for lo in range(0, n, step):
         i = np.arange(lo, min(lo + step, n))
         p = probability_rows(lo, lo + i.shape[0])
@@ -135,9 +135,8 @@ def _sample_rows(n: int, probability_rows, seed: int, stream: int) -> UpperTrian
         start = np.concatenate([[0], np.cumsum(n - 1 - i)])
         hit = np.flatnonzero(rng.random(start[-1]) < p[cols > i[:, None]])
         r = np.searchsorted(start, hit, side="right") - 1
-        rows_hit.append((lo + r).astype(np.int32))
-        cols_hit.append((hit - start[r] + lo + r + 1).astype(np.int32))
-    return UpperTriangle.from_pairs(np.concatenate(rows_hit), np.concatenate(cols_hit), n)
+        hits.append(np.array([lo + r, hit - start[r] + lo + r + 1], dtype=np.int32))
+    return SymmetricPattern.from_upper(*np.hstack(hits), n)
 
 
 def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:

@@ -1,13 +1,13 @@
 """Adjacency snapshot sequences and timestamped edge list ingestion.
 
-A snapshot is held as :class:`UpperTriangle`, the CSR pattern of its strict
-upper triangle with no data array, in memory and in ``snapshots.npz``. The
-embedders apply each snapshot A as a :class:`SymmetricPattern`, the full
-symmetric pattern as numpy arrays, and the n x Tn unfolding (A_1 | ... |
-A_T) as an :class:`Unfolding` of those, building neither matrix. Everything
-here runs on numpy alone; scipy is imported only by the helpers that take or
-return scipy matrices (``UpperTriangle.from_matrix``, ``tocsr``,
-``GraphSeries.snapshots`` and ``unfold``).
+A snapshot A is held in memory as a :class:`SymmetricPattern`, its full
+symmetric pattern as numpy arrays, from the sampler and ingestion through
+``load`` to the embedders; ``snapshots.npz`` stores its entries above the
+diagonal as CSR. The n x Tn unfolding (A_1 | ... | A_T) is applied as an
+:class:`Unfolding` of the patterns, never built. Everything here runs on
+numpy alone; scipy is imported only by the helpers that return scipy
+matrices (``SymmetricPattern.tocsr``, ``GraphSeries.snapshots`` and
+``unfold``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 MAX_WINDOWS = 2**20
 
 # snapshots.npz layout of GraphSeries.save; format 1, a file with no format
-# entry, held both triangles of each snapshot as row_t/col_t
+# entry, held each snapshot's entries on both sides of the diagonal as row_t/col_t
 SERIES_FORMAT = 2
 
 
@@ -34,71 +34,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-@dataclass(eq=False)
-class UpperTriangle:
-    """One undirected simple graph on n nodes as the CSR pattern of its strict
-    upper triangle U, the adjacency matrix being A = U + U^T.
-
-    indptr: (n + 1,) row pointers.
-    indices: column of each edge, above the diagonal and increasing within a
-        row. Both are int32, as scipy would index them, unless n or the edge
-        count needs int64.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self):
-        wide = max(self.indptr.size, self.indices.size) > np.iinfo(np.int32).max
-        dtype = np.int64 if wide else np.int32
-        self.indptr = np.asarray(self.indptr, dtype=dtype)
-        self.indices = np.asarray(self.indices, dtype=dtype)
-
-    @property
-    def n(self) -> int:
-        return self.indptr.size - 1
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.n, self.n
-
-    @property
-    def edges(self) -> int:
-        return self.indices.size
-
-    @classmethod
-    def from_pairs(cls, i, j, n: int) -> "UpperTriangle":
-        """The graph with edges (i[k], j[k]), given as distinct pairs i < j
-        in row-major order."""
-        counts = np.bincount(np.asarray(i, dtype=np.int64), minlength=n)
-        return cls(np.concatenate([[0], np.cumsum(counts)]), j)
-
-    @classmethod
-    def from_matrix(cls, a, t: int) -> "UpperTriangle":
-        """The pattern of a dense or scipy n x n matrix, snapshot ``t`` of a
-        series. Raises ValueError unless it is square, symmetric and 0/1 with
-        a zero diagonal."""
-        import scipy.sparse as sp
-        a = sp.csr_matrix(a)
-        upper = sp.triu(a, k=1, format="csr")
-        upper.eliminate_zeros()
-        upper.sum_duplicates()
-        if (a.shape[0] != a.shape[1] or a.diagonal().any() or np.any(upper.data != 1)
-                or (a != a.T).nnz):
-            raise ValueError(f"snapshot {t} is not square symmetric 0/1 with a zero diagonal")
-        return cls(upper.indptr, upper.indices)
-
-    def rows(self) -> np.ndarray:
-        """Row of each edge, aligned with ``indices``."""
-        return np.repeat(np.arange(self.n, dtype=self.indices.dtype), np.diff(self.indptr))
-
-    def tocsr(self):
-        """A as a symmetric {0,1} scipy CSR matrix."""
-        import scipy.sparse as sp
-        upper = sp.csr_matrix((np.ones(self.edges), self.indices, self.indptr), shape=self.shape)
-        return (upper + upper.T).tocsr()
 
 
 class SymmetricPattern:
@@ -119,10 +54,11 @@ class SymmetricPattern:
         self.starts = np.cumsum(sizes) - sizes
 
     @classmethod
-    def from_triangle(cls, tri: UpperTriangle) -> "SymmetricPattern":
-        """The 0/1 matrix A = U + U^T of a snapshot."""
-        n, rows = tri.n, tri.rows().astype(np.int64)
-        keys = np.concatenate([rows * n + tri.indices, tri.indices.astype(np.int64) * n + rows])
+    def from_upper(cls, rows, cols, n: int) -> "SymmetricPattern":
+        """The 0/1 matrix with ones at (i, j) and (j, i) for the distinct
+        pairs i = rows[k] < j = cols[k]."""
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        keys = np.concatenate([rows * n + cols, cols * n + rows])
         keys.sort()
         return cls(keys // n, keys % n, None, n)
 
@@ -156,11 +92,25 @@ class SymmetricPattern:
             gathered *= self.data
         return np.add.reduceat(gathered, self.starts)
 
-    def scatter(self, out) -> None:
-        """Write A's entries into the n x n array ``out``."""
+    def entries(self):
+        """Row, column and value of each entry in row-major order; the
+        values are None for a 0/1 matrix."""
         rows = np.repeat(np.arange(self.n), np.diff(np.append(self.starts, self.cols.size)))
         real = self.cols < self.n
-        out[rows[real], self.cols[real]] = 1.0 if self.data is None else self.data[real]
+        return rows[real], self.cols[real], None if self.data is None else self.data[real]
+
+    def upper(self):
+        """Row and column of each entry above the diagonal, row-major."""
+        rows, cols, _ = self.entries()
+        above = rows < cols
+        return rows[above], cols[above]
+
+    def tocsr(self):
+        """A as a scipy CSR matrix."""
+        import scipy.sparse as sp
+        rows, cols, data = self.entries()
+        return sp.csr_matrix((np.ones(rows.size) if data is None else data, (rows, cols)),
+                             shape=self.shape)
 
 
 class Unfolding:
@@ -198,49 +148,65 @@ class IngestStats:
     duplicate_pairs_collapsed: int
 
 
+def _snapshot(a, t: int) -> SymmetricPattern:
+    """Snapshot ``t`` as a 0/1 pattern: one given as such, or a dense or scipy
+    matrix that is square, symmetric and 0/1 with a zero diagonal."""
+    if isinstance(a, SymmetricPattern):
+        return a
+    shape = np.shape(a)
+    values = a.tocsr().data if hasattr(a, "tocsr") else np.asarray(a, dtype=float)
+    if len(shape) == 2 and shape[0] == shape[1] and np.all((values == 0) | (values == 1)):
+        # a 0/1 M has a 0/1 symmetric part (M + M^T) / 2 only where M = M^T
+        pattern = SymmetricPattern.from_matrix(a)
+        rows, cols, data = pattern.entries()
+        if np.all(data == 1) and not np.any(rows == cols):
+            pattern.data = None
+            return pattern
+    raise ValueError(f"snapshot {t} is not square symmetric 0/1 with a zero diagonal")
+
+
 class GraphSeries:
     """A sequence of undirected simple graph snapshots on a shared node set.
 
-    triangles: one :class:`UpperTriangle` per snapshot, the only copy held.
+    patterns: one 0/1 :class:`SymmetricPattern` per snapshot.
     snapshots: read-only; n x n symmetric {0,1} scipy CSR matrices built from
-        the triangles on each access, for library callers that want them.
+        the patterns on each access, for library callers that want them.
     node_labels: original labels, index position = node id.
     times: nominal time value per snapshot (window start, or the model time).
     stats: ingestion bookkeeping, or None.
 
-    ``snapshots`` may be given as UpperTriangles or as dense or scipy
-    symmetric {0,1} matrices with a zero diagonal; any other matrix raises
-    ValueError naming the snapshot.
+    ``snapshots`` may be given as 0/1 patterns (``SymmetricPattern.from_upper``)
+    or as dense or scipy symmetric {0,1} matrices with a zero diagonal; any
+    other matrix raises ValueError naming the snapshot.
     """
 
     def __init__(self, snapshots, node_labels=None, times=None,
                  stats: IngestStats | None = None):
         if not len(snapshots):
             raise ValueError("need at least one snapshot")
-        self.triangles = [a if isinstance(a, UpperTriangle) else UpperTriangle.from_matrix(a, t)
-                          for t, a in enumerate(snapshots)]
+        self.patterns = [_snapshot(a, t) for t, a in enumerate(snapshots)]
         n = self.n_nodes
-        if any(tri.n != n for tri in self.triangles):
+        if any(pattern.n != n for pattern in self.patterns):
             raise ValueError("all snapshots must share the same node set")
-        self.node_labels = list(node_labels) if node_labels else list(range(n))
+        self.node_labels = list(range(n)) if node_labels is None else list(node_labels)
         if len(self.node_labels) != n:
             raise ValueError("node_labels length must match snapshot side")
-        self.times = list(times) if times else list(range(self.n_snapshots))
+        self.times = list(range(self.n_snapshots)) if times is None else list(times)
         if len(self.times) != self.n_snapshots:
             raise ValueError("times length must match number of snapshots")
         self.stats = stats
 
     @property
     def snapshots(self) -> list:
-        return [tri.tocsr() for tri in self.triangles]
+        return [pattern.tocsr() for pattern in self.patterns]
 
     @property
     def n_nodes(self) -> int:
-        return self.triangles[0].n
+        return self.patterns[0].n
 
     @property
     def n_snapshots(self) -> int:
-        return len(self.triangles)
+        return len(self.patterns)
 
     def unfold(self):
         """Column concatenation (A1 | A2 | ... | AT) as an n x (T*n) scipy CSR
@@ -251,15 +217,20 @@ class GraphSeries:
     def densities(self) -> np.ndarray:
         """Share of node pairs joined in each snapshot; 0.0 with no pairs."""
         pairs = self.n_nodes * (self.n_nodes - 1) / 2.0
-        return np.array([tri.edges / pairs if pairs else 0.0 for tri in self.triangles])
+        return np.array([p.upper()[0].size / pairs if pairs else 0.0 for p in self.patterns])
 
     def save(self, directory) -> None:
         """Write ``labels.txt`` and an uncompressed ``snapshots.npz`` holding
-        each snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``."""
-        payload = {"format": np.array(SERIES_FORMAT), "n_nodes": np.array([self.n_nodes]),
+        each snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``,
+        int32 unless n or the edge count needs int64."""
+        n = self.n_nodes
+        payload = {"format": np.array(SERIES_FORMAT), "n_nodes": np.array([n]),
                    "times": np.asarray(self.times)}
-        for t, tri in enumerate(self.triangles):
-            payload[f"indptr_{t}"], payload[f"indices_{t}"] = tri.indptr, tri.indices
+        for t, pattern in enumerate(self.patterns):
+            rows, cols = pattern.upper()
+            dtype = np.int64 if max(n + 1, cols.size) > np.iinfo(np.int32).max else np.int32
+            payload[f"indptr_{t}"] = np.searchsorted(rows, np.arange(n + 1)).astype(dtype)
+            payload[f"indices_{t}"] = cols.astype(dtype)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         np.savez(directory / "snapshots.npz", **payload)
@@ -271,45 +242,58 @@ class GraphSeries:
     def load(cls, directory) -> "GraphSeries":
         """Read the series ``save`` wrote into ``directory``. Raises ValueError
         naming the npz when it cannot be read, is in another format, lacks an
-        entry, or holds a snapshot that is not an n-node strict upper triangle
-        in CSR order, and naming ``labels.txt`` when it has not n lines."""
+        entry, has no snapshot times or an n_nodes that is not one integer, or
+        holds a snapshot that is not an n-node strict upper triangle in CSR
+        order, and naming ``labels.txt`` when it has not n lines."""
         path = Path(directory) / "snapshots.npz"
+        unreadable = (OSError, EOFError, ValueError, zipfile.BadZipFile)
 
         def require(ok, what):
             if not ok:
                 raise ValueError(f"{path}: {what}")
 
+        def entry(name, default=None):
+            # one entry at a time: a snapshot's file arrays are freed once converted
+            try:
+                return payload[name] if name in payload else default
+            except unreadable as exc:
+                raise ValueError(f"{path}: unreadable series file: {exc}") from None
+
         try:
-            with np.load(path) as payload:
-                entries = dict(payload)
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+            payload = np.load(path)
+        except unreadable as exc:
             # np.load takes a file that is neither .npz nor .npy for a pickle
             # and refuses it with a ValueError about unsafe loading
             why = "not an .npz archive" if isinstance(exc, ValueError) else exc
             raise ValueError(f"{path}: unreadable series file: {why}") from None
-        version = entries.get("format", np.array(1)).tolist()
-        require(version == SERIES_FORMAT, f"series format {version} is not {SERIES_FORMAT}; "
-                "re-run `dynembed simulate` to rewrite a series saved by an older version")
-        require({"n_nodes", "times"} <= entries.keys(), "no n_nodes or times entry")
-        n, times, triangles = int(entries["n_nodes"][0]), entries["times"].tolist(), []
-        for t in range(len(times)):
-            indptr, indices = entries.get(f"indptr_{t}"), entries.get(f"indices_{t}")
-            require(indptr is not None and indices is not None, f"no entries for snapshot {t}")
-            require(indptr.dtype.kind in "iu" and indptr.shape == (n + 1,) and indptr[0] == 0
-                    and indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0),
-                    f"indptr_{t} is not a monotone row pointer of {n} rows")
-            rows = np.repeat(np.arange(n), np.diff(indptr))
-            require(indices.dtype.kind in "iu" and np.all((rows < indices) & (indices < n)),
-                    f"indices_{t} holds an entry outside the strict upper triangle of {n} nodes")
-            require(np.all(np.diff(rows * n + indices) > 0),
-                    f"indices_{t} repeats or disorders the entries of a row")
-            triangles.append(UpperTriangle(indptr, indices))
+        with payload:
+            version = entry("format", np.array(1)).tolist()
+            require(version == SERIES_FORMAT, f"series format {version} is not {SERIES_FORMAT}; "
+                    "re-run `dynembed simulate` to rewrite a series saved by an older version")
+            n, times = entry("n_nodes"), entry("times")
+            require(n is not None and times is not None, "no n_nodes or times entry")
+            require(n.shape == (1,) and n.dtype.kind in "iu" and n[0] >= 0,
+                    f"n_nodes {n.tolist()} is not a list of one non-negative integer")
+            require(times.ndim == 1 and times.size, "times is not a non-empty list of times")
+            n, times, patterns = int(n[0]), times.tolist(), []
+            for t in range(len(times)):
+                indptr, indices = entry(f"indptr_{t}"), entry(f"indices_{t}")
+                require(indptr is not None and indices is not None, f"no entries for snapshot {t}")
+                require(indptr.dtype.kind in "iu" and indptr.shape == (n + 1,) and indptr[0] == 0
+                        and indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0),
+                        f"indptr_{t} is not a monotone row pointer of {n} rows")
+                rows = np.repeat(np.arange(n), np.diff(indptr))
+                require(indices.dtype.kind in "iu" and np.all((rows < indices) & (indices < n)),
+                        f"indices_{t} holds an entry outside the strict upper triangle of {n} nodes")
+                require(np.all(np.diff(rows * n + indices) > 0),
+                        f"indices_{t} repeats or disorders the entries of a row")
+                patterns.append(SymmetricPattern.from_upper(rows, indices, n))
         labels_path = path.parent / "labels.txt"
         with open(labels_path, encoding="utf-8") as fh:
             labels = [line.rstrip("\n") for line in fh]
         if len(labels) != n:
             raise ValueError(f"{labels_path}: {len(labels)} labels for {n} nodes")
-        return cls(snapshots=triangles, node_labels=labels, times=times)
+        return cls(snapshots=patterns, node_labels=labels, times=times)
 
 
 def _in_daily_band(sod, start: float, end: float):
@@ -434,10 +418,9 @@ def ingest_edge_list(
                 f" {day_masked} of {t.size} events masked")
 
     cuts = np.searchsorted(cells, np.arange(n_windows + 1) * (n * n))
-    rows, cols = np.divmod(cells % (n * n), n)
     return GraphSeries(
-        snapshots=[UpperTriangle.from_pairs(rows[cuts[k]:cuts[k + 1]],
-                                            cols[cuts[k]:cuts[k + 1]], n) for k in kept],
+        snapshots=[SymmetricPattern.from_upper(*np.divmod(cells[cuts[k]:cuts[k + 1]] % (n * n), n),
+                                               n) for k in kept],
         node_labels=labels, times=[lo + k * window_seconds for k in kept],
         stats=IngestStats(
             events_read=t.size,

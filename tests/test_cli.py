@@ -853,12 +853,12 @@ def test_embedders_tell_series_from_lists_in_one_place():
 
 def test_only_interop_helpers_import_scipy():
     # the program runs on numpy alone; scipy is imported only by the helpers
-    # that take or return scipy matrices, never at module level
+    # that return scipy matrices, never at module level; the list is exact,
+    # so a deleted helper cannot stay on it
     import ast
 
     src = Path(dynembed.__file__).resolve().parent
-    helpers = {"UpperTriangle.from_matrix", "UpperTriangle.tocsr",
-               "GraphSeries.snapshots", "GraphSeries.unfold"}
+    helpers = {"SymmetricPattern.tocsr", "GraphSeries.unfold"}
     importers = []
 
     def visit(node, scope):
@@ -878,7 +878,7 @@ def test_only_interop_helpers_import_scipy():
 
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), [])
-    assert importers and set(importers) <= helpers, importers
+    assert set(importers) == helpers, importers
 
 
 def test_cli_import_skips_scipy_stats():

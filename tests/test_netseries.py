@@ -46,12 +46,12 @@ class TestGraphSeries:
             upper = np.triu(rng.random((n, n)) < (0.4 if t != 1 else 0.0), k=1)
             dense.append((upper + upper.T).astype(float))
         series = GraphSeries(snapshots=dense)
-        assert series.triangles[1].edges == 0
-        for tri, a, csr in zip(series.triangles, dense, series.snapshots):
-            np.testing.assert_array_equal(tri.tocsr().toarray(), a)
+        assert series.patterns[1].upper()[0].size == 0
+        for pattern, a, csr in zip(series.patterns, dense, series.snapshots):
+            np.testing.assert_array_equal(pattern.tocsr().toarray(), a)
             np.testing.assert_array_equal(csr.toarray(), a)
         unfolded = np.hstack(dense)
-        op = Unfolding([SymmetricPattern.from_triangle(tri) for tri in series.triangles])
+        op = Unfolding(series.patterns)
         assert op.shape == unfolded.shape
         for cols in ((), (4,)):
             y = rng.standard_normal((3 * n, *cols))
@@ -110,16 +110,23 @@ class TestGraphSeries:
             snaps = make_series(seed=5, n=n).snapshots
             # an empty snapshot keeps its place in the series
             snaps.insert(1, sp.csr_matrix((n, n)))
-            series = GraphSeries(snapshots=snaps, times=[0.5, 1.5, 2.5, 3.5],
-                                 node_labels=[f"v{k}" for k in range(n)])
+            # an explicitly stored zero, here on the diagonal, is no edge
+            coo = snaps[0].tocoo()
+            snaps[2] = sp.csr_matrix((np.append(coo.data, 0.0), (np.append(coo.row, 0),
+                                      np.append(coo.col, 0))), shape=(n, n))
+            assert snaps[2].nnz == coo.nnz + 1
+            # numpy labels and times are taken as given, not tested for truth
+            series = GraphSeries(snapshots=snaps, times=np.array([0.5, 1.5, 2.5, 3.5]),
+                                 node_labels=np.array([f"v{k}" for k in range(n)]))
             series.save(tmp_path / f"series{n}")
             back = GraphSeries.load(tmp_path / f"series{n}")
             assert back.n_nodes == n
-            assert back.times == series.times
-            assert back.node_labels == series.node_labels
+            assert back.times == series.times == [0.5, 1.5, 2.5, 3.5]
+            assert back.node_labels == series.node_labels == [f"v{k}" for k in range(n)]
             assert back.n_snapshots == 4 and back.snapshots[1].nnz == 0
             for a, b in zip(series.snapshots, back.snapshots):
                 assert b.shape == (n, n) and (a != b).nnz == 0
+            assert back.snapshots[2].nnz == snaps[2].nnz - 1
 
     def test_save_stores_one_triangle_uncompressed(self, tmp_path):
         series = make_series(seed=5)
@@ -130,13 +137,16 @@ class TestGraphSeries:
             assert int(payload["format"]) == SERIES_FORMAT
             for t, a in enumerate(series.snapshots):
                 upper = sp.triu(a, k=1, format="csr")
-                np.testing.assert_array_equal(payload[f"indptr_{t}"], upper.indptr)
-                np.testing.assert_array_equal(payload[f"indices_{t}"], upper.indices)
+                for name, want in (("indptr", upper.indptr), ("indices", upper.indices)):
+                    # int32 at this size, as scipy's triu gives
+                    assert payload[f"{name}_{t}"].dtype == want.dtype == np.int32
+                    np.testing.assert_array_equal(payload[f"{name}_{t}"], want)
 
     @pytest.mark.parametrize("dense", [
         [[0, 1, 0], [0, 0, 0], [0, 0, 0]],  # one triangle only
         [[1, 1, 0], [1, 0, 0], [0, 0, 0]],  # a self loop
         [[0, 2, 0], [2, 0, 0], [0, 0, 0]],  # a weight other than 1
+        [[0, 2, 0], [0, 0, 0], [0, 0, 0]],  # asymmetric, with a 0/1 symmetric part
     ])
     def test_save_refuses_what_one_triangle_cannot_hold(self, tmp_path, dense):
         # a series holds only what one triangle can, so construction refuses it
@@ -148,7 +158,8 @@ class TestGraphSeries:
     @pytest.mark.parametrize("edit", [
         "old format", "missing times", "wrong version", "index out of range",
         "entry below the diagonal", "entry on the diagonal", "repeated entry",
-        "non-monotone indptr",
+        "non-monotone indptr", "0-d n_nodes", "fractional n_nodes", "0-d times",
+        "empty times",
     ])
     def test_malformed_file_names_itself(self, tmp_path, edit):
         # a saved 3-node path 0-1-2, then one defect
@@ -173,8 +184,19 @@ class TestGraphSeries:
             entries["indptr_0"], entries["indices_0"] = np.array([0, 1, 2, 2]), np.array([0, 2])
         elif edit == "repeated entry":
             entries["indptr_0"], entries["indices_0"] = np.array([0, 2, 3, 3]), np.array([1, 1, 2])
-        else:
+        elif edit == "non-monotone indptr":
             entries["indptr_0"] = np.array([0, 2, 1, 2])
+        elif edit == "0-d n_nodes":
+            entries["n_nodes"] = np.array(3)
+        elif edit == "fractional n_nodes":
+            # otherwise a 2-node series, which 2.5 must not be read as
+            entries["n_nodes"] = np.array([2.5])
+            entries["indptr_0"], entries["indices_0"] = np.array([0, 1, 1]), np.array([1])
+            (tmp_path / "labels.txt").write_text("0\n1\n")
+        elif edit == "0-d times":
+            entries["times"] = np.array(0)
+        else:
+            entries["times"] = np.array([])
         np.savez(path, **entries)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             GraphSeries.load(tmp_path)
