@@ -521,7 +521,7 @@ def cmd_cluster(args) -> int:
     theta, index = pool_spherical(emb)
     grid = _parse_grid(args.grid)
     try:
-        best, table = fit_gmm_bic(
+        best, fits = fit_gmm_bic(
             theta, grid, restarts=args.restarts, seed=args.seed
         )
     except ValueError as exc:
@@ -536,7 +536,8 @@ def cmd_cluster(args) -> int:
                    [labels_per_time[t][node] for node, t in index.tolist()],
                    np.asarray(times)[index[:, 1]], labels + 1, confidence,
                ])
-    _write_csv(out / "bic.csv", ["components", "bic"], zip(*table))
+    _write_csv(out / "bic.csv", ["components", "bic"],
+               [[m.n_components for m in fits], [m.bic for m in fits]])
     # share of each snapshot's active nodes landing in each cluster
     g_count = best.n_components
     shares = np.zeros((g_count, len(times)))
@@ -553,7 +554,11 @@ def cmd_cluster(args) -> int:
         timings={"total": time.perf_counter() - t0},
         details={
             "selected_components": best.n_components,
-            "bic_table": [[g, float(b)] for g, b in table],
+            "bic_table": [[m.n_components, m.bic] for m in fits],
+            # the kept fit of each grid count, so a count's BIC can be audited
+            "grid_fits": [{"components": m.n_components, "bic": m.bic, "loglik": m.loglik,
+                           "n_iter": m.n_iter, "converged": m.converged,
+                           "regularized": m.regularized} for m in fits],
             "converged": best.converged,
             "loglik": best.loglik,
             "n_iter": best.n_iter,

@@ -58,24 +58,37 @@ def parameter_count(g: int, q: int) -> int:
     return (g - 1) + g * q + g * q * (q + 1) // 2
 
 
-def _log_densities(points, weights, means, covariances):
-    """log of w_g * N(x | mean_g, cov_g) for every point and component."""
+def _log_densities(points, weights, means, chol):
+    """log of w_g * N(x | mean_g, L_g L_g^T) for every point and component,
+    given the Cholesky factors L_g. One component at a time, so no temporary
+    is larger than n x max(G, q). The result is the (n, G) transpose of a
+    (G, n) array; keep that layout, since the callers' sums over its rows
+    and columns round by it."""
     q = points.shape[1]
-    chol = np.linalg.cholesky(covariances)
-    # rows of z are L_g^-1 (x - mean_g), so the Mahalanobis term is |z|^2
-    z = (points - means[:, None, :]) @ np.linalg.inv(chol).transpose(0, 2, 1)
-    maha = np.sum(z * z, axis=2).T
+    maha = np.empty((len(means), points.shape[0]))
+    diff, z = np.empty_like(points), np.empty_like(points)
+    for k, (mean, inverse_t) in enumerate(zip(means, np.linalg.inv(chol).transpose(0, 2, 1))):
+        # rows of z are L_k^-1 (x - mean_k), so the Mahalanobis term is |z|^2
+        np.matmul(np.subtract(points, mean, out=diff), inverse_t, out=z)
+        z *= z
+        np.sum(z, axis=1, out=maha[k])
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return np.log(weights) - 0.5 * (q * np.log(2.0 * np.pi) + logdet + maha)
+    log_dens = maha.T
+    log_dens += q * np.log(2.0 * np.pi) + logdet
+    log_dens *= -0.5
+    log_dens += np.log(weights)
+    return log_dens
 
 
 def _logsumexp_rows(a):
     top = np.max(a, axis=1)
-    return top + np.log(np.sum(np.exp(a - top[:, None]), axis=1))
+    shifted = a - top[:, None]
+    return top + np.log(np.sum(np.exp(shifted, out=shifted), axis=1))
 
 
 def _regularize(cov, scale, regularized):
-    """Make a covariance usable by adding an escalating diagonal ridge.
+    """Make a covariance usable by adding an escalating diagonal ridge;
+    returns it with its Cholesky factor.
 
     A component collapsed onto a few points has an eigenvalue near zero that
     Cholesky still accepts; its density then spikes and EM loses its monotone
@@ -85,8 +98,9 @@ def _regularize(cov, scale, regularized):
     ridge = RIDGE_FACTOR * max(np.trace(cov) / cov.shape[0], scale)
     for _ in range(40):
         try:
-            if np.min(np.diag(np.linalg.cholesky(cov))) ** 2 >= RIDGE_FACTOR * scale:
-                return cov, regularized
+            chol = np.linalg.cholesky(cov)
+            if np.min(np.diag(chol)) ** 2 >= RIDGE_FACTOR * scale:
+                return cov, chol, regularized
         except np.linalg.LinAlgError:
             pass
         if not regularized:
@@ -117,16 +131,29 @@ def _kmeans_pp_centers(points, g, rng):
 
 
 def _m_step(points, resp, scale, regularized):
-    n = points.shape[0]
+    """Weights, means, covariances and their Cholesky factors from the
+    responsibilities. One batched Cholesky checks every pivot; only the
+    components that fail it go through ``_regularize``, every component when
+    the factorization itself fails."""
+    n, q = points.shape
     nk = resp.sum(axis=0) + 10 * np.finfo(float).tiny
     weights = nk / n
     means = (resp.T @ points) / nk[:, None]
-    diff = points - means[:, None, :]
-    cov = (resp.T[:, :, None] * diff).transpose(0, 2, 1) @ diff / nk[:, None, None]
+    cov = np.empty((len(nk), q, q))
+    for k, (mean, weight) in enumerate(zip(means, resp.T)):
+        diff = points - mean
+        cov[k] = (weight[:, None] * diff).T @ diff
+    cov /= nk[:, None, None]
     covariances = (cov + cov.transpose(0, 2, 1)) / 2.0
-    for g in range(len(covariances)):
-        covariances[g], regularized = _regularize(covariances[g], scale, regularized)
-    return weights, means, covariances, regularized
+    try:
+        chol = np.linalg.cholesky(covariances)
+        pivots = np.min(np.diagonal(chol, axis1=1, axis2=2), axis=1) ** 2
+        weak = ~(pivots >= RIDGE_FACTOR * scale)
+    except np.linalg.LinAlgError:
+        chol, weak = np.empty_like(covariances), np.ones(len(nk), dtype=bool)
+    for k in np.flatnonzero(weak):
+        covariances[k], chol[k], regularized = _regularize(covariances[k], scale, regularized)
+    return weights, means, covariances, chol, regularized
 
 
 def fit_gmm(
@@ -150,17 +177,17 @@ def fit_gmm(
     scale = max(float(np.var(points)), np.finfo(float).tiny)
 
     centers = _kmeans_pp_centers(points, g, rng)
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argmin([np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
     resp = np.zeros((n, g))
-    resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
+    resp[np.arange(n), nearest] = 1.0
 
-    weights, means, covariances, regularized = _m_step(points, resp, scale, False)
+    weights, means, covariances, chol, regularized = _m_step(points, resp, scale, False)
     trace = []
     loglik = -np.inf
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        log_dens = _log_densities(points, weights, means, covariances)
+        log_dens = _log_densities(points, weights, means, chol)
         row_lse = _logsumexp_rows(log_dens)
         new_loglik = float(row_lse.sum())
         trace.append(new_loglik)
@@ -169,8 +196,9 @@ def fit_gmm(
             converged = True
             break
         loglik = new_loglik
-        resp = np.exp(log_dens - row_lse[:, None])
-        weights, means, covariances, regularized = _m_step(
+        log_dens -= row_lse[:, None]
+        resp = np.exp(log_dens, out=log_dens)
+        weights, means, covariances, chol, regularized = _m_step(
             points, resp, scale, regularized)
     bic = -2.0 * loglik + parameter_count(g, q) * np.log(n)
     return GmmModel(
@@ -196,7 +224,8 @@ def fit_gmm_bic(
 
     For each count the fit with the highest log likelihood over ``restarts``
     seeded initializations is kept; the count minimizing BIC wins (ties go to
-    the earlier grid entry). Returns (best model, list of (count, bic)).
+    the earlier grid entry). Returns (best model, the kept fit of each count
+    in grid order).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     g_grid = [int(g) for g in g_grid]
@@ -211,18 +240,12 @@ def fit_gmm_bic(
             f"dimension {q}"
         )
     root = np.random.SeedSequence(seed)
-    table = []
-    best = None
-    for g, child in zip(g_grid, root.spawn(len(g_grid))):
-        fits = [
-            fit_gmm(points, g, seed=int(s))
-            for s in child.generate_state(restarts)
-        ]
-        winner = max(fits, key=lambda m: m.loglik)
-        table.append((g, winner.bic))
-        if best is None or winner.bic < best.bic:
-            best = winner
-    return best, table
+    winners = [
+        max((fit_gmm(points, g, seed=int(s)) for s in child.generate_state(restarts)),
+            key=lambda m: m.loglik)
+        for g, child in zip(g_grid, root.spawn(len(g_grid)))
+    ]
+    return min(winners, key=lambda m: m.bic), winners
 
 
 def assign(model: GmmModel, points: np.ndarray):
@@ -237,9 +260,10 @@ def assign(model: GmmModel, points: np.ndarray):
             f"points have dimension {points.shape[1]}, model expects {model.dim}"
         )
     log_dens = _log_densities(
-        points, model.weights, model.means, model.covariances
+        points, model.weights, model.means, np.linalg.cholesky(model.covariances)
     )
-    resp = np.exp(log_dens - _logsumexp_rows(log_dens)[:, None])
+    log_dens -= _logsumexp_rows(log_dens)[:, None]
+    resp = np.exp(log_dens, out=log_dens)
     return np.argmax(resp, axis=1), resp
 
 

@@ -266,6 +266,9 @@ class GraphSeries:
             # and refuses it with a ValueError about unsafe loading
             why = "not an .npz archive" if isinstance(exc, ValueError) else exc
             raise ValueError(f"{path}: unreadable series file: {why}") from None
+        # a single .npy array loads as that array
+        require(isinstance(payload, np.lib.npyio.NpzFile),
+                "unreadable series file: not an .npz archive")
         with payload:
             version = entry("format", np.array(1)).tolist()
             require(version == SERIES_FORMAT, f"series format {version} is not {SERIES_FORMAT}; "
@@ -351,7 +354,10 @@ def ingest_edge_list(
             if not 0 <= given <= 86400:
                 raise ValueError(f"{name} {given:g} is outside [0, 86400] seconds of day")
 
-    stamps, ends = [], []  # per event its time, and its two node indices
+    # imported here, so that only a command that ingests loads the extension
+    from array import array
+
+    stamps, ends = array("d"), array("q")  # per event its time, and its two node indices
     index: dict[str, int] = {}  # label -> index, in order of first appearance
     with open(path, encoding="utf-8") as fh:
         for line_number, raw in enumerate(fh, start=1):
@@ -369,18 +375,19 @@ def ingest_edge_list(
             if not math.isfinite(timestamp):
                 raise ParseError(f"non-finite timestamp {t_raw!r}", line_number)
             stamps.append(timestamp)
-            ends += index.setdefault(u, len(index)), index.setdefault(v, len(index))
+            ends.append(index.setdefault(u, len(index)))
+            ends.append(index.setdefault(v, len(index)))
     if not stamps:
         raise ValueError("no events found")
 
     labels, n = list(index), len(index)
-    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
     if label_order == "sorted":
         order = sorted(range(n), key=labels.__getitem__)
         pairs = np.argsort(order)[pairs]
         labels = [labels[k] for k in order]
 
-    t = np.array(stamps)
+    t = np.frombuffer(stamps, dtype=np.float64)
     lo = float(t.min()) if start is None else float(start)
     # the smallest float above the last event keeps it inside [lo, hi) at any
     # magnitude (a fixed offset vanishes below the spacing of epoch seconds)
@@ -402,7 +409,8 @@ def ingest_edge_list(
     keep = inside & in_band & ~loop
     day_masked = int(np.count_nonzero(inside & ~in_band))
     w = np.minimum((t[keep] - lo) // window_seconds, n_windows - 1).astype(np.int64)
-    cells = np.unique((w * n + pairs[keep].min(axis=1)) * n + pairs[keep].max(axis=1))
+    pairs = pairs[keep]
+    cells = np.unique((w * n + pairs.min(axis=1)) * n + pairs.max(axis=1))
 
     kept = range(n_windows)
     if masked:

@@ -676,6 +676,17 @@ class TestCluster:
         penalty = parameter_count(g, 2) * np.log(240)
         assert -2.0 * details["loglik"] + penalty == pytest.approx(
             min(float(r[1]) for r in bic_rows), rel=1e-12)
+        # one row per grid count, each the kept fit behind its bic.csv row
+        grid_fits = details["grid_fits"]
+        assert [[f["components"], f["bic"]] for f in grid_fits] == [
+            [int(r[0]), float(r[1])] for r in bic_rows] == details["bic_table"]
+        for fit in grid_fits:
+            assert isinstance(fit["n_iter"], int) and fit["n_iter"] >= 1
+            assert isinstance(fit["converged"], bool)
+            assert isinstance(fit["regularized"], bool)
+            assert -2.0 * fit["loglik"] + parameter_count(fit["components"], 2) * np.log(
+                240) == pytest.approx(fit["bic"], rel=1e-12)
+        assert grid_fits[g - 1]["loglik"] == details["loglik"]
         header, props = read_rows(out / "proportions.csv")
         assert header == ["cluster", "1", "2"]
         assert len(props) == g

@@ -1,5 +1,6 @@
 """Tests for the mixture-model clustering and pooling helpers."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.stats import multivariate_normal
 from dynembed.cluster import (
     GmmModel,
     _log_densities,
+    _m_step,
     assign,
     fit_gmm,
     fit_gmm_bic,
@@ -49,19 +51,17 @@ def test_two_blobs_select_two_components():
     blob_a = rng.normal(size=(80, 2)) * 0.2
     blob_b = rng.normal(size=(80, 2)) * 0.2 + [5, 5]
     points = np.vstack([blob_a, blob_b])
-    best, table = fit_gmm_bic(points, [1, 2, 3], restarts=3, seed=0)
+    best, fits = fit_gmm_bic(points, [1, 2, 3], restarts=3, seed=0)
     assert best.n_components == 2
-    assert [g for g, _ in table] == [1, 2, 3]
-    bics = dict(table)
-    assert best.bic == min(bics.values())
+    assert [m.n_components for m in fits] == [1, 2, 3]
+    assert best.bic == min(m.bic for m in fits)
 
 
 def test_single_gaussian_prefers_one_component():
     rng = np.random.default_rng(2)
     points = rng.normal(size=(150, 2))
-    best, table = fit_gmm_bic(points, [1, 2], restarts=3, seed=0)
-    bics = dict(table)
-    assert bics[1] < bics[2]
+    best, fits = fit_gmm_bic(points, [1, 2], restarts=3, seed=0)
+    assert fits[0].bic < fits[1].bic
     assert best.n_components == 1
 
 
@@ -145,11 +145,11 @@ def test_component_relabeling_permutes_assignments():
 def test_same_seed_reproduces_fit():
     rng = np.random.default_rng(6)
     points = rng.normal(size=(100, 2))
-    a, table_a = fit_gmm_bic(points, [1, 2], restarts=4, seed=9)
-    b, table_b = fit_gmm_bic(points, [1, 2], restarts=4, seed=9)
+    a, fits_a = fit_gmm_bic(points, [1, 2], restarts=4, seed=9)
+    b, fits_b = fit_gmm_bic(points, [1, 2], restarts=4, seed=9)
     assert np.array_equal(a.means, b.means)
     assert a.bic == b.bic
-    assert table_a == table_b
+    assert [m.bic for m in fits_a] == [m.bic for m in fits_b]
 
 
 def test_degenerate_data_warns_and_stays_finite():
@@ -218,8 +218,50 @@ def test_batched_log_densities_match_scipy_logpdf(seed):
         + multivariate_normal.logpdf(points, means[k], covariances[k])
         for k in range(g)
     ])
-    got = _log_densities(points, weights, means, covariances)
+    got = _log_densities(points, weights, means, np.linalg.cholesky(covariances))
     assert np.allclose(got, expected, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("spread", [1e-6, 0.0])
+def test_ridge_only_the_collapsed_component(spread):
+    # component 2 sits on three near-collinear points: a tiny Cholesky pivot
+    # (spread 1e-6), or none at all (spread 0, the factorization fails). The
+    # reference spreads them out; components 0 and 1 give them zero weight
+    rng = np.random.default_rng(11)
+    blobs = np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 5.0])
+    points = np.vstack([blobs, [[10.0, 0.0], [10.5, spread], [11.0, 0.0]]])
+    healthy = np.vstack([blobs, [[10.0, 0.0], [10.5, 1.0], [11.0, 0.0]]])
+    resp = np.zeros((points.shape[0], 3))
+    resp[np.arange(points.shape[0]), np.repeat([0, 1, 2], [30, 30, 3])] = 1.0
+    scale = float(np.var(points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an unneeded ridge would warn
+        *_, plain, _, regularized = _m_step(healthy, resp, scale, False)
+    assert not regularized
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        *_, covariances, chol, regularized = _m_step(points, resp, scale, False)
+    assert regularized
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert np.array_equal(covariances[:2], plain[:2])
+    ridge = covariances[2] - np.cov(points[60:].T, bias=True)
+    assert np.allclose(ridge, np.diag(np.diag(ridge)), rtol=0, atol=1e-15)
+    assert np.all(np.diag(ridge) > 1e-7 * scale)
+    assert np.allclose(chol @ chol.transpose(0, 2, 1), covariances, rtol=1e-12, atol=0)
+
+
+def test_em_temporaries_stay_below_one_component_stack():
+    # with G q >= 8 (G + q), half of one (G, n, q) float64 array holds four
+    # (n, G) and four (n, q) arrays; EM and assign need no more than that
+    g, q, n = 16, 16, 2000
+    points = np.random.default_rng(12).normal(size=(n, q))
+    tracemalloc.start()
+    try:
+        assign(fit_gmm(points, g, seed=0, max_iter=3), points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * g * n * q * 8
 
 
 @pytest.mark.parametrize("seed,n,q,g", [(14498, 14, 2, 3), (2, 38, 2, 2)])

@@ -159,7 +159,7 @@ class TestGraphSeries:
         "old format", "missing times", "wrong version", "index out of range",
         "entry below the diagonal", "entry on the diagonal", "repeated entry",
         "non-monotone indptr", "0-d n_nodes", "fractional n_nodes", "0-d times",
-        "empty times",
+        "empty times", "one array",
     ])
     def test_malformed_file_names_itself(self, tmp_path, edit):
         # a saved 3-node path 0-1-2, then one defect
@@ -195,9 +195,14 @@ class TestGraphSeries:
             (tmp_path / "labels.txt").write_text("0\n1\n")
         elif edit == "0-d times":
             entries["times"] = np.array(0)
-        else:
+        elif edit == "empty times":
             entries["times"] = np.array([])
-        np.savez(path, **entries)
+        if edit == "one array":
+            # np.load reads a lone .npy as that array, whatever the file's name
+            with open(path, "wb") as fh:
+                np.save(fh, np.arange(3))
+        else:
+            np.savez(path, **entries)
         with pytest.raises(ValueError, match=re.escape(str(path))):
             GraphSeries.load(tmp_path)
 
