@@ -106,12 +106,11 @@ def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
 
 def _signed_symmetric_embedding(a, d: int, seed: int):
     """Point set v sqrt(s) = q sign(l) sqrt|l| from the top-d eigenpairs (l,
-    q) of a symmetric matrix or operator, and its signature: the signs, zero
-    counted positive, of the eigenvalues l of the compression u^T A u = (u^T
-    v) diag(s), which also separates a tied +l, -l where LAPACK decomposes a
-    small matrix. A d that splits such a tie has no defined answer."""
+    q) of a symmetric matrix or operator, and its signature: the signs of the
+    l, zero counted positive, which are those of the columns of u * v since v
+    = sign(l) u. A d that splits a tied +l, -l has no defined answer."""
     res = truncated_svd(a, d, seed, symmetric=True)
-    positive = int(np.sum(np.linalg.eigvalsh(res.u.T @ res.v * res.s) >= 0))
+    positive = int(np.sum(np.sum(res.u * res.v, axis=0) >= 0))
     return res.v * np.sqrt(res.s), (positive, d - positive)
 
 
@@ -195,17 +194,14 @@ def separate_embed(
 
 
 def _omnibus_matvec(patterns, n: int):
-    # (M v)_s = (A_s * sum_t v_t + sum_t A_t v_t) / 2 where v_t are the n-row
-    # blocks of v; avoids materializing the (T n) x (T n) matrix
-    t_count = len(patterns)
+    # M = (U^T E + E^T U) / 2 for U = (A_1 | ... | A_T) and E = (I | ... | I):
+    # (M x)_s = (A_s sum_t x_t + U x) / 2; the (T n) x (T n) matrix is not built
+    unfolding = Unfolding(patterns)
 
-    def matvec(block):
-        blocks = [block[t * n : (t + 1) * n] for t in range(t_count)]
-        total = sum(blocks)
-        sum_av = sum(patterns[t] @ blocks[t] for t in range(t_count))
-        out = np.empty_like(block)
-        for s in range(t_count):
-            out[s * n : (s + 1) * n] = (patterns[s] @ total + sum_av) / 2.0
+    def matvec(x):
+        out = unfolding.T @ x.reshape(-1, n).sum(axis=0)
+        out.reshape(-1, n)[:] += unfolding @ x
+        out /= 2  # in place: one (T n) array per product, not two
         return out
 
     return matvec
@@ -243,8 +239,8 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     (positive, negative) eigenvalue counts are reported as the signature.
 
     The matrix is materialized when it has at most
-    ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; otherwise a matrix-free product
-    over the snapshot blocks is used.
+    ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; above that it is applied as (U^T E +
+    E^T U) / 2 through the unfolding U = (A_1 | ... | A_T), E = (I | ... | I).
     """
     patterns, n = as_patterns(series)
     t_count, side = len(patterns), len(patterns) * n

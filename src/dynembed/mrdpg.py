@@ -272,26 +272,15 @@ def model_from_dsbm(spec: DsbmSpec):
     """
     t_count = spec.n_snapshots
     n = spec.n_nodes
-    weights = (
-        spec.degree_weights
-        if spec.degree_weights is not None
-        else np.ones(n)
-    )
+    weights = spec.degree_weights if spec.degree_weights is not None else np.ones(n)
 
     kernels = []
     state_of_node = np.empty((t_count, n), dtype=int)
     for t in range(t_count):
-        pairs = list(
-            dict.fromkeys(
-                zip(spec.memberships[t].tolist(), weights.tolist())
-            )
+        states, state_of_node[t] = np.unique(
+            np.column_stack([spec.memberships[t], weights]), axis=0, return_inverse=True
         )
-        pairs.sort()
-        index = {pair: i for i, pair in enumerate(pairs)}
-        for i in range(n):
-            state_of_node[t, i] = index[(spec.memberships[t][i], weights[i])]
-        communities = np.array([k for k, _ in pairs])
-        w = np.array([wv for _, wv in pairs])
+        communities, w = states[:, 0].astype(int), states[:, 1]
         base = spec.block_matrices[t][np.ix_(communities, communities)]
         kernels.append(np.clip(spec.rho * base * np.outer(w, w), 0.0, 1.0))
 

@@ -170,7 +170,8 @@ class GraphSeries:
 
     patterns: one 0/1 :class:`SymmetricPattern` per snapshot.
     snapshots: read-only; n x n symmetric {0,1} scipy CSR matrices built from
-        the patterns on each access, for library callers that want them.
+        the patterns on each access, which the benchmark's exact scree and
+        edge count read (``bench/run.py``, ``bench/tracer.py``).
     node_labels: original labels, index position = node id.
     times: nominal time value per snapshot (window start, or the model time).
     stats: ingestion bookkeeping, or None.
@@ -209,8 +210,8 @@ class GraphSeries:
         return len(self.patterns)
 
     def unfold(self):
-        """Column concatenation (A1 | A2 | ... | AT) as an n x (T*n) scipy CSR
-        matrix; the embedders apply an :class:`Unfolding` instead."""
+        """(A1 | A2 | ... | AT) as an n x (T*n) scipy CSR matrix for acceptance
+        gate 8; the embedders apply an :class:`Unfolding` instead."""
         import scipy.sparse as sp
         return sp.hstack(self.snapshots, format="csr")
 

@@ -352,6 +352,20 @@ class TestEmbed:
         assert ingest["self_loops_dropped"] == 1
         assert ingest["duplicate_pairs_collapsed"] == 1
 
+    def test_uase_at_rank_n_minus_one_runs_lanczos(self, tmp_path):
+        # d = n - 1 takes the Lanczos route like any other d: the manifest
+        # counts its products and every scree triplet is exact
+        events = tmp_path / "events.txt"
+        events.write_text("1 a b\n2 b c\n3 c d\n4 d e\n5 a e\n"
+                          "11 a c\n12 b d\n13 c e\n14 a b\n")
+        out = tmp_path / "emb"
+        assert run("embed", "--input", events, "--method", "uase", "--dim", 4,
+                   "--window-seconds", 10, "--seed", 0, "--out", out) == 0
+        details = read_manifest(out)["details"]
+        assert len(details["singular_values"]) == 4
+        assert details["gram_products"] > 0
+        assert max(details["singular_value_residuals"]) <= 1e-12
+
     def test_empty_series_embeds_to_zeros(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text(EMPTY_10)

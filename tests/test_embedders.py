@@ -257,6 +257,15 @@ class TestOmnibus:
         rows = np.argmax(np.abs(stacked), axis=0)
         assert np.all(stacked[rows, np.arange(5)] > 0)
 
+    def test_matrix_free_product_matches_matrix_with_an_empty_snapshot(self):
+        # oracle: the dense omnibus matrix times the same vector
+        snaps = random_series(37, n=12, t=3).snapshots
+        series = GraphSeries(snapshots=[snaps[0], sp.csr_matrix((12, 12)), snaps[2]])
+        patterns, n = embedders.as_patterns(series)
+        x = np.random.default_rng(5).standard_normal(36)
+        np.testing.assert_allclose(embedders._omnibus_matvec(patterns, n)(x),
+                                   omnibus_matrix(series) @ x, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("slack, dense", [(0, True), (-1, False)])
     def test_dense_up_to_the_threshold(self, slack, dense, monkeypatch):
         # side 60 (n = 20, T = 3): the matrix is materialized at exactly
@@ -304,11 +313,22 @@ class TestIndependent:
         assert np.all(np.linalg.norm(emb.points[0], axis=0) > 0)
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_one_edge_embeds_to_its_eigenvectors(self, seed):
+        # the edge's eigenvalues +1 and -1 tie in magnitude; at d = 2 = n the
+        # points are still its eigenvectors (1, 1)/sqrt 2 and (1, -1)/sqrt 2,
+        # up to sign, and not some other basis of the plane
+        edge = np.array([[0.0, 1.0], [1.0, 0.0]])
+        emb = independent_ase([edge], 2, seed=seed)
+        assert emb.signatures == [(1, 1)]
+        p = emb.points[0]
+        np.testing.assert_allclose(np.abs(p.T @ edge @ p), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(np.abs(p), np.sqrt(0.5), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_tied_opposite_eigenvalues_counted_once_each(self, seed):
         # one edge has eigenvalues +1 and -1, the 3-node path +-sqrt 2 and 0;
-        # at d = 2 both members of the tie are kept, one of each sign. K_{5,7}
-        # and the 20-node path (as a series) reach ARPACK, where the tie is
-        # one repeated eigenvalue lambda^2 of the Gram operator
+        # at d = 2 both members of the tie are kept, one of each sign, on
+        # matrices of every size
         edge = [[0, 1], [1, 0]]
         path = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
         k57 = np.zeros((12, 12))

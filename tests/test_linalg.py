@@ -97,30 +97,21 @@ class TestTruncatedSvd:
         res_dense = truncated_svd(dense, 5)
         np.testing.assert_allclose(res_sparse.s, res_dense.s, rtol=1e-10)
 
+    @pytest.mark.parametrize("d_below_side", [1, 0])
     @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
-    def test_operator_at_lapack_rank_is_built_through_its_smaller_side(self, shape):
-        # d = smaller side - 1 goes to LAPACK. The operator is materialized by
-        # products with the smaller side's identity (a 40 x 40 identity here
-        # stands for the Tn x Tn one of an unfolding), and the result equals
-        # LAPACK on the dense matrix
+    def test_operator_at_full_rank_runs_lanczos(self, shape, d_below_side):
+        # d = smaller side - 1 and d = smaller side take the Lanczos route
+        # like any other d; oracle: LAPACK's SVD of the dense matrix
         dense = np.random.default_rng(17).standard_normal(shape)
-        widths = []
-
-        def product(m):
-            def apply(x):
-                widths.append(1 if x.ndim == 1 else x.shape[1])
-                return m @ x
-            return apply
-
-        op = LinearOperator(shape, matvec=product(dense), rmatvec=product(dense.T),
-                            matmat=product(dense), rmatmat=product(dense.T), dtype=float)
-        d = min(shape) - 1
-        got, want = truncated_svd(op, d), truncated_svd(dense, d)
-        assert max(widths) == min(shape)
-        for part in ("u", "s", "v"):
-            np.testing.assert_allclose(getattr(got, part), getattr(want, part), atol=1e-12)
-        assert got.gram_products == want.gram_products == 0
-        assert truncated_svd(op, 2).gram_products > 0
+        op = LinearOperator(shape, matvec=lambda x: dense @ x, rmatvec=lambda x: dense.T @ x,
+                            dtype=float)
+        d = min(shape) - d_below_side
+        got = truncated_svd(op, d)
+        u, s, v = reference_svd(dense, d)
+        u, v = orient_columns(u, v)
+        assert got.gram_products > 0
+        for part, want in (("u", u), ("s", s), ("v", v)):
+            np.testing.assert_allclose(getattr(got, part), want, atol=1e-12)
 
     def test_rejects_bad_rank(self):
         m = np.eye(4)
@@ -194,10 +185,11 @@ class TestLanczos:
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(10), atol=1e-12)
         np.testing.assert_allclose(m @ vectors, vectors * values, atol=1e-12)
 
+    @pytest.mark.parametrize("d_below_side", [1, 0])
     @pytest.mark.parametrize("transpose", [False, True])
-    def test_pattern_unfolding_at_lapack_rank_is_made_dense(self, transpose):
-        # d = n - 1 goes to LAPACK through the n x n identity of the smaller
-        # side, for the n x 3n unfolding and its transpose alike
+    def test_pattern_unfolding_at_full_rank(self, transpose, d_below_side):
+        # d = n - 1 and d = n on the n x 3n unfolding and its transpose;
+        # oracle: LAPACK's SVD of the concatenated dense snapshots
         rng = np.random.default_rng(71)
         dense = [np.triu(rng.random((9, 9)) < 0.4, 1).astype(float) for _ in range(3)]
         dense = [a + a.T for a in dense]
@@ -205,10 +197,14 @@ class TestLanczos:
         full = np.hstack(dense)
         if transpose:
             op, full = op.T, full.T
-        got, want = truncated_svd(op, 8), truncated_svd(full, 8)
-        assert got.gram_products == want.gram_products == 0
-        for part in ("u", "s", "v"):
-            np.testing.assert_allclose(getattr(got, part), getattr(want, part), atol=1e-12)
+        d = 9 - d_below_side
+        got = truncated_svd(op, d)
+        u, s, v = reference_svd(full, d)
+        assert got.gram_products > 0
+        np.testing.assert_allclose(got.s, s, atol=1e-12)
+        np.testing.assert_allclose((got.u * got.s) @ got.v.T, (u * s) @ v.T, atol=1e-12)
+        np.testing.assert_allclose(got.u.T @ got.u, np.eye(d), atol=1e-12)
+        np.testing.assert_allclose(got.v.T @ got.v, np.eye(d), atol=1e-12)
 
 
 class TestOrientColumns:
