@@ -39,7 +39,7 @@ from .embedders import (
 )
 from .linalg import truncated_svd
 from .models import bundled_config_path, load_dsbm_config, sample_dsbm
-from .netseries import GraphSeries, Unfolding, ingest_edge_list
+from .netseries import GraphSeries, ingest_edge_list
 from .stability import DEFAULT_GAP_THRESHOLD, stability_report
 
 EXIT_OK = 0
@@ -384,7 +384,7 @@ def cmd_embed(args) -> int:
     rank = min(SCREE_LENGTH, n) if dims is None else int(np.max(dims))
     if rank > n:
         raise DataError(f"dimension {rank} out of range for {n} nodes")
-    unfolded = Unfolding(series.patterns)
+    unfolded = series.unfold()
     svd = truncated_svd(unfolded, rank, seed=args.seed, symmetric=series.n_snapshots == 1)
     # ||A v_j - s_j u_j|| / s_1 for each scree triplet
     residuals = np.linalg.norm(unfolded @ svd.v - svd.u * svd.s, axis=0)
@@ -675,7 +675,7 @@ def main(argv=None) -> int:
     args.argv = words
     try:
         return args.func(args)
-    except (DataError, ValueError, FileNotFoundError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

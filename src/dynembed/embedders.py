@@ -7,7 +7,8 @@ Four methods producing, for each snapshot, one point per node:
   system.
 - :func:`omnibus_embed`: eigendecomposition of the pairwise-average block
   matrix of all snapshots.
-- :func:`independent_ase`: each snapshot embedded on its own.
+- :func:`independent_ase`: each snapshot embedded on its own, the one-snapshot
+  window of :func:`separate_embed`.
 - :func:`separate_embed`: each snapshot replaced by a weighted average of its
   history, then embedded on its own.
 
@@ -114,28 +115,17 @@ def _signed_symmetric_embedding(a, d: int, seed: int):
     return res.v * np.sqrt(res.s), (positive, d - positive)
 
 
-def _embed_each(matrices, count: int, dims, seed: int):
-    """Points and signatures of each of ``count`` matrices embedded on its
-    own, drawn one at a time from the iterable ``matrices``; a scalar
-    ``dims`` applies to every matrix."""
-    if np.isscalar(dims):
-        dims = [int(dims)] * count
-    if len(dims) != count:
-        raise ValueError("need one dimension per snapshot")
-    pairs = [_signed_symmetric_embedding(a, d, seed) for a, d in zip(matrices, dims)]
-    return [p for p, _ in pairs], [sig for _, sig in pairs]
-
-
 def independent_ase(series, dims, seed: int = 0) -> Embedding:
-    """Adjacency spectral embedding of each snapshot separately.
+    """Adjacency spectral embedding of each snapshot separately: the
+    one-snapshot window of :func:`separate_embed`.
 
     dims: either one integer applied to every snapshot or a sequence with one
     dimension per snapshot. Point sets from different snapshots live in
     unrelated coordinate systems.
     """
-    patterns, _ = as_patterns(series)
-    points, signatures = _embed_each(patterns, len(patterns), dims, seed)
-    return Embedding(points=points, method="independent", signatures=signatures)
+    emb = separate_embed(series, dims, seed, scheme="window", window=1)
+    emb.method = "independent"
+    return emb
 
 
 def history_weights(t_index: int, scheme: str, *, forgetting: float = 0.5, window: int = 3) -> np.ndarray:
@@ -182,14 +172,16 @@ def separate_embed(
     is built: it is applied as the weighted sum of the history's products.
     """
     patterns, n = as_patterns(series)
-
-    def blend(w):
-        used = [(w[s], patterns[s]) for s in range(w.size) if w[s] > 0]
-        return SymmetricOperator(lambda x: sum(ws * (a @ x) for ws, a in used), n)
-
-    blends = (blend(history_weights(t, scheme, forgetting=forgetting, window=window))
-              for t in range(len(patterns)))
-    points, signatures = _embed_each(blends, len(patterns), dims, seed)
+    dims = [int(dims)] * len(patterns) if np.isscalar(dims) else dims
+    if len(dims) != len(patterns):
+        raise ValueError("need one dimension per snapshot")
+    pairs = []  # (points, signature) of each snapshot
+    for t, d in enumerate(dims):
+        w = history_weights(t, scheme, forgetting=forgetting, window=window)
+        used = [(w[s], patterns[s]) for s in range(t + 1) if w[s] > 0]
+        blend = SymmetricOperator(lambda x: sum(ws * (a @ x) for ws, a in used), n)
+        pairs.append(_signed_symmetric_embedding(blend, d, seed))
+    points, signatures = map(list, zip(*pairs))
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
 
 
@@ -209,12 +201,9 @@ def _omnibus_matvec(patterns, n: int):
 
 def omnibus_matrix(series) -> np.ndarray:
     """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2."""
-    return _omnibus_dense(*as_patterns(series))
-
-
-def _omnibus_dense(patterns, n: int) -> np.ndarray:
     # diagonal block s is set to A_s; each other block averages two of them
     # in place
+    patterns, n = as_patterns(series)
     t_count = len(patterns)
     m = np.zeros((t_count * n, t_count * n))
     blocks = m.reshape(t_count, n, t_count, n)
@@ -245,7 +234,7 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     patterns, n = as_patterns(series)
     t_count, side = len(patterns), len(patterns) * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        m = _omnibus_dense(patterns, n)
+        m = omnibus_matrix(patterns)
         del patterns  # m holds all the eigensolver needs
     else:
         m = SymmetricOperator(_omnibus_matvec(patterns, n), side)

@@ -5,9 +5,8 @@ symmetric pattern as numpy arrays, from the sampler and ingestion through
 ``load`` to the embedders; ``snapshots.npz`` stores its entries above the
 diagonal as CSR. The n x Tn unfolding (A_1 | ... | A_T) is applied as an
 :class:`Unfolding` of the patterns, never built. Everything here runs on
-numpy alone; scipy is imported only by the helpers that return scipy
-matrices (``SymmetricPattern.tocsr``, ``GraphSeries.snapshots`` and
-``unfold``).
+numpy alone; scipy is imported only by ``SymmetricPattern.tocsr``, which
+``GraphSeries.snapshots`` calls.
 """
 
 from __future__ import annotations
@@ -168,10 +167,10 @@ def _snapshot(a, t: int) -> SymmetricPattern:
 class GraphSeries:
     """A sequence of undirected simple graph snapshots on a shared node set.
 
-    patterns: one 0/1 :class:`SymmetricPattern` per snapshot.
-    snapshots: read-only; n x n symmetric {0,1} scipy CSR matrices built from
-        the patterns on each access, which the benchmark's exact scree and
-        edge count read (``bench/run.py``, ``bench/tracer.py``).
+    patterns: one 0/1 :class:`SymmetricPattern` per snapshot, applied by ``unfold()``.
+    snapshots: read-only; the patterns as scipy CSR matrices (scipy is a test
+        dependency), built on each access for the benchmark's exact scree and
+        edge count (``bench/run.py``, ``bench/tracer.py``).
     node_labels: original labels, index position = node id.
     times: nominal time value per snapshot (window start, or the model time).
     stats: ingestion bookkeeping, or None.
@@ -209,11 +208,11 @@ class GraphSeries:
     def n_snapshots(self) -> int:
         return len(self.patterns)
 
-    def unfold(self):
-        """(A1 | A2 | ... | AT) as an n x (T*n) scipy CSR matrix for acceptance
-        gate 8; the embedders apply an :class:`Unfolding` instead."""
-        import scipy.sparse as sp
-        return sp.hstack(self.snapshots, format="csr")
+    def unfold(self) -> Unfolding:
+        """The n x (T n) unfolding (A_1 | ... | A_T) that ``embed`` and
+        :func:`~dynembed.embedders.uase` decompose, applied to vectors and
+        never built."""
+        return Unfolding(self.patterns)
 
     def densities(self) -> np.ndarray:
         """Share of node pairs joined in each snapshot; 0.0 with no pairs."""

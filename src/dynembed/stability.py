@@ -133,7 +133,7 @@ def stability_report(
     probe cross-sectional agreement, different times longitudinal agreement.
     With pairs omitted, a finite-state ``model`` must be given and all
     exchangeable pairs it implies are tested (group labels are then the model
-    state indices). scales: optional per-pair factor a, testing
+    state indices). scales: optional per-pair factor a > 0 (finite), testing
     cloud_a == a * cloud_b (degree scaled exchangeability); covariances are
     compared after dividing the first cloud by a, which describes the spread
     only when the scaling acts on the positions alone.
@@ -152,6 +152,9 @@ def stability_report(
     results = []
     for k, ((ga, ta), (gb, tb)) in enumerate(pairs):
         scale = 1.0 if scales is None else float(scales[k])
+        if not (np.isfinite(scale) and scale > 0):
+            raise ValueError(f"pair {ga}:{ta}/{gb}:{tb}: scale {scale:g} "
+                             "is not positive and finite")
         pts_a = _group_points(embedding, memberships, ga, ta) / scale
         pts_b = _group_points(embedding, memberships, gb, tb)
         d = max(pts_a.shape[1], pts_b.shape[1])

@@ -492,6 +492,15 @@ class TestEmbed:
         got = np.array([float(r[1]) for r in rows])
         np.testing.assert_allclose(got, exact, rtol=1e-6, atol=0)
 
+    def test_library_unfolding_gives_the_auto_scree(self, sim120, tmp_path):
+        # GraphSeries.unfold() is the operator embed decomposes, so a library
+        # caller's rank-50 scree is the manifest's bit for bit
+        out = tmp_path / "auto"
+        assert run("embed", "--input", sim120 / "series", "--method", "uase",
+                   "--dim", "auto", "--seed", 1, "--out", out) == 0
+        scree = truncated_svd(GraphSeries.load(sim120 / "series").unfold(), 50, seed=1).s
+        assert scree.tolist() == read_manifest(out)["details"]["singular_values"]
+
     def test_uase_csv_equals_library_rows(self, sim120, emb120):
         # the CLI decomposes the unfolding at rank d: bit for bit what the
         # library's uase gives
@@ -828,6 +837,25 @@ class TestDigestVerify:
         assert run("digest-verify", "--path", tmp_path / "nope") == 2
 
 
+@pytest.mark.parametrize("command", ["digest-verify", "stability", "embed", "simulate"])
+def test_os_errors_exit_2(command, sim120, emb120, tmp_path, capsys):
+    # a directory where a file is read, or a file where a directory is
+    # written, is a data error, as a missing file is
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    words = {
+        "digest-verify": ["--path", tmp_path],
+        "stability": ["--embedding", emb120, "--truth", tmp_path, *TestStability.PAIRS,
+                      "--out", tmp_path / "rep"],
+        "embed": ["--input", sim120 / "series", "--method", "uase", "--dim", 3,
+                  "--out", blocker],
+        "simulate": ["--config", sim120.parent / "fourblock120.cfg", "--out", blocker],
+    }[command]
+    assert run(command, *words) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestUsage:
     def test_usage_errors_exit_1(self, capsys):
         assert cli.main([]) == 1
@@ -883,7 +911,7 @@ def test_only_interop_helpers_import_scipy():
     import ast
 
     src = Path(dynembed.__file__).resolve().parent
-    helpers = {"SymmetricPattern.tocsr", "GraphSeries.unfold"}
+    helpers = {"SymmetricPattern.tocsr"}
     importers = []
 
     def visit(node, scope):
@@ -919,7 +947,8 @@ def test_cli_import_skips_scipy_stats():
 def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
     # every command runs on numpy alone: --version, simulate, embed by each
     # method and with --dim auto, stability and cluster; so the manifest
-    # names no scipy version
+    # names no scipy version. The probe blocks scipy before dynembed is
+    # imported, so that any scipy import raises, as without scipy installed
     src = str(Path(dynembed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     sim, rep, clus = tmp_path / "sim", tmp_path / "rep", tmp_path / "clus"
@@ -942,9 +971,10 @@ def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
     ]
     probe = (
         "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from dynembed import cli\n"
         f"codes = [cli.main(words) for words in {calls!r}]\n"
-        "loaded = sorted(k for k in sys.modules if k.startswith('scipy'))\n"
+        "loaded = sorted(k for k, m in sys.modules.items() if k.startswith('scipy') and m is not None)\n"
         "print(json.dumps([codes, loaded]))\n"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env,

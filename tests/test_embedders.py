@@ -167,7 +167,7 @@ class TestUase:
         series = random_series(7, n=20, t=2)
         d = 5
         emb = uase(series, d)
-        unfolded = series.unfold().toarray()
+        unfolded = np.hstack([a.toarray() for a in series.snapshots])
         s_full = np.linalg.svd(unfolded, compute_uv=False)
         recon = emb.left @ np.vstack(emb.points).T
         err = np.linalg.norm(unfolded - recon)
@@ -272,9 +272,9 @@ class TestOmnibus:
         # side^2 entries and not one entry below
         calls = []
         monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", 60 * 60 + slack)
-        fill = embedders._omnibus_dense
-        monkeypatch.setattr(embedders, "_omnibus_dense",
-                            lambda halves, n: calls.append(1) or fill(halves, n))
+        fill = embedders.omnibus_matrix
+        monkeypatch.setattr(embedders, "omnibus_matrix",
+                            lambda patterns: calls.append(1) or fill(patterns))
         omnibus_embed(random_series(31, n=20, t=3), 5, seed=2)
         assert calls == ([1] if dense else [])
 
@@ -418,7 +418,7 @@ def series_strategy(min_n=6, max_n=10, max_t=3):
 def test_property_permutation_equivariance(params, perm_seed):
     seed, n, t = params
     series = random_series(seed, n=n, t=t, p=0.5)
-    unfolded = series.unfold().toarray()
+    unfolded = np.hstack([a.toarray() for a in series.snapshots])
     s_full = np.linalg.svd(unfolded, compute_uv=False)
     d = 2
     # skip spectrally degenerate draws: tiny gaps make the truncated basis
@@ -455,7 +455,7 @@ def test_property_isolated_node_maps_to_origin(params, node_pick):
     snaps[-1][node, :] = 0.0
     snaps[-1][:, node] = 0.0
     series = GraphSeries(snapshots=[sp.csr_matrix(a) for a in snaps])
-    unfolded = series.unfold().toarray()
+    unfolded = np.hstack([a.toarray() for a in series.snapshots])
     s_full = np.linalg.svd(unfolded, compute_uv=False)
     d = 2
     assume(s_full[d - 1] > 1e-3)

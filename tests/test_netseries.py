@@ -29,12 +29,18 @@ def make_series(seed=0, n=12, t=3, p=0.3):
 
 class TestGraphSeries:
     def test_unfold_layout(self):
+        # the unfolding is applied over the series' own patterns, never built;
+        # its products are those of the dense (A_1 | A_2 | A_3)
         series = make_series()
         unfolded = series.unfold()
+        assert isinstance(unfolded, Unfolding)
+        assert unfolded.patterns is series.patterns
         assert unfolded.shape == (12, 36)
-        for t in range(3):
-            block = unfolded[:, t * 12 : (t + 1) * 12].toarray()
-            np.testing.assert_array_equal(block, series.snapshots[t].toarray())
+        dense = np.hstack([a.toarray() for a in series.snapshots])
+        rng = np.random.default_rng(0)
+        y, x = rng.standard_normal(36), rng.standard_normal(12)
+        np.testing.assert_allclose(unfolded @ y, dense @ y, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(unfolded.T @ x, dense.T @ x, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 13])
     @pytest.mark.parametrize("seed", [0, 1, 2])

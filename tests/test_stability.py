@@ -90,6 +90,15 @@ def test_degree_scaled_pair_compared_after_scaling():
     assert pair.passed
 
 
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+def test_scale_must_be_positive_and_finite(scale):
+    # a zero or nan scale makes the gap ratio nan, and a negative one reflects
+    # the cloud through the origin; neither gives a ratio to report
+    emb, memb = three_group_embedding()
+    with pytest.raises(ValueError, match=r"pair 0:0/1:0: scale .* not positive and finite"):
+        stability_report(emb, memb, [((0, 0), (1, 0))], scales=[scale])
+
+
 def test_single_member_group_skips_covariance():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.2, 0.0], [0.0, 5.0], [0.0, 5.2]])
     memb = np.array([0, 1, 1, 2, 2])
