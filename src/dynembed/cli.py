@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
@@ -153,6 +154,14 @@ def _write_csv(path, header, columns) -> int:
     return rows
 
 
+def _finite_float(cell: str) -> float:
+    """A CSV cell as a finite float; ValueError for nan, inf or a non-number."""
+    value = float(cell)
+    if not math.isfinite(value):  # np.isfinite costs 0.5 us more per cell
+        raise ValueError(cell)
+    return value
+
+
 def _read_csv(path, kind, columns, repeat=None):
     """Yield the rows of a CSV in the format ``_write_csv`` writes, each a
     list of parsed cells.
@@ -211,8 +220,8 @@ def _write_embedding_csv(path, emb: Embedding, node_labels, times) -> int:
 def _read_embedding_csv(path):
     """Rebuild (Embedding, per-time node labels, time labels) from the CSV."""
     rows = _read_csv(path, "embedding",
-                     [("node_label", str), ("time_label", float)],
-                     repeat=("y_", float))
+                     [("node_label", str), ("time_label", _finite_float)],
+                     repeat=("y_", _finite_float))
     labels: dict = {}
     coords: dict = {}
     for label, t, *y in rows:
@@ -385,7 +394,7 @@ def cmd_embed(args) -> int:
     if rank > n:
         raise DataError(f"dimension {rank} out of range for {n} nodes")
     unfolded = series.unfold()
-    svd = truncated_svd(unfolded, rank, seed=args.seed, symmetric=series.n_snapshots == 1)
+    svd = truncated_svd(unfolded, rank, seed=args.seed)
     # ||A v_j - s_j u_j|| / s_1 for each scree triplet
     residuals = np.linalg.norm(unfolded @ svd.v - svd.u * svd.s, axis=0)
     if svd.s[0] > 0:
@@ -448,7 +457,7 @@ def cmd_embed(args) -> int:
 
 
 def _read_truth(path):
-    rows = _read_csv(path, "truth", [("node_label", str), ("time_label", float),
+    rows = _read_csv(path, "truth", [("node_label", str), ("time_label", _finite_float),
                                      ("community", int)])
     return {(node, t): comm for node, t, comm in rows}
 
@@ -474,12 +483,14 @@ def cmd_stability(args) -> int:
     pairs = []
     for text in args.pair:
         (ga, ta), (gb, tb) = _parse_pair(text)
-        for tv in (ta, tb):
+        for g, tv in ((ga, ta), (gb, tb)):
             if tv not in times:
                 raise DataError(
                     f"pair time {tv:g} not among embedding times "
                     f"{[f'{x:g}' for x in times]}"
                 )
+            if not np.any(memberships[times.index(tv)] == g):
+                raise DataError(f"pair group {g}:{tv:g} has no nodes in {args.truth}")
         pairs.append(((ga, times.index(ta)), (gb, times.index(tb))))
 
     report = stability_report(emb, memberships, pairs, threshold=args.threshold)

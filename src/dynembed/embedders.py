@@ -83,11 +83,12 @@ def uase(series, d: int, seed: int = 0) -> Embedding:
     built) and scales both factors by the square-rooted singular values.
     The right factor splits into T blocks of n rows, one point set per
     snapshot, all living in one coordinate system; the left factor is a single
-    time-invariant point set. One snapshot is symmetric and is decomposed as
-    such, so its points are those of :func:`independent_ase`.
+    time-invariant point set. A one-snapshot unfolding is the symmetric A_1
+    and is decomposed as such, so its points are those of
+    :func:`independent_ase`.
     """
     patterns, _ = as_patterns(series)
-    svd = truncated_svd(Unfolding(patterns), d, seed, symmetric=len(patterns) == 1)
+    svd = truncated_svd(Unfolding(patterns), d, seed)
     return uase_from_svd(svd, d, len(patterns))
 
 
@@ -105,12 +106,13 @@ def uase_from_svd(res: TruncatedSvd, d: int, n_snapshots: int) -> Embedding:
     return Embedding(points=points, method="uase", left=left)
 
 
-def _signed_symmetric_embedding(a, d: int, seed: int):
+def _signed_symmetric_embedding(apply, side: int, d: int, seed: int):
     """Point set v sqrt(s) = q sign(l) sqrt|l| from the top-d eigenpairs (l,
-    q) of a symmetric matrix or operator, and its signature: the signs of the
-    l, zero counted positive, which are those of the columns of u * v since v
-    = sign(l) u. A d that splits a tied +l, -l has no defined answer."""
-    res = truncated_svd(a, d, seed, symmetric=True)
+    q) of the symmetric side x side operator x -> apply(x), and its
+    signature: the signs of the l, zero counted positive, which are those of
+    the columns of u * v since v = sign(l) u. A d that splits a tied +l, -l
+    has no defined answer."""
+    res = truncated_svd(SymmetricOperator(apply, side), d, seed)
     positive = int(np.sum(np.sum(res.u * res.v, axis=0) >= 0))
     return res.v * np.sqrt(res.s), (positive, d - positive)
 
@@ -179,8 +181,8 @@ def separate_embed(
     for t, d in enumerate(dims):
         w = history_weights(t, scheme, forgetting=forgetting, window=window)
         used = [(w[s], patterns[s]) for s in range(t + 1) if w[s] > 0]
-        blend = SymmetricOperator(lambda x: sum(ws * (a @ x) for ws, a in used), n)
-        pairs.append(_signed_symmetric_embedding(blend, d, seed))
+        pairs.append(_signed_symmetric_embedding(
+            lambda x: sum(ws * (a @ x) for ws, a in used), n, d, seed))
     points, signatures = map(list, zip(*pairs))
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
 
@@ -234,11 +236,11 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     patterns, n = as_patterns(series)
     t_count, side = len(patterns), len(patterns) * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        m = omnibus_matrix(patterns)
-        del patterns  # m holds all the eigensolver needs
+        apply = omnibus_matrix(patterns).__matmul__
+        del patterns  # the matrix holds all the eigensolver needs
     else:
-        m = SymmetricOperator(_omnibus_matvec(patterns, n), side)
-    scaled, signature = _signed_symmetric_embedding(m, d, seed)
+        apply = _omnibus_matvec(patterns, n)
+    scaled, signature = _signed_symmetric_embedding(apply, side, d, seed)
     # the omnibus point set keeps its own largest entries positive; the
     # per-snapshot methods follow the left vectors, as uase does
     (scaled,) = orient_columns(scaled)

@@ -120,7 +120,7 @@ class SymmetricOperator:
         return self
 
 
-def truncated_svd(m, d: int, seed: int = 0, *, symmetric: bool = False) -> TruncatedSvd:
+def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     """Rank-d truncated SVD with a canonical sign convention.
 
     ``m`` may be a dense array or any operator with ``.shape``, ``@`` and
@@ -128,10 +128,11 @@ def truncated_svd(m, d: int, seed: int = 0, *, symmetric: bool = False) -> Trunc
     d, the top-d eigenvectors q of the smaller-side Gram operator x -> a @
     (a.T @ x) come from :func:`_lanczos`, started from a vector drawn with
     ``seed``; one dense SVD of the d-row projection q.T @ m then gives the
-    singular values and both factors. A ``symmetric`` m is decomposed
-    directly, with half the products: its top-d eigenpairs (l, q) by
-    magnitude give u = q, s = |l| and v = sign(l) q, a zero counted positive.
-    A zero matrix has zero singular values.
+    singular values and both factors. An m that is its own transpose, ``m.T
+    is m`` (a :class:`SymmetricOperator`, a pattern, a one-snapshot
+    unfolding), is decomposed directly, with half the products: its top-d
+    eigenpairs (l, q) by magnitude give u = q, s = |l| and v = sign(l) q, a
+    zero counted positive. A zero matrix has zero singular values.
 
     Raises ValueError when d is out of range or the matrix has non-finite
     entries.
@@ -148,7 +149,7 @@ def truncated_svd(m, d: int, seed: int = 0, *, symmetric: bool = False) -> Trunc
     # a is the wide orientation of m: its rows are the smaller side
     a = m if rows <= cols else m.T
     start = np.random.default_rng(seed).standard_normal(a.shape[0])
-    if symmetric:
+    if m.T is m:
         values, u, products = _lanczos(lambda x: m @ x, rows, d, start)
         s, v = np.abs(values), u * np.where(values < 0, -1.0, 1.0)
     else:

@@ -33,7 +33,7 @@ class DsbmSpec:
     memberships: (T, n) or (n,) integer community labels in [0, K); a 1-d
         array means the same labels at every time. None distributes nodes
         over communities in equal contiguous blocks.
-    degree_weights: optional (n,) positive multipliers w_i.
+    degree_weights: optional (n,) positive, finite multipliers w_i.
     rho: global sparsity factor in (0, 1].
     """
 
@@ -54,6 +54,8 @@ class DsbmSpec:
         for b in self.block_matrices:
             if b.shape != (k, k):
                 raise ValueError("all block matrices must be K x K with the same K")
+            if not np.all(np.isfinite(b)):
+                raise ValueError("block probabilities must be finite")
             if not np.allclose(b, b.T):
                 raise ValueError("block matrices must be symmetric")
             if np.any(b < 0) or np.any(b > 1):
@@ -85,8 +87,8 @@ class DsbmSpec:
             w = np.asarray(self.degree_weights, dtype=float)
             if w.shape != (self.n_nodes,):
                 raise ValueError("degree_weights must have one entry per node")
-            if np.any(w <= 0):
-                raise ValueError("degree_weights must be positive")
+            if not np.all(np.isfinite(w) & (w > 0)):
+                raise ValueError("degree_weights must be positive and finite")
             self.degree_weights = w
 
     def gram_matrix(self, t: int) -> np.ndarray:

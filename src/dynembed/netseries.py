@@ -115,7 +115,8 @@ class SymmetricPattern:
 class Unfolding:
     """The n x (T n) unfolding (A_1 | ... | A_T) of symmetric patterns, or
     its transpose: y -> sum_t A_t y_t for the n-row blocks y_t of y, and x
-    -> (A_1 x; ...; A_T x). Nothing is concatenated."""
+    -> (A_1 x; ...; A_T x). Nothing is concatenated. One snapshot's
+    unfolding is the symmetric A_1, so it is its own transpose."""
 
     def __init__(self, patterns, transposed: bool = False):
         self.patterns, self.transposed = patterns, transposed
@@ -124,7 +125,7 @@ class Unfolding:
 
     @property
     def T(self) -> "Unfolding":
-        return Unfolding(self.patterns, not self.transposed)
+        return self if len(self.patterns) == 1 else Unfolding(self.patterns, not self.transposed)
 
     def __matmul__(self, x):
         if self.transposed:

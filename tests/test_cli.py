@@ -91,6 +91,29 @@ def sim120(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def sim120_one(tmp_path_factory):
+    # the first snapshot of sim120's model on its own
+    base = tmp_path_factory.mktemp("sim120_one")
+    cfg = base / "fourblock120_one.cfg"
+    cfg.write_text(FOURBLOCK_120.split("[snapshot.2]")[0])
+    out = base / "run"
+    assert run("simulate", "--config", cfg, "--seed", 1, "--out", out) == 0
+    return out
+
+
+def with_cell(path, tmp_path, line, column, value):
+    """A copy of the CSV at ``path`` with one cell replaced; ``line`` is
+    1-based and counts the header."""
+    lines = Path(path).read_text().splitlines(keepends=True)
+    cells = lines[line - 1].split(",")
+    cells[column] = value
+    lines[line - 1] = ",".join(cells)
+    copy = tmp_path / Path(path).name
+    copy.write_text("".join(lines))
+    return copy
+
+
+@pytest.fixture(scope="module")
 def emb120(sim120, tmp_path_factory):
     out = tmp_path_factory.mktemp("emb120") / "uase4"
     code = run("embed", "--input", sim120 / "series", "--method", "uase",
@@ -170,6 +193,14 @@ class TestSimulate:
         # equal contiguous blocks of 30 nodes per community
         assert [r[2] for r in at_t1[:30]] == ["1"] * 30
         assert sorted({r[2] for r in rows}) == ["1", "2", "3", "4"]
+
+    def test_nonfinite_degree_weight_exits_2(self, tmp_path, capsys):
+        # a nan weight used to pass and leave node 3 without edges
+        cfg = tmp_path / "weights.cfg"
+        cfg.write_text("[model]\nn_nodes = 6\ndegree_weights = 1 1 nan 1 1 1\n\n"
+                       "[snapshot.1]\nblock_matrix = 0.5\n")
+        assert run("simulate", "--config", cfg, "--seed", 0, "--out", tmp_path / "x") == 2
+        assert "degree_weights must be positive and finite" in capsys.readouterr().err
 
     def test_unknown_config_name(self, tmp_path):
         assert run("simulate", "--config", "no_such_model",
@@ -492,13 +523,16 @@ class TestEmbed:
         got = np.array([float(r[1]) for r in rows])
         np.testing.assert_allclose(got, exact, rtol=1e-6, atol=0)
 
-    def test_library_unfolding_gives_the_auto_scree(self, sim120, tmp_path):
-        # GraphSeries.unfold() is the operator embed decomposes, so a library
-        # caller's rank-50 scree is the manifest's bit for bit
+    @pytest.mark.parametrize("sim", ["sim120", "sim120_one"])
+    def test_library_unfolding_gives_the_auto_scree(self, sim, tmp_path, request):
+        # GraphSeries.unfold() is the operator embed decomposes and it says
+        # itself whether it is symmetric (one snapshot), so a library caller's
+        # rank-50 scree is the manifest's bit for bit at every T
+        series_dir = request.getfixturevalue(sim) / "series"
         out = tmp_path / "auto"
-        assert run("embed", "--input", sim120 / "series", "--method", "uase",
+        assert run("embed", "--input", series_dir, "--method", "uase",
                    "--dim", "auto", "--seed", 1, "--out", out) == 0
-        scree = truncated_svd(GraphSeries.load(sim120 / "series").unfold(), 50, seed=1).s
+        scree = truncated_svd(GraphSeries.load(series_dir).unfold(), 50, seed=1).s
         assert scree.tolist() == read_manifest(out)["details"]["singular_values"]
 
     def test_uase_csv_equals_library_rows(self, sim120, emb120):
@@ -631,6 +665,11 @@ class TestStability:
         assert run("stability", "--embedding", emb120, "--truth", truth,
                    *self.PAIRS, "--out", tmp_path / "rep") == 2
 
+    def test_empty_group_named_as_written(self, sim120, emb120, tmp_path, capsys):
+        assert run("stability", "--embedding", emb120, "--truth", sim120 / "truth.csv",
+                   "--pair", "9:1/4:2", "--out", tmp_path / "rep") == 2
+        assert "pair group 9:1 has no nodes" in capsys.readouterr().err
+
     def test_bad_pairs(self, sim120, emb120, tmp_path):
         truth = sim120 / "truth.csv"
         assert run("stability", "--embedding", emb120, "--truth", truth,
@@ -641,6 +680,7 @@ class TestStability:
     @pytest.mark.parametrize("body, line, what", [
         ("1,1,1\n2,1\n", 3, "ragged row"),
         ("1,1,x\n", 2, "bad community 'x'"),
+        ("1,1,1\n2,nan,1\n", 3, "bad time_label 'nan'"),
     ])
     def test_bad_truth_row_names_file_and_line(self, emb120, tmp_path, capsys,
                                                body, line, what):
@@ -653,16 +693,14 @@ class TestStability:
 
     def test_bad_embedding_cell_names_file_and_line(self, sim120, emb120,
                                                     tmp_path, capsys):
-        lines = (emb120 / "embedding.csv").read_text().splitlines(keepends=True)
-        cells = lines[4].split(",")
-        cells[3] = "abc"
-        lines[4] = ",".join(cells)
-        emb = tmp_path / "embedding.csv"
-        emb.write_text("".join(lines))
-        assert run("stability", "--embedding", emb, "--truth",
-                   sim120 / "truth.csv", *self.PAIRS,
-                   "--out", tmp_path / "rep") == 2
-        assert f"{emb}: line 5: bad y_2 'abc'" in capsys.readouterr().err
+        # a nan or inf coordinate is refused too; nan used to drop out of the
+        # score's min and pass
+        for value in ("abc", "nan", "inf"):
+            emb = with_cell(emb120 / "embedding.csv", tmp_path, 5, 3, value)
+            assert run("stability", "--embedding", emb, "--truth",
+                       sim120 / "truth.csv", *self.PAIRS,
+                       "--out", tmp_path / "rep") == 2
+            assert f"{emb}: line 5: bad y_2 '{value}'" in capsys.readouterr().err
 
     def test_rejects_non_embedding_csv(self, sim120, tmp_path):
         assert run("stability", "--embedding", sim120 / "truth.csv", "--truth",
@@ -671,6 +709,13 @@ class TestStability:
 
 
 class TestCluster:
+    def test_nonfinite_embedding_cell_exits_2(self, emb120, tmp_path, capsys):
+        # a nan coordinate used to pool as an isolated node's row
+        emb = with_cell(emb120 / "embedding.csv", tmp_path, 5, 3, "nan")
+        assert run("cluster", "--embedding", emb, "--grid", "1-2",
+                   "--out", tmp_path / "clus") == 2
+        assert f"{emb}: line 5: bad y_2 'nan'" in capsys.readouterr().err
+
     def test_outputs_and_bic_table(self, sim120, tmp_path):
         emb = tmp_path / "emb3"
         assert run("embed", "--input", sim120 / "series", "--method", "uase",

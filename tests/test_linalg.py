@@ -128,7 +128,7 @@ class TestTruncatedSvd:
         # an operator shows no entries; Lanczos refuses what it returns
         op = SymmetricOperator(lambda x: m @ x, 4)
         with pytest.raises(ValueError, match="non-finite"):
-            truncated_svd(op, 1, symmetric=True)
+            truncated_svd(op, 1)
 
 
 def orthonormal_columns(rng, side, count):
@@ -149,7 +149,8 @@ class TestLanczos:
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(m @ vectors[:, :2], vectors[:, :2] * values[:2], atol=1e-12)
         assert products < 30
-        for res in (truncated_svd(m, 4, seed=3), truncated_svd(m, 4, seed=3, symmetric=True)):
+        for res in (truncated_svd(m, 4, seed=3),
+                    truncated_svd(SymmetricOperator(lambda x: m @ x, 30), 4, seed=3)):
             np.testing.assert_allclose(res.s, [3.0, 2.0, 0.0, 0.0], rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(res.u.T @ res.u, np.eye(4), atol=1e-12)
             np.testing.assert_allclose(res.v.T @ res.v, np.eye(4), atol=1e-12)
@@ -167,7 +168,7 @@ class TestLanczos:
         want = exact[np.argsort(-np.abs(exact), kind="stable")[:4]]
         np.testing.assert_allclose(np.sort(values), np.sort(want), rtol=1e-12)
         np.testing.assert_allclose(m @ vectors, vectors * values, atol=1e-12)
-        res = truncated_svd(SymmetricOperator(lambda x: m @ x, 40), 4, symmetric=True)
+        res = truncated_svd(SymmetricOperator(lambda x: m @ x, 40), 4)
         np.testing.assert_allclose(res.s, np.abs(want), rtol=1e-12)
         assert np.sum(np.sum(res.u * res.v, axis=0) < 0) == 2
 

@@ -40,6 +40,18 @@ class TestSpecValidation:
                 memberships=np.array([0, 1, 2]),
             )
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_nonfinite_degree_weight_rejected(self, weight):
+        # nan passed w <= 0 and left its node without edges; inf was clipped
+        # to probability 1
+        with pytest.raises(ValueError, match="degree_weights must be positive and finite"):
+            DsbmSpec(block_matrices=[np.array([[0.5]])], n_nodes=3,
+                     degree_weights=np.array([1.0, weight, 1.0]))
+
+    def test_nan_block_entry_rejected(self):
+        with pytest.raises(ValueError, match="block probabilities must be finite"):
+            DsbmSpec(block_matrices=[np.array([[0.5, np.nan], [np.nan, 0.5]])], n_nodes=4)
+
     def test_default_memberships_equal_blocks(self):
         spec = DsbmSpec(block_matrices=[np.eye(4) * 0.5], n_nodes=100)
         counts = np.bincount(spec.memberships[0])

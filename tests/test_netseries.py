@@ -41,6 +41,10 @@ class TestGraphSeries:
         y, x = rng.standard_normal(36), rng.standard_normal(12)
         np.testing.assert_allclose(unfolded @ y, dense @ y, rtol=0, atol=1e-12)
         np.testing.assert_allclose(unfolded.T @ x, dense.T @ x, rtol=0, atol=1e-12)
+        assert unfolded.T.T.patterns is series.patterns and unfolded.T is not unfolded
+        # one snapshot's unfolding is the symmetric A_1: its own transpose
+        single = make_series(t=1).unfold()
+        assert single.shape == (12, 12) and single.T is single
 
     @pytest.mark.parametrize("n", [1, 2, 13])
     @pytest.mark.parametrize("seed", [0, 1, 2])
