@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import platform
@@ -49,7 +50,8 @@ EXIT_DATA = 2
 EXIT_THRESHOLD = 3
 
 SCREE_LENGTH = 50
-# rows per _write_csv join; larger chunks raised the embed stage's peak memory
+# rows per _write_csv join and per _read_csv parse; larger chunks raised the
+# embed stage's peak memory
 CSV_CHUNK_ROWS = 1 << 10
 
 
@@ -130,47 +132,89 @@ def _resolve_config(name_or_path) -> Path:
 
 
 def _write_csv(path, header, columns) -> int:
-    """Write equal-length columns (arrays, lists or tuples) as CSV rows;
-    returns the row count.
+    """Write equal-length columns as CSV rows; returns the row count.
 
-    A column whose first cell is a float (Python or numpy) is written at 17
-    significant digits, integers and labels as text. ``header`` lists the
-    column names, or is None for no header line. Rows are formatted
-    CSV_CHUNK_ROWS at a time, so no whole column of strings is ever held.
+    A column is an array, a list or a tuple of cells, or a ``(labels,
+    codes)`` pair with ``codes`` an integer array, which writes
+    ``labels[codes[r]]`` in row r. A column whose first cell is a float
+    (Python or numpy) is written at 17 significant digits, integers and
+    labels as text. ``header`` lists the column names, or is None for no
+    header line. Each label gets its separator once per file; each stretch
+    of other columns is formatted row by row through one template with the
+    separators folded in. Rows are gathered CSV_CHUNK_ROWS at a time into
+    one array of cells that is written with a single join, so no whole
+    column of strings is ever held.
     """
     columns = list(columns)
-    rows = max(map(len, columns), default=0)
-    template = None
+    lengths = {len(c[1]) if _is_labelled(c) else len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 0
+    # (suffixed labels, codes) of a labelled column, or (template, columns)
+    # of a stretch of other columns
+    runs = []
+    for k, column in enumerate(columns):
+        end = "," if k + 1 < len(columns) else "\n"
+        if _is_labelled(column):
+            labels, codes = column
+            runs.append((np.array([f"{label}{end}" for label in labels], dtype=object), codes))
+            continue
+        first = column[:1].tolist() if isinstance(column, np.ndarray) else column[:1]
+        cell = ("%.17g" if first and isinstance(first[0], float) else "%s") + end
+        if runs and isinstance(runs[-1][0], str):
+            runs[-1] = (runs[-1][0] + cell, runs[-1][1] + [column])
+        else:
+            runs.append((cell, [column]))
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
         for lo in range(0, rows, CSV_CHUNK_ROWS):
-            chunk = [c[lo:lo + CSV_CHUNK_ROWS] for c in columns]
-            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-            if template is None:
-                template = ",".join("%.17g" if isinstance(c[0], float) else "%s"
-                                    for c in chunk) + "\n"
-            fh.write("".join(map(template.__mod__, zip(*chunk, strict=True))))
+            fh.write(_csv_text(runs, lo, min(lo + CSV_CHUNK_ROWS, rows)))
     return rows
 
 
+def _csv_text(runs, lo, hi) -> str:
+    """Rows lo..hi-1 of ``_write_csv``'s runs as one string; the cells are
+    freed on return, before the string is written."""
+    cells = np.empty((hi - lo, len(runs)), dtype=object)
+    for k, (form, data) in enumerate(runs):
+        if isinstance(form, str):
+            parts = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi] for c in data]
+            cells[:, k] = list(map(form.__mod__, zip(*parts)))
+        else:
+            cells[:, k] = form[data[lo:hi]]
+    return "".join(cells.ravel().tolist())
+
+
+def _is_labelled(column) -> bool:
+    """Whether a ``_write_csv`` column is a (labels, codes) pair."""
+    return (isinstance(column, tuple) and len(column) == 2
+            and isinstance(column[1], np.ndarray))
+
+
 def _finite_float(cell: str) -> float:
-    """A CSV cell as a finite float; ValueError for nan, inf or a non-number."""
+    """A CSV cell as a finite float; ValueError for nan, inf or a non-number.
+    ``_read_csv`` parses columns without it and calls it only to name the
+    first bad cell of a chunk that failed."""
     value = float(cell)
-    if not math.isfinite(value):  # np.isfinite costs 0.5 us more per cell
+    if not math.isfinite(value):
         raise ValueError(cell)
     return value
 
 
 def _read_csv(path, kind, columns, repeat=None):
-    """Yield the rows of a CSV in the format ``_write_csv`` writes, each a
-    list of parsed cells.
+    """Read a CSV in the format ``_write_csv`` writes; returns one column
+    per name, a float array for ``_finite_float`` and a list of parsed
+    cells for any other parser.
 
     ``columns`` lists the leading (name, parser) pairs; ``repeat``, a
     (stem, parser) pair, admits one or more further columns named stem1,
-    stem2, ... Raises DataError naming the file and the 1-based line on a
-    wrong header, a ragged row or a cell that does not parse, and when the
-    file has no rows.
+    stem2, ... CSV_CHUNK_ROWS lines at a time, each line's commas are
+    counted and each column is converted whole, a float column by one
+    ``np.fromiter`` and one ``np.isfinite``. Only a chunk that fails is
+    parsed again row by row, so the DataError names the file and the 1-based
+    line of the first wrong header, ragged row or cell that does not parse in
+    file order; it is raised also when the file has no rows.
     """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -183,25 +227,56 @@ def _read_csv(path, kind, columns, repeat=None):
             parsers += [parse] * extra
         if header != names:
             raise DataError(f"{path}: line 1: not a {kind} CSV")
+        parts = [[] for _ in names]
         line_number = 1
-        for line_number, raw in enumerate(fh, start=2):
-            cells = raw.strip().split(",")
-            if len(cells) != len(names):
+        while chunk := list(map(str.strip, itertools.islice(fh, CSV_CHUNK_ROWS))):
+            for part, column in zip(parts, _csv_columns(path, names, parsers, chunk,
+                                                        line_number + 1)):
+                part.append(column)
+            line_number += len(chunk)
+    if line_number == 1:
+        raise DataError(f"{path}: no {kind} rows")
+    return [np.concatenate(part) if parse is _finite_float else
+            list(itertools.chain.from_iterable(part))
+            for parse, part in zip(parsers, parts)]
+
+
+def _csv_columns(path, names, parsers, lines, first_line_number) -> list:
+    """The cells of ``lines`` parsed column by column, a float array for
+    ``_finite_float``; when that fails, the lines are checked row by row so
+    that the DataError names the first ragged row or bad cell."""
+    width = len(names)
+    try:
+        if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
+            raise ValueError("ragged")
+        cells = ",".join(lines).split(",")
+        columns = []
+        for k, parse in enumerate(parsers):
+            column = cells[k::width]
+            if parse is _finite_float:
+                column = np.fromiter(map(float, column), float, len(column))
+                if not np.isfinite(column).all():
+                    raise ValueError("not finite")
+            else:
+                column = list(map(parse, column))
+            columns.append(column)
+        return columns
+    except ValueError:
+        for line_number, line in enumerate(lines, start=first_line_number):
+            cells = line.split(",")
+            if len(cells) != width:
                 raise DataError(
                     f"{path}: line {line_number}: ragged row, {len(cells)} "
-                    f"cells for {len(names)} columns"
-                )
-            row = []
+                    f"cells for {width} columns"
+                ) from None
             for name, parse, cell in zip(names, parsers, cells):
                 try:
-                    row.append(parse(cell))
+                    parse(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: line {line_number}: bad {name} {cell!r}"
                     ) from None
-            yield row
-    if line_number == 1:
-        raise DataError(f"{path}: no {kind} rows")
+        raise
 
 
 def _write_embedding_csv(path, emb: Embedding, node_labels, times) -> int:
@@ -209,28 +284,29 @@ def _write_embedding_csv(path, emb: Embedding, node_labels, times) -> int:
     zero padded to the widest dimension. Returns the row count."""
     d = max(emb.dims)
     n = len(node_labels)
+    snapshots = len(emb.points)
     coords = np.vstack([np.pad(p, ((0, 0), (0, d - p.shape[1]))) for p in emb.points])
+    time_labels = [f"{t:.17g}" for t in np.asarray(times, dtype=float).tolist()]
     return _write_csv(
         path, ["node_label", "time_label"] + [f"y_{j + 1}" for j in range(d)],
-        [list(node_labels) * len(emb.points),
-         np.repeat(np.asarray(times, dtype=float), n), *coords.T],
+        [(node_labels, np.tile(np.arange(n), snapshots)),
+         (time_labels, np.repeat(np.arange(snapshots), n)), *coords.T],
     )
 
 
 def _read_embedding_csv(path):
-    """Rebuild (Embedding, per-time node labels, time labels) from the CSV."""
-    rows = _read_csv(path, "embedding",
-                     [("node_label", str), ("time_label", _finite_float)],
-                     repeat=("y_", _finite_float))
-    labels: dict = {}
-    coords: dict = {}
-    for label, t, *y in rows:
-        labels.setdefault(t, []).append(label)
-        coords.setdefault(t, []).append(y)
-    times = list(coords)
-    points = [np.array(coords[t]) for t in times]
-    emb = Embedding(points=points, method="file")
-    return emb, [labels[t] for t in times], times
+    """Rebuild (Embedding, per-time node labels, time labels) from the CSV;
+    times keep the order in which the file first names them."""
+    labels, times, *coords = _read_csv(
+        path, "embedding", [("node_label", str), ("time_label", _finite_float)],
+        repeat=("y_", _finite_float))
+    _, first, inverse = np.unique(times, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    coords = np.column_stack(coords)
+    labels = np.array(labels, dtype=object)
+    rows = [np.flatnonzero(inverse == k) for k in order]
+    emb = Embedding(points=[coords[r] for r in rows], method="file")
+    return emb, [labels[r].tolist() for r in rows], times[first[order]].tolist()
 
 
 def _locate_embedding_csv(path) -> Path:
@@ -347,17 +423,16 @@ def cmd_simulate(args) -> int:
     series.save(out / "series")
     outputs = [out / "series" / "snapshots.npz", out / "series" / "labels.txt"]
     t2 = time.perf_counter()
-    labels = np.array(series.node_labels, dtype=object)
     for t, pattern in enumerate(series.patterns):
         path = out / f"edges_{t + 1}.csv"
-        _write_csv(path, ["u", "v"], [labels[ends] for ends in pattern.upper()])
+        _write_csv(path, ["u", "v"], [(series.node_labels, ends) for ends in pattern.upper()])
         outputs.append(path)
     t3 = time.perf_counter()
     truth = out / "truth.csv"
     _write_csv(truth, ["node_label", "time_label", "community"], [
-        series.node_labels * spec.n_snapshots,
-        np.repeat(series.times, spec.n_nodes),
-        np.asarray(spec.memberships).ravel() + 1,
+        (series.node_labels, np.tile(np.arange(spec.n_nodes), spec.n_snapshots)),
+        (series.times, np.repeat(np.arange(spec.n_snapshots), spec.n_nodes)),
+        (range(1, spec.n_communities + 1), np.asarray(spec.memberships).ravel()),
     ])
     outputs.append(truth)
     _write_manifest(
@@ -457,9 +532,10 @@ def cmd_embed(args) -> int:
 
 
 def _read_truth(path):
-    rows = _read_csv(path, "truth", [("node_label", str), ("time_label", _finite_float),
-                                     ("community", int)])
-    return {(node, t): comm for node, t, comm in rows}
+    nodes, times, communities = _read_csv(
+        path, "truth", [("node_label", str), ("time_label", _finite_float),
+                        ("community", int)])
+    return dict(zip(zip(nodes, times.tolist()), communities))
 
 
 def cmd_stability(args) -> int:
@@ -483,6 +559,8 @@ def cmd_stability(args) -> int:
     pairs = []
     for text in args.pair:
         (ga, ta), (gb, tb) = _parse_pair(text)
+        if (ga, ta) == (gb, tb):
+            raise DataError(f"--pair {text!r} pairs group {ga}:{ta:g} with itself")
         for g, tv in ((ga, ta), (gb, tb)):
             if tv not in times:
                 raise DataError(

@@ -15,6 +15,7 @@ each kept as the symmetric 0/1 pattern of its edges
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -94,50 +95,84 @@ class DsbmSpec:
     def gram_matrix(self, t: int) -> np.ndarray:
         """Edge probability matrix P_t (dense, zero diagonal kept nonzero:
         the diagonal is defined by the same formula but never sampled)."""
-        return self._probability_rows(t, 0, self.n_nodes)
+        self._max_probability(t)  # raises when an entry exceeds 1
+        i = np.arange(self.n_nodes)
+        return self._probability_at(t, i[:, None], i)
 
     def gram_matrices(self) -> list:
         return [self.gram_matrix(t) for t in range(self.n_snapshots)]
 
-    def _probability_rows(self, t: int, lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi-1 of P_t, each entry evaluated by the same operations
-        in the same order whatever the slab, so slabs tile P_t exactly."""
+    def _max_probability(self, t: int) -> float:
+        """Largest entry of P_t, diagonal included, clipped to 1; ValueError
+        when an entry exceeds 1.
+
+        Taken per pair of communities present at t, at the largest weight in
+        each: rounded products grow with their factors, so this is the
+        largest entry ``_probability_at`` evaluates, bit for bit.
+        """
         z = self.memberships[t]
-        p = self.block_matrices[t][:, z][z[lo:hi]]
+        present = np.unique(z)
+        p = self.block_matrices[t][np.ix_(present, present)]
         if self.degree_weights is not None:
-            p *= np.outer(self.degree_weights[lo:hi], self.degree_weights)
-        p *= self.rho
-        if np.any(p > 1.0 + 1e-12):
+            w = np.zeros(self.n_communities)
+            np.maximum.at(w, z, self.degree_weights)
+            p = p * np.outer(w[present], w[present])
+        p_max = float(np.max(p * self.rho, initial=0.0))
+        if p_max > 1.0 + 1e-12:
             raise ValueError("edge probabilities exceed 1; lower rho or weights")
+        return min(p_max, 1.0)
+
+    def _probability_at(self, t: int, i, j) -> np.ndarray:
+        """P_t at the (broadcast) index arrays i, j, clipped to [0, 1]; each
+        entry is evaluated by the same operations in the same order wherever
+        it is asked for, so a draw at some pairs agrees with the whole P_t."""
+        z = self.memberships[t]
+        p = self.block_matrices[t][z[i], z[j]]
+        if self.degree_weights is not None:
+            p *= self.degree_weights[i] * self.degree_weights[j]
+        p *= self.rho
         return np.clip(p, 0.0, 1.0, out=p)
 
 
-# probability cells held per slab of rows while sampling; memory per slab is
-# a few bytes per cell, so a draw needs this plus its edges, not n^2
+# Philox words drawn per slab of rows while sampling; memory per slab is a
+# few bytes per word, so a draw needs this plus its edges, not n^2
 _SLAB_CELLS = 1 << 18
 
 
-def _sample_rows(n: int, probability_rows, seed: int, stream: int) -> SymmetricPattern:
+def _sample_rows(n: int, probability_at, p_max: float, seed: int,
+                 stream: int) -> SymmetricPattern:
     """Bernoulli draw of the strict upper triangle, slab of rows by slab.
 
-    ``probability_rows(lo, hi)`` returns rows lo..hi-1 of the n x n edge
-    probability matrix. The uniforms come from one Philox stream keyed by
-    (seed, stream) and are compared with the pairs j > i in row-major order;
-    a Philox stream drawn in pieces equals one draw of the total length, so
-    the slab size never changes a sample.
+    ``probability_at(i, j)`` returns the entries at index arrays i, j of an
+    n x n edge probability matrix whose entries are at most ``p_max``. The
+    uniforms are those of ``Generator.random`` on the Philox stream keyed by
+    (seed, stream), compared with the pairs j > i in row-major order. On
+    Philox that uniform is (w >> 11) * 2**-53 of the raw word w (Salmon et
+    al., SC 2011, for the counter-based stream), so only a word below
+    ceil(p_max * 2**53) << 11 can make an edge: the probabilities are
+    evaluated at those pairs alone and compared there exactly as the
+    generator would, so the draw is the same bit for bit. A Philox stream
+    drawn in pieces equals one draw of the total length, so the slab size
+    never changes a sample.
     """
-    rng = np.random.Generator(np.random.Philox(key=(seed, stream)))
+    words_of = np.random.Philox(key=(seed, stream)).random_raw
+    limit = math.ceil(p_max * 2.0**53)  # p_max * 2**53 is exact
+    # np.uint64 operands keep the shifts unsigned under numpy 1.x promotion
+    below = None if limit >= 1 << 53 else np.uint64(limit << 11)
     step = max(1, _SLAB_CELLS // max(n, 1))
-    cols = np.arange(n)
     hits = [np.empty((2, 0), np.int32)]  # (row, column) of each edge
     for lo in range(0, n, step):
         i = np.arange(lo, min(lo + step, n))
-        p = probability_rows(lo, lo + i.shape[0])
         # start[r]: position of pair (i[r], i[r] + 1) in the slab's pair order
         start = np.concatenate([[0], np.cumsum(n - 1 - i)])
-        hit = np.flatnonzero(rng.random(start[-1]) < p[cols > i[:, None]])
-        r = np.searchsorted(start, hit, side="right") - 1
-        hits.append(np.array([lo + r, hit - start[r] + lo + r + 1], dtype=np.int32))
+        words = words_of(start[-1])
+        at = np.arange(words.shape[0]) if below is None else np.flatnonzero(words < below)
+        r = np.searchsorted(start, at, side="right") - 1
+        rows = lo + r
+        cols = at - start[r] + rows + 1
+        uniform = (words[at] >> np.uint64(11)) * 2.0**-53
+        hit = uniform < probability_at(rows, cols)
+        hits.append(np.array([rows[hit], cols[hit]], dtype=np.int32))
     return SymmetricPattern.from_upper(*np.hstack(hits), n)
 
 
@@ -150,7 +185,8 @@ def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:
     keyed by (seed, t).
     """
     snaps = [
-        _sample_rows(spec.n_nodes, partial(spec._probability_rows, t), seed, stream=t)
+        _sample_rows(spec.n_nodes, partial(spec._probability_at, t),
+                     spec._max_probability(t), seed, stream=t)
         for t in range(spec.n_snapshots)
     ]
     return GraphSeries(snapshots=snaps)

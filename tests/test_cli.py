@@ -282,6 +282,104 @@ class TestWriteCsv:
         with pytest.raises(ValueError):
             cli._write_csv(tmp_path / "a.csv", None, [[1, 2, 3], [1, 2]])
 
+    def test_labelled_columns_equal_their_lists(self, tmp_path, monkeypatch):
+        # 50 rows in chunks of 7; labelled columns first and last, so both
+        # separators are folded into labels
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)
+        rng = np.random.default_rng(3)
+        labels = [f"node {k}" for k in range(12)]
+        codes = rng.integers(0, 12, 50)
+        floats = rng.standard_normal(50)
+        listed = [[labels[c] for c in codes], floats, [labels[c] for c in codes[::-1]]]
+        labelled = [(labels, codes), floats, (labels, codes[::-1])]
+        assert cli._write_csv(tmp_path / "listed.csv", ["a", "b", "c"], listed) == 50
+        assert cli._write_csv(tmp_path / "labelled.csv", ["a", "b", "c"], labelled) == 50
+        write_csv_per_cell(tmp_path / "old.csv", ["a", "b", "c"], listed)
+        assert (tmp_path / "labelled.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
+        assert (tmp_path / "labelled.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_labelled_column_length_is_its_codes(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "a.csv", None, [(["a", "b"], np.array([0, 1, 1])), [1, 2]])
+
+
+def read_embedding_rowwise(path):
+    """Reference reader: groups the rows of an embedding CSV by time in the
+    order the file first names each time, one row at a time."""
+    labels, coords = {}, {}
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for line in fh:
+            label, t, *y = line.strip().split(",")
+            labels.setdefault(float(t), []).append(label)
+            coords.setdefault(float(t), []).append([float(x) for x in y])
+    return list(coords), [labels[t] for t in coords], [np.array(coords[t]) for t in coords]
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("first, second, message", [
+        ((5, 3, "nan"), (9, 2, "x"), "line 5: bad y_2 'nan'"),
+        ((3, 2, "x"), (7, None, None), "line 3: bad y_1 'x'"),
+        ((7, 2, "x"), (3, None, None), "line 3: ragged row, 5 cells for 6 columns"),
+    ])
+    def test_first_bad_line_in_file_order(self, emb120, tmp_path, first, second, message):
+        # two defects in one chunk: the error names the earlier line, whichever
+        # column or kind of defect comes first; a cell of None drops the line's
+        # last cell
+        lines = (emb120 / "embedding.csv").read_text().splitlines(keepends=True)
+        for line, column, value in (first, second):
+            cells = lines[line - 1].rstrip("\n").split(",")
+            if value is None:
+                cells.pop()
+            else:
+                cells[column] = value
+            lines[line - 1] = ",".join(cells) + "\n"
+        path = tmp_path / "embedding.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError) as info:
+            cli._read_embedding_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_bad_cell_in_a_later_chunk(self, tmp_path):
+        rows = [f"{k},1,1\n" for k in range(cli.CSV_CHUNK_ROWS + 10)]
+        rows[cli.CSV_CHUNK_ROWS + 1] = "x,1,one\n"
+        truth = tmp_path / "truth.csv"
+        truth.write_text("node_label,time_label,community\n" + "".join(rows))
+        with pytest.raises(DataError) as info:
+            cli._read_truth(truth)
+        assert str(info.value) == f"{truth}: line {cli.CSV_CHUNK_ROWS + 3}: bad community 'one'"
+
+    @pytest.mark.parametrize("chunk", [5, None])
+    def test_shuffled_embedding_equals_the_rowwise_reader(self, emb120, tmp_path,
+                                                          monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk)
+        header, *body = (emb120 / "embedding.csv").read_text().splitlines(keepends=True)
+        order = np.random.default_rng(5).permutation(len(body))
+        path = tmp_path / "embedding.csv"
+        path.write_text(header + "".join(body[k] for k in order))
+        emb, labels, times = cli._read_embedding_csv(path)
+        want_times, want_labels, want_points = read_embedding_rowwise(path)
+        assert times == want_times and labels == want_labels
+        for got, want in zip(emb.points, want_points, strict=True):
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+
+    def test_interleaved_times_give_the_same_report(self, sim120, emb120, tmp_path):
+        # time 2 named first and rows alternating between the times: the file
+        # holds the same point sets, so the report is the same to the byte
+        header, *body = (emb120 / "embedding.csv").read_text().splitlines(keepends=True)
+        n = len(body) // 2
+        path = tmp_path / "embedding.csv"
+        path.write_text(header + "".join(body[n + k] + body[k] for k in range(n)))
+        reports = []
+        for emb in (emb120, path):
+            out = tmp_path / f"rep{len(reports)}"
+            run("stability", "--embedding", emb, "--truth", sim120 / "truth.csv",
+                *TestStability.PAIRS, "--threshold", 10, "--out", out)
+            reports.append((out / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestEmbed:
     def test_uase_outputs(self, emb120):
@@ -669,6 +767,16 @@ class TestStability:
         assert run("stability", "--embedding", emb120, "--truth", sim120 / "truth.csv",
                    "--pair", "9:1/4:2", "--out", tmp_path / "rep") == 2
         assert "pair group 9:1 has no nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", ["1:1/1:1", "4:2/4:2.0"])
+    def test_pair_of_a_group_with_itself_exits_2(self, sim120, emb120, tmp_path, capsys,
+                                                 pair):
+        # such a pair scored gap_ratio 0 and passed, a verdict that tests nothing
+        assert run("stability", "--embedding", emb120, "--truth", sim120 / "truth.csv",
+                   "--pair", pair, "--out", tmp_path / "rep") == 2
+        assert f"--pair '{pair}' pairs group {pair.split('/')[0]} with itself" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "rep").exists()
 
     def test_bad_pairs(self, sim120, emb120, tmp_path):
         truth = sim120 / "truth.csv"

@@ -15,7 +15,8 @@ from dynembed.models import (
 def sample_adjacency(p, seed, stream=0):
     # one symmetric Bernoulli(p) draw from the Philox stream keyed by
     # (seed, stream), through the sampler behind sample_dsbm, as a CSR matrix
-    return models._sample_rows(p.shape[0], lambda lo, hi: p[lo:hi], seed, stream).tocsr()
+    return models._sample_rows(p.shape[0], lambda i, j: p[i, j], p.max(), seed,
+                               stream).tocsr()
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +78,9 @@ class TestSpecValidation:
             memberships=np.array([0, 1, 1, 1]),
             degree_weights=np.array([1.5, 1.0, 1.0, 1.0]),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge probabilities exceed 1"):
             spec.gram_matrix(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge probabilities exceed 1"):
             sample_dsbm(spec)
 
 
@@ -163,6 +164,23 @@ class TestSampling:
         _, p_value = stats.kstest(z, "norm")
         assert p_value > 1e-4
 
+    @pytest.mark.parametrize("other", [0.0, 0.5])
+    @pytest.mark.parametrize("side, edge", [(-1, False), (0, False), (1, True)])
+    def test_uniform_next_to_its_probability(self, side, edge, other):
+        # pair (0, 1) of a three-node graph meets the first word w of its
+        # Philox stream: p is the generator's uniform (w >> 11) * 2**-53 or
+        # the float next to it, where a candidate bound (other = 0, so p is
+        # the largest entry) or a comparison (other = 0.5) one step off would
+        # change the draw
+        w = int(np.random.Philox(key=(1, 0)).random_raw())
+        uniform = (w >> 11) * 2.0**-53
+        assert (w >> 11) < 2**52 and uniform < 0.5  # the next float is within one word step
+        p = np.full((3, 3), other)
+        p[0, 1] = p[1, 0] = np.nextafter(uniform, side) if side else uniform
+        got = sample_adjacency(p, seed=1).toarray()
+        want = dense_reference_draw(p, 1, 0).toarray()
+        assert got[0, 1] == want[0, 1] == edge
+
     def test_expected_rank_bound(self, fourblock):
         spec = DsbmSpec(block_matrices=fourblock.block_matrices, n_nodes=60)
         grams = spec.gram_matrices()
@@ -206,6 +224,18 @@ def oracle_specs():
         ),
         "n1": DsbmSpec(block_matrices=[np.array([[0.5]])], n_nodes=1),
         "n2": DsbmSpec(block_matrices=[np.array([[0.9]])] * 3, n_nodes=2),
+        # p = 1: every Philox word is a candidate edge
+        "p_one": DsbmSpec(block_matrices=[np.array([[1.0, 0.3], [0.3, 0.6]])], n_nodes=50),
+        # p = 0: no word is
+        "p_zero": DsbmSpec(block_matrices=[np.zeros((2, 2))] * 2, n_nodes=40),
+        # nodes 0 and 1 (weight 2, community 0) meet at exactly 0.5 * 4 * 0.5 = 1
+        "weighted_one": DsbmSpec(
+            block_matrices=[np.array([[0.5, 0.1], [0.1, 0.3]])],
+            n_nodes=n,
+            memberships=np.arange(n) >= n // 2,
+            degree_weights=np.concatenate([[2.0, 2.0], rng.uniform(0.3, 1.0, size=n - 2)]),
+            rho=0.5,
+        ),
     }
 
 
@@ -214,7 +244,8 @@ class TestSlabSamplerOracle:
     # whatever the slab size: 7 cells puts every row in a slab of its own,
     # 1000 cells gives multi-row slabs on the small specs
     @pytest.mark.parametrize("slab_cells", [None, 7, 1000])
-    @pytest.mark.parametrize("name", ["fourblock", "varying", "n1", "n2"])
+    @pytest.mark.parametrize("name", ["fourblock", "varying", "n1", "n2", "p_one", "p_zero",
+                                      "weighted_one"])
     def test_equals_dense_draw(self, name, slab_cells, monkeypatch):
         if slab_cells is not None:
             monkeypatch.setattr(models, "_SLAB_CELLS", slab_cells)
