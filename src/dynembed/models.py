@@ -216,47 +216,57 @@ def load_dsbm_config(path) -> DsbmSpec:
         [snapshot.2]
         ...
 
-    Snapshot sections are ordered by their numeric suffix.
+    Snapshot sections are ordered by their numeric suffix. A file that does
+    not parse as this layout raises ValueError naming it.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path, encoding="utf-8")
-    if not read:
-        raise FileNotFoundError(path)
-    if "model" not in cp:
-        raise ValueError("config needs a [model] section")
-    model = cp["model"]
-    n_nodes = model.getint("n_nodes")
-    if n_nodes is None or n_nodes <= 0:
-        raise ValueError("n_nodes must be a positive integer")
-    rho = model.getfloat("rho", fallback=1.0)
+    try:
+        if not cp.read(str(path), encoding="utf-8"):
+            raise FileNotFoundError(path)
+        if "model" not in cp:
+            raise ValueError("config needs a [model] section")
+        model = cp["model"]
+        n_nodes = model.getint("n_nodes")
+        if n_nodes is None or n_nodes <= 0:
+            raise ValueError("n_nodes must be a positive integer")
+        rho = model.getfloat("rho", fallback=1.0)
 
-    snapshot_sections = []
-    for name in cp.sections():
-        if name.startswith("snapshot."):
+        snapshot_sections = []
+        for name in cp.sections():
+            if name.startswith("snapshot."):
+                try:
+                    order = int(name.split(".", 1)[1])
+                except ValueError:
+                    raise ValueError(f"bad snapshot section name {name!r}") from None
+                snapshot_sections.append((order, name))
+        if not snapshot_sections:
+            raise ValueError("config needs at least one [snapshot.N] section")
+        snapshot_sections.sort()
+        blocks = []
+        for _, name in snapshot_sections:
             try:
-                order = int(name.split(".", 1)[1])
-            except ValueError:
-                raise ValueError(f"bad snapshot section name {name!r}") from None
-            snapshot_sections.append((order, name))
-    if not snapshot_sections:
-        raise ValueError("config needs at least one [snapshot.N] section")
-    snapshot_sections.sort()
-    blocks = [_parse_matrix(cp[name]["block_matrix"]) for _, name in snapshot_sections]
+                blocks.append(_parse_matrix(cp[name]["block_matrix"]))
+            except (KeyError, ValueError):
+                raise ValueError(f"[{name}] needs a block_matrix of numbers "
+                                 "in rows of equal length") from None
 
-    memberships = None
-    if "memberships" in model:
-        memberships = np.array([int(x) for x in model["memberships"].split()])
-    weights = None
-    if "degree_weights" in model:
-        weights = np.array([float(x) for x in model["degree_weights"].split()])
+        memberships = None
+        if "memberships" in model:
+            memberships = np.array([int(x) for x in model["memberships"].split()])
+        weights = None
+        if "degree_weights" in model:
+            weights = np.array([float(x) for x in model["degree_weights"].split()])
 
-    return DsbmSpec(
-        block_matrices=blocks,
-        n_nodes=n_nodes,
-        memberships=memberships,
-        degree_weights=weights,
-        rho=rho,
-    )
+        return DsbmSpec(
+            block_matrices=blocks,
+            n_nodes=n_nodes,
+            memberships=memberships,
+            degree_weights=weights,
+            rho=rho,
+        )
+    except (configparser.Error, ValueError) as exc:
+        msg = str(exc).splitlines()[0]
+        raise ValueError(msg if str(path) in msg else f"{path}: {msg}") from None
 
 
 def bundled_config_path(name: str) -> Path:

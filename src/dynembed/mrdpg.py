@@ -11,8 +11,9 @@ module builds
   unfolding per node, one left position per state sequence and one right
   position per state and time, all from one SVD of a small coupling matrix;
 - asymptotic error covariances for the per-snapshot embedding rows;
-- exchangeability predicates deciding when two states are indistinguishable
-  at a time point, exactly or up to a degree scaling.
+- one exchangeability rule deciding when two (state, time) cells are
+  indistinguishable, exactly or up to a degree scaling, at one time or
+  across times, and the pairs it implies for a stability report.
 
 Everything here is noise free; sampling lives in :mod:`dynembed.models`.
 """
@@ -28,8 +29,8 @@ from .linalg import orient_columns
 from .models import DsbmSpec
 
 RANK_RTOL = 1e-10
-# relative tolerance under which two kernel rows count as equal
-ROW_RTOL = 1e-9
+# relative tolerance under which two columns over the sequences count as equal
+COLUMN_RTOL = 1e-9
 
 
 @dataclass
@@ -215,51 +216,82 @@ def theoretical_error_covariance(
 
 @dataclass(frozen=True)
 class ExchangeabilityResult:
-    """Comparison of two states' kernel rows at one time point."""
+    """Comparison of two (state, time) cells' columns over the sequences."""
 
     exact: bool
     proportional: bool
     scale: float | None
 
 
-def _rows_equal(row_a: np.ndarray, row_b: np.ndarray) -> bool:
-    """Whether two kernel rows agree within ROW_RTOL of their largest entry."""
-    norm = max(np.max(np.abs(row_a)), np.max(np.abs(row_b)))
-    return bool(np.max(np.abs(row_a - row_b)) <= ROW_RTOL * norm)
+def _columns_equal(col_a: np.ndarray, col_b: np.ndarray) -> bool:
+    """Whether two columns agree within COLUMN_RTOL of their largest entry."""
+    norm = max(np.max(np.abs(col_a)), np.max(np.abs(col_b)))
+    return bool(np.max(np.abs(col_a - col_b)) <= COLUMN_RTOL * norm)
 
 
-def exchangeable_states(model: FiniteModel, t: int, a: int, b: int) -> ExchangeabilityResult:
-    """Decide whether states a and b are exchangeable at time t.
+def exchangeable_states(model: FiniteModel, cell_a, cell_b) -> ExchangeabilityResult:
+    """Decide whether two (state, time) cells (a, t) and (b, u) are exchangeable.
 
-    Exact exchangeability means equal kernel rows, so the states are
-    statistically indistinguishable at that time and share one right position.
-    Proportional (degree-scaled) exchangeability means row_a = scale * row_b,
-    so the positions differ by that scalar only.
+    A cell's column over the sequences, kernels[t][sequences[:, t], a], holds
+    its edge probabilities to the nodes of each sequence and alone decides its
+    right position, column^T (p * x) / sigma (see :func:`latent_structure`).
+    Equal columns are exactly exchangeable: one shared position. Proportional
+    columns, col_a = scale * col_b, are degree-scaled exchangeable: positions
+    differ by that scalar only. The times may differ.
     """
-    kernel = model.kernels[t]
-    row_a, row_b = kernel[a], kernel[b]
-    if _rows_equal(row_a, row_b):
+    (a, t), (b, u) = cell_a, cell_b
+    col_a = model.kernels[t][model.sequences[:, t], a]
+    col_b = model.kernels[u][model.sequences[:, u], b]
+    if _columns_equal(col_a, col_b):
         return ExchangeabilityResult(True, True, 1.0)
-    denom = float(row_b @ row_b)
-    scale = float(row_a @ row_b) / denom if denom else 0.0
-    if scale > 0 and _rows_equal(row_a, scale * row_b):
+    denom = float(col_b @ col_b)
+    scale = float(col_a @ col_b) / denom if denom else 0.0
+    if scale > 0 and _columns_equal(col_a, scale * col_b):
         return ExchangeabilityResult(False, True, scale)
     return ExchangeabilityResult(False, False, None)
 
 
 def exchangeability_classes(model: FiniteModel, t: int) -> list:
-    """Partition the realized states at time t into groups with equal kernel
-    rows. Returns a list of lists of states."""
+    """Partition the realized states at time t into groups whose columns over
+    the sequences are equal. Returns a list of lists of states."""
     realized = model.realized_states(t).tolist()
     classes: list[list[int]] = []
     for state in realized:
         for group in classes:
-            if exchangeable_states(model, t, state, group[0]).exact:
+            if exchangeable_states(model, (state, t), (group[0], t)).exact:
                 group.append(state)
                 break
         else:
             classes.append([state])
     return classes
+
+
+def discover_pairs(model: FiniteModel):
+    """All exchangeable (state, time) pairs of a finite-state model.
+
+    Returns (pairs, scales) with pairs ((a, t), (b, u)) in state labels: per
+    time, states with equal columns (scale 1), then with proportional ones
+    (the fitted scale); then, for each t, the states (a, b) that some
+    sequence holds at t and t + 1 whose columns are equal or proportional,
+    so that a cross-time pair follows the same nodes. The group labels that
+    match them are ``model.sequences[node_sequences].T``.
+    """
+    candidates = []
+    for t in range(model.n_times):
+        classes = exchangeability_classes(model, t)
+        heads = [g[0] for g in classes]
+        candidates += [((g[0], t), (b, t)) for g in classes for b in g[1:]]
+        candidates += [((a, t), (b, t)) for i, a in enumerate(heads) for b in heads[i + 1 :]]
+    for t in range(model.n_times - 1):
+        held = np.unique(model.sequences[:, t : t + 2], axis=0).tolist()
+        candidates += [((a, t), (b, t + 1)) for a, b in held]
+    pairs, scales = [], []
+    for pair in candidates:
+        res = exchangeable_states(model, *pair)
+        if res.proportional:
+            pairs.append(pair)
+            scales.append(res.scale)
+    return pairs, scales
 
 
 def model_from_dsbm(spec: DsbmSpec):

@@ -17,28 +17,13 @@ import numpy as np
 from .embedders import Embedding, uase
 from .linalg import procrustes
 from .models import DsbmSpec, sample_dsbm
-from .mrdpg import (
-    _rows_equal,
-    exchangeability_classes,
-    exchangeable_states,
-    latent_structure,
-    model_from_dsbm,
-    theoretical_error_covariance,
-)
+from .mrdpg import latent_structure, model_from_dsbm, theoretical_error_covariance
 
 # Calibrated on the bundled four-community benchmark over a 20-seed pilot:
 # centroid gap ratios of genuinely exchangeable pairs stayed below 0.27 for
 # every method that resolves them, while every failure mode produced ratios
 # above 0.38. The midpoint separates the two populations with margin.
 DEFAULT_GAP_THRESHOLD = 0.3
-
-
-def _group_points(embedding: Embedding, memberships: np.ndarray, group: int, t: int):
-    z = memberships[t] if memberships.ndim == 2 else memberships
-    mask = z == group
-    if not np.any(mask):
-        raise ValueError(f"no nodes in group {group} at time {t}")
-    return embedding.points[t][mask]
 
 
 def _pad_to(v: np.ndarray, d: int) -> np.ndarray:
@@ -87,53 +72,22 @@ class StabilityReport:
         return all(p.passed for p in self.pairs)
 
 
-def discover_pairs(model):
-    """All exchangeable (state, time) pairs implied by a finite-state model.
-
-    Returns (pairs, scales): same-time pairs for states with equal kernel rows
-    (scale 1) or proportional rows (the fitted scale), plus cross-time pairs
-    for states whose row is unchanged between consecutive times.
-    """
-    pairs, scales = [], []
-    for t in range(model.n_times):
-        classes = exchangeability_classes(model, t)
-        for group in classes:
-            for other in group[1:]:
-                pairs.append(((group[0], t), (other, t)))
-                scales.append(1.0)
-        heads = [g[0] for g in classes]
-        for i, a in enumerate(heads):
-            for b in heads[i + 1 :]:
-                res = exchangeable_states(model, t, a, b)
-                if res.proportional and not res.exact:
-                    pairs.append(((a, t), (b, t)))
-                    scales.append(res.scale)
-    for t in range(model.n_times - 1):
-        k1, k2 = model.kernels[t], model.kernels[t + 1]
-        if k1.shape != k2.shape:
-            continue
-        for state in stable_states(model, t, t + 1):
-            pairs.append(((state, t), (state, t + 1)))
-            scales.append(1.0)
-    return pairs, scales
-
-
 def stability_report(
     embedding: Embedding,
     memberships: np.ndarray,
-    pairs: list | None = None,
+    pairs: list,
     *,
-    model=None,
     threshold: float = DEFAULT_GAP_THRESHOLD,
     scales: list | None = None,
 ) -> StabilityReport:
     """Check that paired (group, time) point clouds coincide.
 
+    memberships: (T, n) group labels per time, or (n,) labels for every time.
     pairs: list of ((group, t), (group2, t2)) with 0-based times. Equal times
     probe cross-sectional agreement, different times longitudinal agreement.
-    With pairs omitted, a finite-state ``model`` must be given and all
-    exchangeable pairs it implies are tested (group labels are then the model
-    state indices). scales: optional per-pair factor a > 0 (finite), testing
+    For a finite-state model, :func:`dynembed.mrdpg.discover_pairs` gives the
+    pairs and scales in state labels, ``model.sequences[node_sequences].T``.
+    scales: optional per-pair factor a > 0 (finite), testing
     cloud_a == a * cloud_b (degree scaled exchangeability); covariances are
     compared after dividing the first cloud by a, which describes the spread
     only when the scaling acts on the positions alone.
@@ -144,34 +98,43 @@ def stability_report(
     produced by per-snapshot embedders) are compared after zero padding, so
     unrelated coordinate systems surface as large gaps rather than errors.
     """
+    t_count, n = len(embedding.points), embedding.points[0].shape[0]
     memberships = np.asarray(memberships)
-    if pairs is None:
-        if model is None:
-            raise ValueError("need explicit pairs or a model to discover them from")
-        pairs, scales = discover_pairs(model)
+    if memberships.shape not in ((t_count, n), (n,)):
+        raise ValueError(f"memberships of shape {memberships.shape} fit no embedding "
+                         f"of {t_count} times and {n} nodes")
+    memberships = np.broadcast_to(memberships, (t_count, n))
+    scales = [1.0] * len(pairs) if scales is None else [float(s) for s in scales]
+    if len(scales) != len(pairs):
+        raise ValueError(f"{len(scales)} scales for {len(pairs)} pairs")
+    clouds, centroids = {}, {}    # per time, each group's points and centroid
     results = []
-    for k, ((ga, ta), (gb, tb)) in enumerate(pairs):
-        scale = 1.0 if scales is None else float(scales[k])
+    for ((ga, ta), (gb, tb)), scale in zip(pairs, scales):
+        name = f"pair {ga}:{ta}/{gb}:{tb}"
         if not (np.isfinite(scale) and scale > 0):
-            raise ValueError(f"pair {ga}:{ta}/{gb}:{tb}: scale {scale:g} "
-                             "is not positive and finite")
-        pts_a = _group_points(embedding, memberships, ga, ta) / scale
-        pts_b = _group_points(embedding, memberships, gb, tb)
+            raise ValueError(f"{name}: scale {scale:g} is not positive and finite")
+        for g, t in ((ga, ta), (gb, tb)):
+            if t not in range(t_count):
+                raise ValueError(f"{name}: time {t} outside [0, {t_count})")
+            if t not in clouds:
+                z = memberships[t]
+                clouds[t] = {h: embedding.points[t][z == h] for h in np.unique(z)}
+                centroids[t] = {h: pts.mean(axis=0) for h, pts in clouds[t].items()}
+            if g not in clouds[t]:
+                raise ValueError(f"{name}: no nodes in group {g} at time {t}")
+        pts_a = clouds[ta][ga] / scale
+        pts_b = clouds[tb][gb]
         d = max(pts_a.shape[1], pts_b.shape[1])
-        mean_a = _pad_to(pts_a.mean(axis=0), d)
-        mean_b = _pad_to(pts_b.mean(axis=0), d)
+        mean_a = _pad_to(centroids[ta][ga] / scale, d)
+        mean_b = _pad_to(centroids[tb][gb], d)
         centroid_gap = float(np.linalg.norm(mean_a - mean_b))
 
-        separation = np.inf
-        for g, t, own in ((ga, ta, mean_a), (gb, tb, mean_b)):
-            z = memberships[t] if memberships.ndim == 2 else memberships
-            for other in np.unique(z):
-                if (other, t) in ((ga, ta), (gb, tb)):
-                    continue
-                other_mean = _pad_to(
-                    _group_points(embedding, memberships, other, t).mean(axis=0), d
-                )
-                separation = min(separation, float(np.linalg.norm(own - other_mean)))
+        separation = min(
+            (float(np.linalg.norm(own - _pad_to(other, d)))
+             for t, own in ((ta, mean_a), (tb, mean_b))
+             for g, other in centroids[t].items() if (g, t) not in ((ga, ta), (gb, tb))),
+            default=np.inf,
+        )
         if not np.isfinite(separation):
             raise ValueError("no reference groups left to measure separation against")
         if separation <= 0:
@@ -199,22 +162,6 @@ def stability_report(
             )
         )
     return StabilityReport(pairs=results, threshold=threshold)
-
-
-def stable_states(model, t1: int, t2: int) -> list:
-    """States whose kernel row is identical at two times.
-
-    Needs the two kernels to share a state space. Such states are the ones a
-    longitudinally stable embedder must keep fixed between the two times.
-    """
-    k1, k2 = model.kernels[t1], model.kernels[t2]
-    if k1.shape != k2.shape:
-        raise ValueError("kernels at the two times have different state spaces")
-    return [
-        int(a)
-        for a in np.intersect1d(model.realized_states(t1), model.realized_states(t2))
-        if _rows_equal(k1[a], k2[a])
-    ]
 
 
 @dataclass
@@ -330,8 +277,10 @@ def clt_check(
     embedding is aligned to the noise-free positions, and the scaled residual
     rows sqrt(n) * (aligned - noise free) of the nodes in the given state at
     time t are pooled over nodes and repetitions. ``state`` indexes the
-    time-t kernel of the model summary (for a plain block model, the
-    community).
+    time-t kernel of :func:`dynembed.mrdpg.model_from_dsbm`, whose states
+    are the (community, degree weight) pairs present at t in sorted order
+    (for a plain block model, state k is the k-th smallest community with
+    nodes at t).
     """
     reference, model, node_seq, structure = _exact_reference(spec, d)
     group = model.sequences[node_seq, t] == state

@@ -202,6 +202,23 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--seed", 0, "--out", tmp_path / "x") == 2
         assert "degree_weights must be positive and finite" in capsys.readouterr().err
 
+    def test_malformed_config_exits_2_naming_file(self, tmp_path, capsys):
+        head = "[model]\nn_nodes = 4\n\n[snapshot.1]\n"
+        cases = {
+            "no_matrix": (head + "rho = 1\n", "[snapshot.1] needs a block_matrix"),
+            "no_header": ("n_nodes = 4\n", "no section headers"),
+            "two_models": ("[model]\nn_nodes = 4\n" + head + "block_matrix = 0.5\n",
+                           "section 'model' already exists"),
+            "ragged": (head + "block_matrix =\n    0.5 0.1\n    0.1\n",
+                       "[snapshot.1] needs a block_matrix"),
+        }
+        for name, (text, message) in cases.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            assert run("simulate", "--config", cfg, "--out", tmp_path / "x") == 2, name
+            err = capsys.readouterr().err
+            assert f"{name}.cfg" in err and message in err, err
+
     def test_unknown_config_name(self, tmp_path):
         assert run("simulate", "--config", "no_such_model",
                    "--out", tmp_path / "x") == 2

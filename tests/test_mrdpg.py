@@ -6,6 +6,7 @@ from dynembed.linalg import procrustes
 from dynembed.models import DsbmSpec, bundled_config_path, load_dsbm_config, sample_dsbm
 from dynembed.mrdpg import (
     FiniteModel,
+    discover_pairs,
     exchangeability_classes,
     exchangeable_states,
     latent_structure,
@@ -156,7 +157,7 @@ class TestExchangeability:
             sequences=np.array([[0], [1], [2]]),
             probabilities=np.array([0.4, 0.3, 0.3]),
         )
-        res = exchangeable_states(model, 0, 2, 0)
+        res = exchangeable_states(model, (2, 0), (0, 0))
         assert not res.exact
         assert res.proportional
         np.testing.assert_allclose(res.scale, 2.0, rtol=1e-9)
@@ -165,9 +166,47 @@ class TestExchangeability:
 
     def test_unrelated_states(self, fourblock_model):
         _, model, _ = fourblock_model
-        res = exchangeable_states(model, 0, 0, 1)
+        res = exchangeable_states(model, (0, 0), (1, 0))
         assert not res.exact
         assert not res.proportional
+
+
+def oracle_specs():
+    fourblock = load_dsbm_config(bundled_config_path("fourblock")).block_matrices
+    # the dsbm_large_cli blocks: from t = 5, community 2 takes community 0's row
+    dsbm = np.where(np.eye(3, dtype=bool), 0.05, 0.01)
+    dsbm = [dsbm] * 5 + [dsbm[np.ix_([0, 1, 0], [0, 1, 0])]] * 5
+    weights = np.round(np.random.default_rng(0).uniform(0.3, 1.0, 200), 1)
+    changing = [np.array([[0.5, 0.1, 0.1], [0.1, 0.3, 0.2], [0.1, 0.2, 0.3]]),
+                np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.2], [0.1, 0.2, 0.3]])]
+    return {
+        "fourblock": DsbmSpec(block_matrices=fourblock, n_nodes=40),
+        "dsbm": DsbmSpec(block_matrices=dsbm, n_nodes=30),
+        "weighted": DsbmSpec(block_matrices=fourblock, n_nodes=200, degree_weights=weights),
+        # state 0 is community 0 at both times, but other nodes hold it
+        "swapped": DsbmSpec(block_matrices=[changing[0]] * 2, n_nodes=60, memberships=np.vstack(
+            [np.repeat([0, 2], 30), np.repeat([1, 0], 30)])),
+        # community 1 keeps its nodes, as state 0 and then state 1
+        "kept": DsbmSpec(block_matrices=[changing[1]] * 2, n_nodes=60, memberships=np.vstack(
+            [np.repeat([1, 2], 30), np.repeat([1, 0], 30)])),
+    }
+
+
+@pytest.mark.parametrize("name", list(oracle_specs()))
+def test_discovered_pairs_have_proportional_positions(name):
+    # oracle: every discovered pair ((a, t), (b, u)) with scale c places the
+    # two cells at y_t[a] = c * y_u[b] in the exact latent structure
+    model, _ = model_from_dsbm(oracle_specs()[name])
+    pairs, scales = discover_pairs(model)
+    y = latent_structure(model).y
+    for ((a, t), (b, u)), c in zip(pairs, scales):
+        np.testing.assert_allclose(y[t][a], c * y[u][b], rtol=0, atol=1e-9)
+    if name == "weighted":
+        assert min(scales) < 1.0
+    else:
+        assert len(pairs) == {"fourblock": 2, "dsbm": 30, "swapped": 0, "kept": 1}[name]
+    if name == "kept":
+        assert pairs == [((0, 0), (1, 1))]
 
 
 class TestNoiseFreeEmbedding:

@@ -9,6 +9,7 @@ from dynembed.linalg import procrustes
 from dynembed.models import DsbmSpec, bundled_config_path, load_dsbm_config
 from dynembed.mrdpg import (
     FiniteModel,
+    discover_pairs,
     latent_structure,
     model_from_dsbm,
     noise_free_embedding,
@@ -18,10 +19,8 @@ from dynembed.stability import (
     _exact_reference,
     clt_check,
     consistency_curve,
-    discover_pairs,
     eigenvalue_cov_gap,
     stability_report,
-    stable_states,
 )
 
 
@@ -110,6 +109,22 @@ def test_single_member_group_skips_covariance():
     assert np.isfinite(pair.gap_ratio)
 
 
+def test_report_checks_its_indices():
+    emb, memb = three_group_embedding()
+    for pair, match in [
+        (((0, -1), (1, 0)), r"pair 0:-1/1:0: time -1 outside \[0, 1\)"),
+        (((0, 0), (1, 5)), r"pair 0:0/1:5: time 5 outside \[0, 1\)"),
+        (((0, 0), (7, 0)), r"pair 0:0/7:0: no nodes in group 7 at time 0"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            stability_report(emb, memb, [pair])
+    with pytest.raises(ValueError, match="1 scales for 2 pairs"):
+        stability_report(emb, memb, [((0, 0), (1, 0)), ((1, 0), (2, 0))], scales=[1.0])
+    for bad in (memb[:5], np.vstack([memb, memb]), memb[None, :, None]):
+        with pytest.raises(ValueError, match="memberships of shape"):
+            stability_report(emb, bad, [((0, 0), (1, 0))])
+
+
 def test_separation_needs_a_reference_group():
     pts = np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 0.0], [1.2, 0.0]])
     memb = np.array([0, 0, 1, 1])
@@ -174,14 +189,31 @@ def test_discover_pairs_reports_proportional_scale():
 
 def test_noise_free_fourblock_pairs_have_zero_gap():
     spec = fourblock_spec(200)
-    model, _ = model_from_dsbm(spec)
+    model, node_seq = model_from_dsbm(spec)
+    pairs, scales = discover_pairs(model)
     emb = uase(spec.gram_matrices(), 4, seed=0)
-    rep = stability_report(emb, spec.memberships, model=model)
+    rep = stability_report(emb, model.sequences[node_seq].T, pairs, scales=scales)
     assert len(rep.pairs) == 2
     for pair in rep.pairs:
         assert pair.gap_ratio < 1e-9
         assert pair.cov_gap < 1e-9
     assert rep.passed
+
+
+def test_noise_free_pairs_follow_nodes_across_state_labels():
+    # the first 30 nodes stay in community 1, which is state 0 at time 0 and
+    # state 1 at time 1; the last 30 move from community 2 to community 0
+    spec = DsbmSpec(
+        block_matrices=[np.array([[0.5, 0.2, 0.1], [0.2, 0.3, 0.2], [0.1, 0.2, 0.3]])] * 2,
+        n_nodes=60,
+        memberships=np.vstack([np.repeat([1, 2], 30), np.repeat([1, 0], 30)]),
+    )
+    model, node_seq = model_from_dsbm(spec)
+    pairs, scales = discover_pairs(model)
+    assert pairs == [((0, 0), (1, 1))]
+    emb = uase(spec.gram_matrices(), latent_structure(model).d, seed=0)
+    rep = stability_report(emb, model.sequences[node_seq].T, pairs, scales=scales)
+    assert rep.pairs[0].gap_ratio < 1e-9
 
 
 def test_report_invariant_to_global_rotation():
@@ -200,9 +232,8 @@ def test_report_invariant_to_global_rotation():
         assert pq.cov_gap == pytest.approx(p.cov_gap, abs=1e-7)
 
 
-def test_stable_states_fourblock():
+def test_discover_pairs_drops_perturbed_cross_time_pair():
     model, _ = model_from_dsbm(fourblock_spec(40))
-    assert stable_states(model, 0, 1) == [3]
     # perturb the shared row beyond tolerance
     k2 = model.kernels[1].copy()
     k2[3, 0] += 1e-3
@@ -212,17 +243,8 @@ def test_stable_states_fourblock():
         sequences=model.sequences,
         probabilities=model.probabilities,
     )
-    assert stable_states(moved, 0, 1) == []
-
-
-def test_stable_states_needs_shared_state_space():
-    model = FiniteModel(
-        kernels=[np.array([[0.2]]), np.array([[0.2, 0.1], [0.1, 0.3]])],
-        sequences=np.array([[0, 0], [0, 1]]),
-        probabilities=np.array([0.5, 0.5]),
-    )
-    with pytest.raises(ValueError):
-        stable_states(model, 0, 1)
+    pairs, _ = discover_pairs(moved)
+    assert [p for p in pairs if p[0][1] != p[1][1]] == []
 
 
 def test_consistency_curve_decreases():
