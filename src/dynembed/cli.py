@@ -22,6 +22,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -96,6 +97,15 @@ def _peak_rss_mib() -> float | None:
     return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
+def _blas() -> str:
+    """The BLAS numpy was built with, as "name version", or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return "unknown"
+
+
 def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
                     timings=None, details=None):
     manifest = {
@@ -105,7 +115,10 @@ def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
             "dynembed": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": _blas(),
         },
+        "blas_threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
         "timings_seconds": timings or {},
@@ -325,31 +338,22 @@ def _load_series(input_path, args) -> tuple[GraphSeries, list[Path]]:
         p = p / "snapshots.npz"
     if not p.exists():
         raise DataError(f"no such input {p}")
+    band = {name: getattr(args, name) for name in
+            ("window_seconds", "start", "end", "daily_start", "daily_end")}
     if p.suffix == ".npz":
         if p.name != "snapshots.npz":
             raise DataError(f"{p}: a saved series is read from a snapshots.npz "
                             "and the labels.txt beside it")
-        given = [f"--{name.replace('_', '-')}" for name in
-                 ("window_seconds", "start", "end", "daily_start", "daily_end")
-                 if getattr(args, name) is not None]
+        given = [f"--{name.replace('_', '-')}" for name, value in band.items()
+                 if value is not None]
         if given:
             raise DataError(f"{p}: {', '.join(given)} apply to a raw edge list, "
                             "not to a saved series")
         return GraphSeries.load(p.parent), [p, p.parent / "labels.txt"]
     if args.window_seconds is None:
-        raise DataError(
-            "raw edge list input needs --window-seconds to define snapshots"
-        )
-    return ingest_edge_list(
-        p,
-        window_seconds=args.window_seconds,
-        start=args.start,
-        end=args.end,
-        column_order=args.column_order,
-        label_order=args.label_order,
-        daily_start=args.daily_start,
-        daily_end=args.daily_end,
-    ), [p]
+        raise DataError("raw edge list input needs --window-seconds to define snapshots")
+    return ingest_edge_list(p, column_order=args.column_order,
+                            label_order=args.label_order, **band), [p]
 
 
 def _parse_dims(text, n_snapshots):
@@ -516,6 +520,8 @@ def cmd_embed(args) -> int:
         details["ingest"] = dataclasses.asdict(series.stats)
     if emb.signatures is not None:
         details["eigenvalue_signatures"] = [list(s) for s in emb.signatures]
+    if emb.route is not None:
+        details["omnibus_route"] = emb.route
     _write_manifest(
         out, args.argv, args.seed,
         inputs=inputs,

@@ -42,6 +42,7 @@ class Embedding:
     left: shared (n, d) left point set when the method defines one.
     signatures: per-decomposition (positive, negative) eigenvalue counts when
         the method is eigenvalue-based, else None.
+    route: omnibus's product, "dense" or "matrix-free"; else None.
     dims: embedding dimension per snapshot.
     """
 
@@ -49,6 +50,7 @@ class Embedding:
     method: str
     left: np.ndarray | None = None
     signatures: list | None = None
+    route: str | None = None
     dims: list = field(init=False)
 
     def __post_init__(self):
@@ -236,16 +238,16 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     patterns, n = as_patterns(series)
     t_count, side = len(patterns), len(patterns) * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        apply = omnibus_matrix(patterns).__matmul__
+        route, apply = "dense", omnibus_matrix(patterns).__matmul__
         del patterns  # the matrix holds all the eigensolver needs
     else:
-        apply = _omnibus_matvec(patterns, n)
+        route, apply = "matrix-free", _omnibus_matvec(patterns, n)
     scaled, signature = _signed_symmetric_embedding(apply, side, d, seed)
     # the omnibus point set keeps its own largest entries positive; the
     # per-snapshot methods follow the left vectors, as uase does
     (scaled,) = orient_columns(scaled)
     points = [scaled[t * n : (t + 1) * n] for t in range(t_count)]
-    return Embedding(points=points, method="omnibus", signatures=[signature])
+    return Embedding(points=points, method="omnibus", signatures=[signature], route=route)
 
 
 def select_dimension(singular_values: np.ndarray) -> tuple[int, np.ndarray]:

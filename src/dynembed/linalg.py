@@ -1,7 +1,8 @@
 """Numerical primitives: truncated SVD, orthogonal Procrustes, spherical coordinates.
 
 All routines are pure functions of their inputs plus an explicit seed; for a
-fixed seed the results are reproducible run to run.
+fixed seed the results are reproducible run to run, and truncated_svd's are
+the same bytes at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def orient_columns(u: np.ndarray, *partners: np.ndarray):
 LANCZOS_TOLERANCE = 1e-14
 
 
+# Long reductions run in numpy's einsum loops (optimize off), which sum in one
+# order; threaded BLAS adds a long sum's parts in an order set by thread count.
+def _norm(x) -> float:
+    return np.sqrt(np.einsum("i,i", x, x))
+
+
+def _project_off(rows: np.ndarray, w: np.ndarray) -> None:
+    """Subtract from w, in place, its projection onto the orthonormal rows."""
+    w -= np.einsum("ki,k->i", rows, np.einsum("ki,i->k", rows, w))
+
+
 def _lanczos(apply, side: int, d: int, start: np.ndarray):
     """Top-d eigenpairs by magnitude of the symmetric operator x -> apply(x)
     on vectors of length ``side``: Lanczos from ``start``, each new vector
@@ -63,7 +75,7 @@ def _lanczos(apply, side: int, d: int, start: np.ndarray):
     basis = np.empty((min(limit, 32), side))  # one Lanczos vector per row
     h = np.zeros((len(basis), len(basis)))  # the operator in that basis
     fresh = np.random.default_rng(side)
-    q, coupling = start / np.linalg.norm(start), np.zeros(0)
+    q, coupling = start / _norm(start), np.zeros(0)
     k, products, check, scale = 0, 0, 2 * d, 0.0
     while True:
         if k == len(basis):
@@ -76,19 +88,19 @@ def _lanczos(apply, side: int, d: int, start: np.ndarray):
         basis[k], h[k, :k], h[:k, k] = q, coupling, coupling
         w = apply(q)
         products += 1
-        h[k, k] = q @ w
+        h[k, k] = np.einsum("i,i", q, w)
         linked = np.flatnonzero(coupling)  # the previous vector, or all kept ones
-        w -= h[k, k] * q + basis[linked].T @ coupling[linked]
+        w -= h[k, k] * q + np.einsum("ki,k->i", basis[linked], coupling[linked])
         k += 1
-        w -= basis[:k].T @ (basis[:k] @ w)  # after the recurrence one pass suffices
-        beta = np.linalg.norm(w)
+        _project_off(basis[:k], w)  # after the recurrence one pass suffices
+        beta = _norm(w)
         if not np.isfinite(beta):
             raise ValueError("operator returned non-finite values")
         scale = max(scale, abs(h[k - 1, k - 1]), beta)
         if k < side and beta <= np.finfo(float).eps * scale:
             beta, w = 0.0, fresh.standard_normal(side)
             for _ in range(2):  # a random vector needs a second pass
-                w -= basis[:k].T @ (basis[:k] @ w)
+                _project_off(basis[:k], w)
         coupling = np.zeros(k)
         coupling[-1] = beta
         if k == side or k >= check or k == limit:
@@ -96,14 +108,15 @@ def _lanczos(apply, side: int, d: int, start: np.ndarray):
             order = np.argsort(-np.abs(values), kind="stable")
             residuals = np.abs(beta * s[-1, order[:d]])
             if k == side or np.all(residuals <= LANCZOS_TOLERANCE * np.abs(values).max()):
-                return values[order[:d]], basis[:k].T @ s[:, order[:d]], products
+                ritz = np.einsum("ki,kj->ij", basis[:k], s[:, order[:d]])
+                return values[order[:d]], ritz, products
             if k == limit:
                 keep = order[:d + 16]
-                basis[:keep.size] = s[:, keep].T @ basis[:k]
+                basis[:keep.size] = np.einsum("kj,ki->ji", s[:, keep], basis[:k])
                 h[:k, :k] = np.diag(np.pad(values[keep], (0, k - keep.size)))
                 coupling, k = beta * s[-1, keep], keep.size
             check = k + max(1, k // 8)
-        q = w / np.linalg.norm(w)
+        q = w / _norm(w)
 
 
 class SymmetricOperator:
@@ -127,12 +140,12 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     ``.T`` (a sparse matrix, :class:`~dynembed.netseries.Unfolding`). At every
     d, the top-d eigenvectors q of the smaller-side Gram operator x -> a @
     (a.T @ x) come from :func:`_lanczos`, started from a vector drawn with
-    ``seed``; one dense SVD of the d-row projection q.T @ m then gives the
-    singular values and both factors. An m that is its own transpose, ``m.T
-    is m`` (a :class:`SymmetricOperator`, a pattern, a one-snapshot
-    unfolding), is decomposed directly, with half the products: its top-d
-    eigenpairs (l, q) by magnitude give u = q, s = |l| and v = sign(l) q, a
-    zero counted positive. A zero matrix has zero singular values.
+    ``seed``. The eigenvectors of B B^T, for the d-row projection B = q.T @
+    m, turn q into u and B into the rows s_j v_j. An m that is its own
+    transpose, ``m.T is m`` (a :class:`SymmetricOperator`, a pattern, a
+    one-snapshot unfolding), is decomposed directly, with half the products:
+    its top-d eigenpairs (l, q) by magnitude give u = q, s = |l| and v =
+    sign(l) q, a zero counted positive. A zero matrix has zero singular values.
 
     Raises ValueError when d is out of range or the matrix has non-finite
     entries.
@@ -148,14 +161,27 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
         raise ValueError("matrix contains non-finite entries")
     # a is the wide orientation of m: its rows are the smaller side
     a = m if rows <= cols else m.T
-    start = np.random.default_rng(seed).standard_normal(a.shape[0])
+    rng = np.random.default_rng(seed)
+    start = rng.standard_normal(a.shape[0])
     if m.T is m:
         values, u, products = _lanczos(lambda x: m @ x, rows, d, start)
         s, v = np.abs(values), u * np.where(values < 0, -1.0, 1.0)
     else:
         _, q, products = _lanczos(lambda x: a @ (a.T @ x), a.shape[0], d, start)
-        ub, s, vbt = np.linalg.svd((a.T @ q).T, full_matrices=False)
-        small, large = q @ ub, vbt.T
+        # b = B^T; row j of w is s_j v_j, and s_j is its norm: the root of a
+        # small eigenvalue of B B^T would keep only half the digits of s_j
+        b = a.T @ q
+        _, ub = np.linalg.eigh(np.einsum("ia,ib->ab", b, b))
+        w = np.einsum("ia,ab->bi", b, ub)
+        s = np.sqrt(np.einsum("bi,bi->b", w, w))
+        order = np.argsort(-s, kind="stable")
+        ub, w, s = ub[:, order], w[order], s[order]
+        w[s == 0] = rng.standard_normal((np.sum(s == 0), w.shape[1]))  # seeded fill
+        for j, x in enumerate(w):  # Gram-Schmidt, twice
+            for _ in range(2):
+                _project_off(w[:j], x)
+            x /= _norm(x)
+        small, large = np.einsum("ia,ab->ib", q, ub), w.T
         u, v = (small, large) if rows <= cols else (large, small)
     u, v = orient_columns(u, v)
     return TruncatedSvd(u=u, s=np.asarray(s, dtype=float), v=v, gram_products=products)

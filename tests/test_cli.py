@@ -661,6 +661,44 @@ class TestEmbed:
         np.testing.assert_array_equal(got, np.vstack(lib.points))
         np.testing.assert_array_equal(left, lib.left)
 
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # n = 500, T = 10 at p = 0.05 within and 0.01 between, the third
+        # community copying the first from time 6 on: with threaded BLAS
+        # reductions this series' rank-50 scree and embedding differed
+        # between one and two threads
+        blocks = ["0.05 0.01 0.01\n    0.01 0.05 0.01\n    0.01 0.01 0.05",
+                  "0.05 0.01 0.05\n    0.01 0.05 0.01\n    0.05 0.01 0.05"]
+        cfg = tmp_path / "dsbm500.cfg"
+        cfg.write_text("[model]\nn_nodes = 500\n\n" + "".join(
+            f"[snapshot.{t}]\nblock_matrix =\n    {blocks[t >= 6]}\n\n" for t in range(1, 11)))
+        assert run("simulate", "--config", cfg, "--seed", 1, "--out", tmp_path / "sim") == 0
+        src = str(Path(dynembed.__file__).resolve().parents[1])
+        children = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            children[threads] = subprocess.Popen(
+                [sys.executable, "-m", "dynembed.cli", "embed", "--input",
+                 str(tmp_path / "sim" / "series"), "--method", "uase", "--dim", "auto",
+                 "--seed", "1", "--out", str(tmp_path / threads)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        for child in children.values():
+            _, err = child.communicate()
+            assert child.returncode == 0, err.decode()
+        for name in ("embedding.csv", "scree.csv", "left.csv"):
+            assert sha(tmp_path / "1" / name) == sha(tmp_path / "2" / name), name
+
+    @pytest.mark.parametrize("budget, route", [(None, "dense"), (0, "matrix-free")])
+    def test_manifest_names_the_omnibus_route(self, sim120, emb120, tmp_path,
+                                              monkeypatch, budget, route):
+        if budget is not None:
+            monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", budget)
+        out = tmp_path / "omni"
+        assert run("embed", "--input", sim120 / "series", "--method", "omnibus",
+                   "--dim", 3, "--seed", 1, "--out", out) == 0
+        assert read_manifest(out)["details"]["omnibus_route"] == route
+        assert "omnibus_route" not in read_manifest(emb120)["details"]
+
     def test_edge_list_daily_band(self, tmp_path, capsys):
         # 22:00-06:00 wraps midnight; half a band is refused, not ignored
         events = tmp_path / "events.txt"
@@ -831,6 +869,40 @@ class TestStability:
         assert run("stability", "--embedding", sim120 / "truth.csv", "--truth",
                    sim120 / "truth.csv", *self.PAIRS,
                    "--out", tmp_path / "rep") == 2
+
+
+class TestManifest:
+    def test_every_command_records_blas_and_thread_variables(self, sim120, emb120,
+                                                             tmp_path, monkeypatch):
+        # the BLAS numpy was built with, and each thread variable as set,
+        # None when unset
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        cfg = tmp_path / "fourblock120.cfg"
+        cfg.write_text(FOURBLOCK_120)
+        outs = {"simulate": ("--config", cfg, "--seed", 1),
+                "embed": ("--input", sim120 / "series", "--method", "uase", "--dim", 2),
+                "stability": ("--embedding", emb120, "--truth", sim120 / "truth.csv",
+                              *TestStability.PAIRS, "--threshold", 10),
+                "cluster": ("--embedding", emb120, "--grid", "1-2", "--restarts", 1)}
+        for command, words in outs.items():
+            assert run(command, *words, "--out", tmp_path / command) == 0
+            man = read_manifest(tmp_path / command)
+            assert man["versions"]["blas"] == f"{blas['name']} {blas['version']}"
+            assert man["blas_threads"] == {"OPENBLAS_NUM_THREADS": "3",
+                                           "OMP_NUM_THREADS": "1",
+                                           "MKL_NUM_THREADS": None}
+
+    def test_blas_unknown_without_build_record(self, tmp_path, monkeypatch):
+        # numpy before 1.26 takes no mode= and has no build dictionary
+        def show_config():
+            return None
+
+        monkeypatch.setattr(cli.np, "show_config", show_config)
+        cli._write_manifest(tmp_path, [], 0)
+        assert read_manifest(tmp_path)["versions"]["blas"] == "unknown"
 
 
 class TestCluster:
@@ -1043,13 +1115,20 @@ class TestUsage:
 
 def test_no_module_reads_the_environment():
     # every setting is an option or a constant; an environment variable would
-    # be a knob no manifest records
+    # be a knob no manifest records. The one reader is the manifest writer,
+    # which records the BLAS thread variables and decides nothing by them.
     import ast
 
     src = Path(dynembed.__file__).resolve().parent
     readers = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        recorder = {id(node) for f in ast.walk(tree) if path.name == "cli.py"
+                    and isinstance(f, ast.FunctionDef) and f.name == "_write_manifest"
+                    for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) in recorder:
+                continue
             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
                 readers.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.ImportFrom) and node.module == "os" and any(

@@ -275,8 +275,9 @@ class TestOmnibus:
         fill = embedders.omnibus_matrix
         monkeypatch.setattr(embedders, "omnibus_matrix",
                             lambda patterns: calls.append(1) or fill(patterns))
-        omnibus_embed(random_series(31, n=20, t=3), 5, seed=2)
+        emb = omnibus_embed(random_series(31, n=20, t=3), 5, seed=2)
         assert calls == ([1] if dense else [])
+        assert emb.route == ("dense" if dense else "matrix-free")
 
 
 class TestIndependent:

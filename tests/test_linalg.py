@@ -113,6 +113,18 @@ class TestTruncatedSvd:
         for part, want in (("u", u), ("s", s), ("v", v)):
             np.testing.assert_allclose(getattr(got, part), want, atol=1e-12)
 
+    @pytest.mark.parametrize("m, value", [(np.zeros((6, 9)), 0.0), (2.0 * np.eye(30, 40), 2.0)])
+    def test_zero_and_tied_spectra(self, m, value):
+        # no LAPACK SVD orders or completes the factors: a zero matrix's v
+        # comes from the seed's draws, and tied values stay non-increasing
+        res = truncated_svd(m, 5, seed=4)
+        assert np.all(np.diff(res.s) <= 0)
+        np.testing.assert_allclose(res.s, value, rtol=0, atol=1e-14)
+        for factor in (res.u, res.v):
+            np.testing.assert_allclose(factor.T @ factor, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(m @ res.v, res.u * res.s, atol=1e-12)
+        assert truncated_svd(m, 5, seed=4).v.tobytes() == res.v.tobytes()
+
     def test_rejects_bad_rank(self):
         m = np.eye(4)
         with pytest.raises(ValueError):
