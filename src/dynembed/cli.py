@@ -67,10 +67,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    # read into one buffer: a new chunk per read would hold two at a time
+    h, chunk = hashlib.sha256(), bytearray(1 << 16)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            h.update(memoryview(chunk)[:size])
     return h.hexdigest()
 
 
@@ -424,12 +425,14 @@ def cmd_simulate(args) -> int:
     series.times = list(range(1, spec.n_snapshots + 1))
     t1 = time.perf_counter()
     out = Path(args.out)
-    series.save(out / "series")
+    saved = series.save(out / "series")
     outputs = [out / "series" / "snapshots.npz", out / "series" / "labels.txt"]
     t2 = time.perf_counter()
-    for t, pattern in enumerate(series.patterns):
+    # each edges_t.csv from the upper triangle the series file holds
+    for t, (indptr, indices) in enumerate(saved):
         path = out / f"edges_{t + 1}.csv"
-        _write_csv(path, ["u", "v"], [(series.node_labels, ends) for ends in pattern.upper()])
+        rows = np.repeat(np.arange(spec.n_nodes), np.diff(indptr))
+        _write_csv(path, ["u", "v"], [(series.node_labels, ends) for ends in (rows, indices)])
         outputs.append(path)
     t3 = time.perf_counter()
     truth = out / "truth.csv"

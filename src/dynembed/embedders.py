@@ -205,15 +205,22 @@ def _omnibus_matvec(patterns, n: int):
 
 def omnibus_matrix(series) -> np.ndarray:
     """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2."""
-    # diagonal block s is set to A_s; each other block averages two of them
-    # in place
+    # diagonal block s is set to A_s a block of rows at a time, through the
+    # flat indices (row base + column) of about one matrix row of entries;
+    # each other block averages two of them in place
     patterns, n = as_patterns(series)
-    t_count = len(patterns)
-    m = np.zeros((t_count * n, t_count * n))
-    blocks = m.reshape(t_count, n, t_count, n)
+    t_count, side = len(patterns), len(patterns) * n
+    m = np.zeros((side, side))
+    blocks, flat = m.reshape(t_count, n, t_count, n), m.reshape(-1)
     for s, pattern in enumerate(patterns):
-        rows, cols, data = pattern.entries()
-        blocks[s, :, s][rows, cols] = 1.0 if data is None else data
+        ends = np.append(pattern.starts, pattern.cols.size)
+        counts, base = np.diff(ends), np.arange(n) * side + s * n * (side + 1)
+        step = max(1, side * n // max(pattern.cols.size, 1))
+        for lo in range(0, n, step):
+            at = slice(ends[lo], ends[min(lo + step, n)])
+            index = np.repeat(base[lo:lo + step], counts[lo:lo + step]) + pattern.cols[at]
+            real = pattern.cols[at] < n  # not an empty row's placeholder
+            flat[index[real]] = 1.0 if pattern.data is None else pattern.data[at][real]
     for s, t in zip(*np.triu_indices(t_count, 1)):
         np.add(blocks[s, :, s], blocks[t, :, t], out=blocks[s, :, t])
         blocks[s, :, t] *= 0.5

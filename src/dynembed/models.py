@@ -160,7 +160,7 @@ def _sample_rows(n: int, probability_at, p_max: float, seed: int,
     # np.uint64 operands keep the shifts unsigned under numpy 1.x promotion
     below = None if limit >= 1 << 53 else np.uint64(limit << 11)
     step = max(1, _SLAB_CELLS // max(n, 1))
-    hits = [np.empty((2, 0), np.int32)]  # (row, column) of each edge
+    hits = [np.empty(0, np.intp)]  # i n + j of each edge (i, j)
     for lo in range(0, n, step):
         i = np.arange(lo, min(lo + step, n))
         # start[r]: position of pair (i[r], i[r] + 1) in the slab's pair order
@@ -172,8 +172,8 @@ def _sample_rows(n: int, probability_at, p_max: float, seed: int,
         cols = at - start[r] + rows + 1
         uniform = (words[at] >> np.uint64(11)) * 2.0**-53
         hit = uniform < probability_at(rows, cols)
-        hits.append(np.array([rows[hit], cols[hit]], dtype=np.int32))
-    return SymmetricPattern.from_upper(*np.hstack(hits), n)
+        hits.append(rows[hit] * n + cols[hit])
+    return SymmetricPattern.from_upper(np.concatenate(hits), n)
 
 
 def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:

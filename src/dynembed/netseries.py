@@ -35,6 +35,11 @@ class ParseError(ValueError):
         self.line_number = line_number
 
 
+def _key_dtype(n: int):
+    """int32 when the keys i n + j of an n x n matrix fit it, else intp."""
+    return np.int32 if n * n < 2**31 else np.intp
+
+
 class SymmetricPattern:
     """A symmetric n x n matrix A, given by its entries in row-major order, as
     numpy CSR arrays: ``cols`` (intp, which a gather takes unconverted),
@@ -43,23 +48,32 @@ class SymmetricPattern:
     an empty row holds one entry in column n, which reads a zero appended to x.
     """
 
-    def __init__(self, rows, cols, data, n: int):
-        counts = np.bincount(rows, minlength=n)
+    def __init__(self, cols, counts, data, n: int):
+        # cols (and data) of the entries in row-major order, counts[i] in row i
         where = (np.cumsum(counts) - counts)[counts == 0]
+        if where.size:
+            cols = np.insert(cols, where, n)
+            data = None if data is None else np.insert(data, where, 0.0)
         self.n, self.shape = n, (n, n)
-        self.cols = np.insert(np.asarray(cols, dtype=np.intp), where, n)
-        self.data = None if data is None else np.insert(data, where, 0.0)
+        self.cols, self.data = np.asarray(cols, dtype=np.intp), data
         sizes = np.maximum(counts, 1)
         self.starts = np.cumsum(sizes) - sizes
 
     @classmethod
-    def from_upper(cls, rows, cols, n: int) -> "SymmetricPattern":
-        """The 0/1 matrix with ones at (i, j) and (j, i) for the distinct
-        pairs i = rows[k] < j = cols[k]."""
-        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
-        keys = np.concatenate([rows * n + cols, cols * n + rows])
+    def from_upper(cls, upper, n: int) -> "SymmetricPattern":
+        """The 0/1 matrix with ones at (i, j) and (j, i) for the distinct keys
+        i n + j, i < j, in ``upper``; the keys of both triangles are sorted in
+        one array, the only temporary beside the pattern."""
+        m = len(upper)
+        keys = np.empty(2 * m, _key_dtype(n))
+        np.divmod(upper, n, out=(keys[m:], keys[:m]))
+        keys[:m] *= n
+        keys[:m] += keys[m:]  # j n + i, below the diagonal
+        keys[m:] = upper
         keys.sort()
-        return cls(keys // n, keys % n, None, n)
+        counts = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n))
+        np.remainder(keys, n, out=keys)  # the columns
+        return cls(keys, counts, None, n)
 
     @classmethod
     def from_matrix(cls, m) -> "SymmetricPattern":
@@ -73,11 +87,10 @@ class SymmetricPattern:
         if isinstance(m, np.ndarray):
             half = (m + m.T) * 0.5
             rows, cols = np.nonzero(half)
-            return cls(rows, cols, half[rows, cols], m.shape[0])
+            return cls(cols, np.bincount(rows, minlength=len(m)), half[rows, cols], len(m))
         half = ((m + m.T) * 0.5).tocsr()
         half.sum_duplicates()  # sorted columns, no repeats
-        half = half.tocoo()
-        return cls(half.row, half.col, half.data, m.shape[0])
+        return cls(half.indices, np.diff(half.indptr), half.data, m.shape[0])
 
     @property
     def T(self) -> "SymmetricPattern":
@@ -92,9 +105,10 @@ class SymmetricPattern:
         return np.add.reduceat(gathered, self.starts)
 
     def entries(self):
-        """Row, column and value of each entry in row-major order; the
-        values are None for a 0/1 matrix."""
-        rows = np.repeat(np.arange(self.n), np.diff(np.append(self.starts, self.cols.size)))
+        """Row (int32 when n^2 < 2^31), column and value of each entry in
+        row-major order; the values are None for a 0/1 matrix."""
+        rows = np.repeat(np.arange(self.n, dtype=_key_dtype(self.n)),
+                         np.diff(np.append(self.starts, self.cols.size)))
         real = self.cols < self.n
         return rows[real], self.cols[real], None if self.data is None else self.data[real]
 
@@ -217,27 +231,31 @@ class GraphSeries:
 
     def densities(self) -> np.ndarray:
         """Share of node pairs joined in each snapshot; 0.0 with no pairs."""
-        pairs = self.n_nodes * (self.n_nodes - 1) / 2.0
-        return np.array([p.upper()[0].size / pairs if pairs else 0.0 for p in self.patterns])
+        # half a pattern's entries lie above its zero diagonal; an empty row's
+        # one entry, in column n, is none
+        pairs, n = self.n_nodes * (self.n_nodes - 1) / 2.0, self.n_nodes
+        return np.array([(p.cols.size - np.count_nonzero(p.cols[p.starts] == n)) // 2 / pairs
+                         if pairs else 0.0 for p in self.patterns])
 
-    def save(self, directory) -> None:
+    def save(self, directory) -> list:
         """Write ``labels.txt`` and an uncompressed ``snapshots.npz`` holding
         each snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``,
-        int32 unless n or the edge count needs int64."""
+        int32 unless n or the edge count needs int64; returns those arrays."""
         n = self.n_nodes
         payload = {"format": np.array(SERIES_FORMAT), "n_nodes": np.array([n]),
                    "times": np.asarray(self.times)}
         for t, pattern in enumerate(self.patterns):
             rows, cols = pattern.upper()
             dtype = np.int64 if max(n + 1, cols.size) > np.iinfo(np.int32).max else np.int32
-            payload[f"indptr_{t}"] = np.searchsorted(rows, np.arange(n + 1)).astype(dtype)
-            payload[f"indices_{t}"] = cols.astype(dtype)
+            indptr = np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype))
+            payload[f"indptr_{t}"], payload[f"indices_{t}"] = indptr.astype(dtype), cols.astype(dtype)
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         np.savez(directory / "snapshots.npz", **payload)
         with open(directory / "labels.txt", "w", encoding="utf-8") as fh:
             for label in self.node_labels:
                 fh.write(f"{label}\n")
+        return [(payload[f"indptr_{t}"], payload[f"indices_{t}"]) for t in range(self.n_snapshots)]
 
     @classmethod
     def load(cls, directory) -> "GraphSeries":
@@ -286,12 +304,20 @@ class GraphSeries:
                 require(indptr.dtype.kind in "iu" and indptr.shape == (n + 1,) and indptr[0] == 0
                         and indptr[-1] == indices.size and np.all(np.diff(indptr) >= 0),
                         f"indptr_{t} is not a monotone row pointer of {n} rows")
-                rows = np.repeat(np.arange(n), np.diff(indptr))
-                require(indices.dtype.kind in "iu" and np.all((rows < indices) & (indices < n)),
+                # indices in range, each row's first right of the diagonal, and
+                # rising keys i n + j, which from_upper takes: no other per-entry array
+                counts = np.diff(indptr)
+                rows = np.flatnonzero(counts)
+                require(indices.ndim == 1 and indices.dtype.kind in "iu"
+                        and indices.min(initial=n) >= 0 and indices.max(initial=-1) < n
+                        and np.all(indices[indptr[:-1][rows]] > rows),
                         f"indices_{t} holds an entry outside the strict upper triangle of {n} nodes")
-                require(np.all(np.diff(rows * n + indices) > 0),
+                upper = np.repeat(np.arange(n, dtype=_key_dtype(n)) * n, counts)
+                np.add(upper, indices, out=upper, casting="unsafe")
+                del indices
+                require(np.all(upper[1:] > upper[:-1]),
                         f"indices_{t} repeats or disorders the entries of a row")
-                patterns.append(SymmetricPattern.from_upper(rows, indices, n))
+                patterns.append(SymmetricPattern.from_upper(upper, n))
         labels_path = path.parent / "labels.txt"
         with open(labels_path, encoding="utf-8") as fh:
             labels = [line.rstrip("\n") for line in fh]
@@ -383,12 +409,13 @@ def ingest_edge_list(
 
     labels, n = list(index), len(index)
     pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
+    t = np.frombuffer(stamps, dtype=np.float64)
+    del stamps, ends  # their buffers go with these views
     if label_order == "sorted":
         order = sorted(range(n), key=labels.__getitem__)
         pairs = np.argsort(order)[pairs]
         labels = [labels[k] for k in order]
 
-    t = np.frombuffer(stamps, dtype=np.float64)
     lo = float(t.min()) if start is None else float(start)
     # the smallest float above the last event keeps it inside [lo, hi) at any
     # magnitude (a fixed offset vanishes below the spacing of epoch seconds)
@@ -402,17 +429,27 @@ def ingest_edge_list(
         raise ValueError(f"{n_windows:g} windows of {window_seconds:g} s exceed "
                          f"the limit of {MAX_WINDOWS} windows")
     n_windows = int(n_windows)
-    # one mask per drop reason, each counted among the events the earlier ones
-    # keep; with no band, in_band is np.True_ (not True) so that ~in_band is False
-    inside = (lo <= t) & (t < hi)
-    in_band = _in_daily_band(np.mod(t, 86400.0), daily_start, daily_end) if masked else np.True_
-    loop = pairs[:, 0] == pairs[:, 1]
-    keep = inside & in_band & ~loop
-    day_masked = int(np.count_nonzero(inside & ~in_band))
-    w = np.minimum((t[keep] - lo) // window_seconds, n_windows - 1).astype(np.int64)
-    pairs = pairs[keep]
-    cells = np.unique((w * n + pairs.min(axis=1)) * n + pairs.max(axis=1))
-
+    # count each drop reason among the events the earlier ones keep
+    events, keep = t.size, (lo <= t) & (t < hi)
+    inside = int(np.count_nonzero(keep))
+    keep &= _in_daily_band(np.mod(t, 86400.0), daily_start, daily_end) if masked else True
+    in_band = int(np.count_nonzero(keep))
+    keep &= pairs[:, 0] != pairs[:, 1]
+    distinct_ends = int(np.count_nonzero(keep))
+    # every event's key, built in place in the array of its time; the kept
+    # keys are then sorted in one array
+    t -= lo
+    # clipped below too, so that no dropped event's key leaves the int64 range
+    np.clip(np.floor_divide(t, window_seconds, out=t), 0, n_windows - 1, out=t)
+    cells = t.view(np.int64)
+    np.copyto(cells, t, casting="unsafe")  # element for element in place
+    for end in (np.minimum, np.maximum):  # (window n + i) n + j with i < j
+        cells *= n
+        cells += end(*pairs.T)
+    cells = cells[keep]
+    del t, pairs, keep
+    cells.sort()
+    cells = cells[np.diff(cells, prepend=-1) > 0]  # each key once
     kept = range(n_windows)
     if masked:
         # keep the windows meeting the daily observation band: those starting
@@ -424,16 +461,16 @@ def ingest_edge_list(
         if not kept:
             raise ValueError(
                 f"no window meets the daily band [{daily_start:g}, {daily_end:g}) s;"
-                f" {day_masked} of {t.size} events masked")
+                f" {inside - in_band} of {events} events masked")
 
     cuts = np.searchsorted(cells, np.arange(n_windows + 1) * (n * n))
     return GraphSeries(
-        snapshots=[SymmetricPattern.from_upper(*np.divmod(cells[cuts[k]:cuts[k + 1]] % (n * n), n),
-                                               n) for k in kept],
+        snapshots=[SymmetricPattern.from_upper(cells[cuts[k]:cuts[k + 1]] % (n * n), n)
+                   for k in kept],
         node_labels=labels, times=[lo + k * window_seconds for k in kept],
         stats=IngestStats(
-            events_read=t.size,
-            events_outside_range=int(t.size - np.count_nonzero(inside)),
-            events_masked=day_masked,
-            self_loops_dropped=int(np.count_nonzero(inside & in_band & loop)),
-            duplicate_pairs_collapsed=int(np.count_nonzero(keep) - cells.size)))
+            events_read=events,
+            events_outside_range=events - inside,
+            events_masked=inside - in_band,
+            self_loops_dropped=in_band - distinct_ends,
+            duplicate_pairs_collapsed=distinct_ends - cells.size))

@@ -1,5 +1,7 @@
 """Helpers shared by several test modules."""
 
+import tracemalloc
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -30,3 +32,18 @@ def write_csv_per_cell(path, header, columns) -> int:
             fh.write(",".join(row) + "\n")
             rows += 1
     return rows
+
+
+def transient_bytes(call):
+    """``call()``'s result, and the tracemalloc peak during the call less the
+    bytes of the arrays it returns: a dense matrix, or a series' patterns.
+    numpy traces its data buffers, so this counts every temporary array."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if isinstance(result, np.ndarray):
+        return result, peak - result.nbytes
+    return result, peak - sum(p.cols.nbytes + p.starts.nbytes for p in result.patterns)

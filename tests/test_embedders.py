@@ -17,7 +17,7 @@ from dynembed.linalg import procrustes
 from dynembed.models import DsbmSpec, bundled_config_path, load_dsbm_config, sample_dsbm
 from dynembed.mrdpg import noise_free_embedding
 from dynembed.netseries import GraphSeries, ingest_edge_list
-from helpers import permute
+from helpers import permute, transient_bytes
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +211,16 @@ class TestOmnibus:
             expected = np.block([[0.5 * dense[s] + 0.5 * dense[t] for t in range(3)]
                                  for s in range(3)])
             np.testing.assert_array_equal(omnibus_matrix(snaps), expected)
+
+    def test_matrix_scatter_holds_no_entry_sized_index(self):
+        # a block of rows at a time: measured 0.7 bytes an entry beside the
+        # matrix, 21 when each snapshot's rows and columns were indexed whole
+        series = sample_dsbm(DsbmSpec([[[0.2]], [[0.3]]], 800), seed=2)
+        m, extra = transient_bytes(lambda: omnibus_matrix(series))
+        a = [x.toarray() for x in series.snapshots]
+        np.testing.assert_array_equal(m, np.block([[a[0], (a[0] + a[1]) / 2],
+                                                   [(a[0] + a[1]) / 2, a[1]]]))
+        assert extra < 4 * sum(p.cols.size for p in series.patterns)
 
     def test_against_dense_eigendecomposition_oracle(self, fourblock_series):
         spec, small = fourblock_series

@@ -3,6 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy import stats
 
+from helpers import transient_bytes
+
 from dynembed import models
 from dynembed.models import (
     DsbmSpec,
@@ -122,6 +124,13 @@ class TestGramMatrix:
 
 
 class TestSampling:
+    def test_transient_memory_per_entry(self):
+        # a slab's raw words (2 MiB) and the edges' keys, sorted once as
+        # int32, stay under 24 bytes an entry of the drawn pattern (measured
+        # 14.9; 41 when the edges' rows and columns went through int64 copies)
+        series, extra = transient_bytes(lambda: sample_dsbm(DsbmSpec([[[0.05]]], 2000), seed=1))
+        assert extra < 24 * series.patterns[0].cols.size
+
     def test_symmetric_hollow_binary(self):
         p = np.full((30, 30), 0.4)
         a = sample_adjacency(p, seed=0).toarray()
