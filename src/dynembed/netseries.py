@@ -66,7 +66,8 @@ class SymmetricPattern:
         one array, the only temporary beside the pattern."""
         m = len(upper)
         keys = np.empty(2 * m, _key_dtype(n))
-        np.divmod(upper, n, out=(keys[m:], keys[:m]))
+        # unsafe casting, since an empty list of keys arrives as float64
+        np.divmod(upper, n, out=(keys[m:], keys[:m]), casting="unsafe")
         keys[:m] *= n
         keys[:m] += keys[m:]  # j n + i, below the diagonal
         keys[m:] = upper

@@ -630,6 +630,8 @@ def test_from_upper_matches_scipy_at_both_key_widths(n):
     assert got.nnz == want.nnz and pattern.cols[pattern.starts[-1]] == n
     rows, cols = pattern.upper()
     np.testing.assert_array_equal(rows * n + cols, upper)
+    # no pair at all, given as a plain list: every row holds its placeholder
+    assert SymmetricPattern.from_upper([], n).cols.tolist() == [n] * n
 
 
 class TestTransientMemory:
