@@ -126,11 +126,42 @@ def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
         "peak_rss_mib": _peak_rss_mib(),
         "details": details or {},
     }
-    path = Path(out_dir) / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+
+
+class _Run:
+    """What one command's ``manifest.json`` records, kept as the run goes:
+    the files written, each recorded as its path is handed out; the inputs
+    read; and the named part timings. The output directory is made with the
+    first file, so a refused run leaves none. ``--seed`` is checked here."""
+
+    def __init__(self, args):
+        self.args, self.out = args, Path(args.out)
+        self.seed = getattr(args, "seed", None)
+        if self.seed is not None and not 0 <= self.seed < 1 << 64:  # a Philox key word
+            raise DataError(f"--seed must be in [0, 2**64), not {self.seed}")
+        self.inputs, self.outputs, self.timings = [], [], {}
+        self.start = self.mark = time.perf_counter()
+
+    def path(self, name, files=()) -> Path:
+        """Output file ``name``, or the output directory ``name`` that holds
+        ``files``, recorded as written; its directory is made here."""
+        path = self.out / name
+        (path if files else path.parent).mkdir(parents=True, exist_ok=True)
+        self.outputs += [f"{name}/{f}" for f in files] or [name]
+        return path
+
+    def lap(self, part) -> None:
+        """Time since the previous lap, or the start, as part ``part``."""
+        now = time.perf_counter()
+        self.timings[part], self.mark = now - self.mark, now
+
+    def finish(self, details) -> None:
+        self.timings["total"] = time.perf_counter() - self.start
+        _write_manifest(self.out, self.args.argv, self.seed, inputs=self.inputs,
+                        outputs=self.outputs, timings=self.timings, details=details)
 
 
 def _resolve_config(name_or_path) -> Path:
@@ -323,18 +354,29 @@ def _read_embedding_csv(path):
     return emb, [labels[r].tolist() for r in rows], times[first[order]].tolist()
 
 
-def _locate_embedding_csv(path) -> Path:
-    p = Path(path)
+def _load_embedding(args, run):
+    """``_read_embedding_csv`` of ``--embedding``, the CSV or the directory
+    holding it; the file read goes to ``run``."""
+    p = Path(args.embedding)
     if p.is_dir():
         p = p / "embedding.csv"
     if not p.exists():
         raise DataError(f"no embedding CSV at {p}")
-    return p
+    run.inputs.append(p)
+    return _read_embedding_csv(p)
 
 
-def _load_series(input_path, args) -> tuple[GraphSeries, list[Path]]:
-    """The series ``--input`` names, and the files read to build it."""
-    p = Path(input_path)
+def _refuse_given(args, names, where) -> None:
+    """DataError naming those of the options ``names`` that were given
+    (argparse leaves an option not given None): they apply only ``where``."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise DataError(f"{', '.join(given)} {'apply' if given[1:] else 'applies'} {where}")
+
+
+def _load_series(args, run) -> GraphSeries:
+    """The series ``--input`` names; the files read for it go to ``run``."""
+    p = Path(args.input)
     if p.is_dir():
         p = p / "snapshots.npz"
     if not p.exists():
@@ -345,16 +387,14 @@ def _load_series(input_path, args) -> tuple[GraphSeries, list[Path]]:
         if p.name != "snapshots.npz":
             raise DataError(f"{p}: a saved series is read from a snapshots.npz "
                             "and the labels.txt beside it")
-        given = [f"--{name.replace('_', '-')}" for name, value in band.items()
-                 if value is not None]
-        if given:
-            raise DataError(f"{p}: {', '.join(given)} apply to a raw edge list, "
-                            "not to a saved series")
-        return GraphSeries.load(p.parent), [p, p.parent / "labels.txt"]
+        _refuse_given(args, band, f"to a raw edge list, not to the saved series {p}")
+        run.inputs += [p, p.parent / "labels.txt"]
+        return GraphSeries.load(p.parent)
     if args.window_seconds is None:
         raise DataError("raw edge list input needs --window-seconds to define snapshots")
+    run.inputs.append(p)
     return ingest_edge_list(p, column_order=args.column_order,
-                            label_order=args.label_order, **band), [p]
+                            label_order=args.label_order, **band)
 
 
 def _parse_dims(text, n_snapshots):
@@ -416,55 +456,53 @@ def _parse_grid(text):
 
 
 def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+    run = _Run(args)
     config = _resolve_config(args.config)
+    run.inputs.append(config)
     spec = load_dsbm_config(config)
     series = sample_dsbm(spec, seed=args.seed)
     # human-facing labels and times start at 1
     series.node_labels = [str(i + 1) for i in range(spec.n_nodes)]
     series.times = list(range(1, spec.n_snapshots + 1))
-    t1 = time.perf_counter()
-    out = Path(args.out)
-    saved = series.save(out / "series")
-    outputs = [out / "series" / "snapshots.npz", out / "series" / "labels.txt"]
-    t2 = time.perf_counter()
+    run.lap("sample")
+    saved = series.save(run.path("series", files=("snapshots.npz", "labels.txt")))
+    run.lap("save")
     # each edges_t.csv from the upper triangle the series file holds
     for t, (indptr, indices) in enumerate(saved):
-        path = out / f"edges_{t + 1}.csv"
         rows = np.repeat(np.arange(spec.n_nodes), np.diff(indptr))
-        _write_csv(path, ["u", "v"], [(series.node_labels, ends) for ends in (rows, indices)])
-        outputs.append(path)
-    t3 = time.perf_counter()
-    truth = out / "truth.csv"
-    _write_csv(truth, ["node_label", "time_label", "community"], [
+        _write_csv(run.path(f"edges_{t + 1}.csv"), ["u", "v"],
+                   [(series.node_labels, ends) for ends in (rows, indices)])
+    run.lap("edges")
+    _write_csv(run.path("truth.csv"), ["node_label", "time_label", "community"], [
         (series.node_labels, np.tile(np.arange(spec.n_nodes), spec.n_snapshots)),
         (series.times, np.repeat(np.arange(spec.n_snapshots), spec.n_nodes)),
         (range(1, spec.n_communities + 1), np.asarray(spec.memberships).ravel()),
     ])
-    outputs.append(truth)
-    _write_manifest(
-        out, args.argv, args.seed,
-        inputs=[config],
-        outputs=[p.relative_to(out) for p in outputs],
-        timings={"sample": t1 - t0, "save": t2 - t1, "edges": t3 - t2,
-                 "truth": time.perf_counter() - t3, "total": time.perf_counter() - t0},
-        details={
-            "n_nodes": spec.n_nodes,
-            "n_snapshots": spec.n_snapshots,
-            "densities": [float(x) for x in series.densities()],
-        },
-    )
-    print(f"wrote {spec.n_snapshots} snapshots of {spec.n_nodes} nodes to {out}")
+    run.lap("truth")
+    run.finish({
+        "n_nodes": spec.n_nodes,
+        "n_snapshots": spec.n_snapshots,
+        "densities": [float(x) for x in series.densities()],
+    })
+    print(f"wrote {spec.n_snapshots} snapshots of {spec.n_nodes} nodes to {run.out}")
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
-    t0 = time.perf_counter()
-    series, inputs = _load_series(args.input, args)
-    load_time = time.perf_counter() - t0
+    run = _Run(args)
+    # a smoothing option not given keeps separate_embed's default
+    smoothing = {name: getattr(args, name) for name in ("scheme", "forgetting", "window")
+                 if getattr(args, name) is not None}
+    if args.method != "separate":
+        _refuse_given(args, smoothing, "to --method separate only")
+    elif args.scheme not in (None, "exponential"):  # separate_embed's default scheme
+        _refuse_given(args, ["forgetting"], "to --scheme exponential only")
+    if args.scheme != "window":
+        _refuse_given(args, ["window"], "to --scheme window only")
+    series = _load_series(args, run)
+    run.lap("load")
     n = series.n_nodes
 
-    t1 = time.perf_counter()
     if args.method in ("uase", "omnibus") and "," in args.dim:
         raise DataError(f"--method {args.method} takes one dimension, not a list")
     dims = _parse_dims(args.dim, series.n_snapshots)
@@ -492,22 +530,14 @@ def cmd_embed(args) -> int:
     elif args.method == "independent":
         emb = independent_ase(series, dims, seed=args.seed)
     else:
-        emb = separate_embed(
-            series, dims, seed=args.seed,
-            scheme=args.scheme, forgetting=args.forgetting,
-            window=args.window,
-        )
-    embed_time = time.perf_counter() - t1
+        emb = separate_embed(series, dims, seed=args.seed, **smoothing)
+    run.lap("embed")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = _write_embedding_csv(out / "embedding.csv", emb, series.node_labels, series.times)
-    _write_csv(out / "scree.csv", ["rank", "singular_value"],
+    rows = _write_embedding_csv(run.path("embedding.csv"), emb, series.node_labels, series.times)
+    _write_csv(run.path("scree.csv"), ["rank", "singular_value"],
                [np.arange(1, rank + 1), svd.s])
-    outputs = [out / "embedding.csv", out / "scree.csv"]
     if emb.left is not None:
-        _write_csv(out / "left.csv", None, emb.left.T)
-        outputs.append(out / "left.csv")
+        _write_csv(run.path("left.csv"), None, emb.left.T)
     details = {
         "method": args.method,
         "dimensions": emb.dims,
@@ -525,18 +555,8 @@ def cmd_embed(args) -> int:
         details["eigenvalue_signatures"] = [list(s) for s in emb.signatures]
     if emb.route is not None:
         details["omnibus_route"] = emb.route
-    _write_manifest(
-        out, args.argv, args.seed,
-        inputs=inputs,
-        outputs=[p.relative_to(out) for p in outputs],
-        timings={"load": load_time, "embed": embed_time,
-                 "total": time.perf_counter() - t0},
-        details=details,
-    )
-    print(
-        f"{args.method} embedding: {rows} rows, dimensions {emb.dims}, "
-        f"written to {out}"
-    )
+    run.finish(details)
+    print(f"{args.method} embedding: {rows} rows, dimensions {emb.dims}, written to {run.out}")
     return EXIT_OK
 
 
@@ -548,12 +568,12 @@ def _read_truth(path):
 
 
 def cmd_stability(args) -> int:
-    t0 = time.perf_counter()
+    run = _Run(args)
     if not (np.isfinite(args.threshold) and args.threshold > 0):
         raise DataError(f"--threshold must be positive and finite, not {args.threshold:g}")
-    emb_path = _locate_embedding_csv(args.embedding)
-    emb, labels_per_time, times = _read_embedding_csv(emb_path)
+    emb, labels_per_time, times = _load_embedding(args, run)
     truth = _read_truth(args.truth)
+    run.inputs.append(Path(args.truth))
 
     memberships = []
     for t, labels in zip(times, labels_per_time):
@@ -581,12 +601,10 @@ def cmd_stability(args) -> int:
         pairs.append(((ga, times.index(ta)), (gb, times.index(tb))))
 
     report = stability_report(emb, memberships, pairs, threshold=args.threshold)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [(p.group_a[0], times[p.group_a[1]], p.group_b[0], times[p.group_b[1]],
              p.centroid_gap, p.separation, p.gap_ratio, p.cov_gap, p.scale,
              int(p.passed), int(p.cov_skipped)) for p in report.pairs]
-    _write_csv(out / "report.csv", [
+    _write_csv(run.path("report.csv"), [
         "group_a", "time_a", "group_b", "time_b", "centroid_gap", "separation",
         "gap_ratio", "cov_gap", "scale", "passed", "cov_skipped",
     ], zip(*rows))
@@ -595,46 +613,32 @@ def cmd_stability(args) -> int:
         f"[{'pass' if passed else 'FAIL'}]"
         for ga, ta, gb, tb, _, _, ratio, cov, _, passed, _ in rows
     ]
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_manifest(
-        out, args.argv, None,
-        inputs=[emb_path, Path(args.truth)],
-        outputs=["report.csv", "report.txt"],
-        timings={"total": time.perf_counter() - t0},
-        details={
-            "threshold": args.threshold,
-            "passed": report.passed,
-            "gap_ratios": [float(row[6]) for row in rows],
-        },
-    )
+    run.path("report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run.finish({
+        "threshold": args.threshold,
+        "passed": report.passed,
+        "gap_ratios": [float(row[6]) for row in rows],
+    })
     for line in lines:
         print(line)
     return EXIT_OK if report.passed else EXIT_THRESHOLD
 
 
 def cmd_cluster(args) -> int:
-    t0 = time.perf_counter()
-    emb_path = _locate_embedding_csv(args.embedding)
-    emb, labels_per_time, times = _read_embedding_csv(emb_path)
+    run = _Run(args)
+    emb, labels_per_time, times = _load_embedding(args, run)
     theta, index = pool_spherical(emb)
     grid = _parse_grid(args.grid)
-    try:
-        best, fits = fit_gmm_bic(
-            theta, grid, restarts=args.restarts, seed=args.seed
-        )
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    best, fits = fit_gmm_bic(theta, grid, restarts=args.restarts, seed=args.seed)
     labels, resp = assign(best, theta)
     confidence = resp[np.arange(resp.shape[0]), labels]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "assignments.csv",
+    _write_csv(run.path("assignments.csv"),
                ["node_label", "time_label", "cluster", "max_posterior"], [
                    [labels_per_time[t][node] for node, t in index.tolist()],
                    np.asarray(times)[index[:, 1]], labels + 1, confidence,
                ])
-    _write_csv(out / "bic.csv", ["components", "bic"],
+    _write_csv(run.path("bic.csv"), ["components", "bic"],
                [[m.n_components for m in fits], [m.bic for m in fits]])
     # share of each snapshot's active nodes landing in each cluster
     g_count = best.n_components
@@ -643,33 +647,25 @@ def cmd_cluster(args) -> int:
         at_t = labels[index[:, 1] == t]
         if at_t.size:
             shares[:, t] = np.bincount(at_t, minlength=g_count) / at_t.size
-    _write_csv(out / "proportions.csv", ["cluster"] + [f"{t:.17g}" for t in times],
+    _write_csv(run.path("proportions.csv"), ["cluster"] + [f"{t:.17g}" for t in times],
                [np.arange(1, g_count + 1), *shares.T])
-    _write_manifest(
-        out, args.argv, args.seed,
-        inputs=[emb_path],
-        outputs=["assignments.csv", "bic.csv", "proportions.csv"],
-        timings={"total": time.perf_counter() - t0},
-        details={
-            "selected_components": best.n_components,
-            "bic_table": [[m.n_components, m.bic] for m in fits],
-            # the kept fit of each grid count, so a count's BIC can be audited
-            "grid_fits": [{"components": m.n_components, "bic": m.bic, "loglik": m.loglik,
-                           "n_iter": m.n_iter, "converged": m.converged,
-                           "regularized": m.regularized} for m in fits],
-            "converged": best.converged,
-            "loglik": best.loglik,
-            "n_iter": best.n_iter,
-            "regularized": best.regularized,
-            "pooled_rows": int(theta.shape[0]),
-            "grid": grid,
-            "restarts": args.restarts,
-        },
-    )
-    print(
-        f"selected {best.n_components} components over grid {grid}; "
-        f"{theta.shape[0]} pooled rows; results in {out}"
-    )
+    run.finish({
+        "selected_components": best.n_components,
+        "bic_table": [[m.n_components, m.bic] for m in fits],
+        # the kept fit of each grid count, so a count's BIC can be audited
+        "grid_fits": [{"components": m.n_components, "bic": m.bic, "loglik": m.loglik,
+                       "n_iter": m.n_iter, "converged": m.converged,
+                       "regularized": m.regularized} for m in fits],
+        "converged": best.converged,
+        "loglik": best.loglik,
+        "n_iter": best.n_iter,
+        "regularized": best.regularized,
+        "pooled_rows": int(theta.shape[0]),
+        "grid": grid,
+        "restarts": args.restarts,
+    })
+    print(f"selected {best.n_components} components over grid {grid}; "
+          f"{theta.shape[0]} pooled rows; results in {run.out}")
     return EXIT_OK
 
 
@@ -727,11 +723,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds of day; with --daily-end, keeps only in-band "
                         "events (a start after the end wraps midnight)")
     p.add_argument("--daily-end", type=float, default=None)
-    p.add_argument("--scheme", default="exponential",
-                   choices=["constant", "exponential", "window"],
-                   help="history smoothing for method=separate")
-    p.add_argument("--forgetting", type=float, default=0.5)
-    p.add_argument("--window", type=int, default=3)
+    p.add_argument("--scheme", choices=["constant", "exponential", "window"],
+                   help="history smoothing for method=separate (default exponential)")
+    p.add_argument("--forgetting", type=float, help="for --scheme exponential (default 0.5)")
+    p.add_argument("--window", type=int, help="for --scheme window (default 3)")
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("stability", help="score group pairs of an embedding")

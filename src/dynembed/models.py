@@ -155,7 +155,9 @@ def _sample_rows(n: int, probability_at, p_max: float, seed: int,
     drawn in pieces equals one draw of the total length, so the slab size
     never changes a sample.
     """
-    words_of = np.random.Philox(key=(seed, stream)).random_raw
+    # a uint64 key: numpy reads a tuple holding a seed past 2**63 - 1 as
+    # float64, which rounds it
+    words_of = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw
     limit = math.ceil(p_max * 2.0**53)  # p_max * 2**53 is exact
     # np.uint64 operands keep the shifts unsigned under numpy 1.x promotion
     below = None if limit >= 1 << 53 else np.uint64(limit << 11)

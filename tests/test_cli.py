@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -748,6 +749,47 @@ class TestEmbed:
         assert run("embed", "--input", events, "--method", "uase",
                    "--dim", 1, "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("options, passed", [
+        ((), {}),
+        (("--scheme", "window", "--window", 2), {"scheme": "window", "window": 2}),
+        (("--forgetting", 0.25), {"forgetting": 0.25}),
+        (("--scheme", "constant"), {"scheme": "constant"}),
+    ])
+    def test_smoothing_options_reach_separate_embed(self, sim120, tmp_path, monkeypatch,
+                                                    options, passed):
+        # an option not given is not passed, so separate_embed's default holds
+        calls = []
+
+        def recorded(series, dims, **kwargs):
+            calls.append(kwargs)
+            return embedders.separate_embed(series, dims, **kwargs)
+
+        monkeypatch.setattr(cli, "separate_embed", recorded)
+        assert run("embed", "--input", sim120 / "series", "--method", "separate",
+                   "--dim", 2, "--seed", 3, *options, "--out", tmp_path / "o") == 0
+        assert calls == [{"seed": 3, **passed}]
+
+    @pytest.mark.parametrize("method, options, message", [
+        ("uase", ("--forgetting", 7), "--forgetting applies to --method separate only"),
+        ("uase", ("--window", 0), "--window applies to --method separate only"),
+        ("omnibus", ("--scheme", "window", "--window", 2),
+         "--scheme, --window apply to --method separate only"),
+        ("independent", ("--scheme", "constant"), "--scheme applies to --method separate"),
+        ("separate", ("--scheme", "window", "--forgetting", 7),
+         "--forgetting applies to --scheme exponential only"),
+        ("separate", ("--scheme", "constant", "--forgetting", 0.5),
+         "--forgetting applies to --scheme exponential only"),
+        ("separate", ("--window", 2), "--window applies to --scheme window only"),
+        ("separate", ("--scheme", "exponential", "--window", 2),
+         "--window applies to --scheme window only"),
+    ])
+    def test_smoothing_option_without_effect_exits_2(self, sim120, tmp_path, capsys,
+                                                     method, options, message):
+        assert run("embed", "--input", sim120 / "series", "--method", method,
+                   "--dim", 2, *options, "--out", tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestStability:
     PAIRS = ("--pair", "1:1/2:1", "--pair", "4:1/4:2")
@@ -903,6 +945,102 @@ class TestManifest:
         monkeypatch.setattr(cli.np, "show_config", show_config)
         cli._write_manifest(tmp_path, [], 0)
         assert read_manifest(tmp_path)["versions"]["blas"] == "unknown"
+
+    @staticmethod
+    def assert_record(out, inputs, parts):
+        # outputs lists exactly the files the run left beside its manifest,
+        # input_digests the files it read, timings_seconds its named parts
+        man = read_manifest(out)
+        written = sorted(p.relative_to(out).as_posix() for p in Path(out).rglob("*")
+                         if p.is_file() and p != Path(out) / "manifest.json")
+        assert man["outputs"] == written
+        assert sorted(man["input_digests"]) == sorted(map(str, inputs))
+        assert sorted(man["timings_seconds"]) == sorted(parts)
+
+    def test_simulate_record(self, tmp_path):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(TWOBLOCK_120)
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", cfg, "--seed", 1, "--out", out) == 0
+        self.assert_record(out, [cfg], ["sample", "save", "edges", "truth", "total"])
+        assert read_manifest(out)["outputs"] == [
+            "edges_1.csv", "edges_2.csv", "series/labels.txt", "series/snapshots.npz",
+            "truth.csv"]
+
+    @pytest.mark.parametrize("method, left", [("uase", True), ("omnibus", False)])
+    def test_embed_record(self, sim120, tmp_path, method, left):
+        out = tmp_path / method
+        assert run("embed", "--input", sim120 / "series", "--method", method,
+                   "--dim", 2, "--seed", 1, "--out", out) == 0
+        series = sim120 / "series"
+        self.assert_record(out, [series / "snapshots.npz", series / "labels.txt"],
+                           ["load", "embed", "total"])
+        assert ("left.csv" in read_manifest(out)["outputs"]) == left
+
+    def test_edge_list_embed_record(self, tmp_path):
+        events = tmp_path / "events.txt"
+        events.write_text("1 a b\n2 b c\n12 a c\n")
+        out = tmp_path / "emb"
+        assert run("embed", "--input", events, "--method", "uase", "--dim", 1,
+                   "--window-seconds", 10, "--out", out) == 0
+        self.assert_record(out, [events], ["load", "embed", "total"])
+
+    def test_stability_record(self, sim120, emb120, tmp_path):
+        out = tmp_path / "rep"
+        assert run("stability", "--embedding", emb120, "--truth", sim120 / "truth.csv",
+                   *TestStability.PAIRS, "--threshold", 10, "--out", out) == 0
+        self.assert_record(out, [emb120 / "embedding.csv", sim120 / "truth.csv"],
+                           ["total"])
+
+    def test_cluster_record(self, emb120, tmp_path):
+        out = tmp_path / "clus"
+        assert run("cluster", "--embedding", emb120 / "embedding.csv", "--grid", "1-2",
+                   "--restarts", 1, "--out", out) == 0
+        self.assert_record(out, [emb120 / "embedding.csv"], ["total"])
+
+
+class TestSeedRange:
+    # a seed keys a Philox stream, whose key words are uint64
+    @staticmethod
+    def words(command, sim120, emb120, cfg):
+        return {"simulate": ("--config", cfg),
+                "embed": ("--input", sim120 / "series", "--method", "uase", "--dim", 2),
+                "cluster": ("--embedding", emb120, "--grid", "1-2", "--restarts", 1),
+                }[command]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["simulate", "embed", "cluster"])
+    def test_out_of_range_exits_2_naming_the_option(self, sim120, emb120, tmp_path,
+                                                     capsys, command, seed):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(TWOBLOCK_120)
+        out = tmp_path / "o"
+        assert run(command, *self.words(command, sim120, emb120, cfg),
+                   "--seed", seed, "--out", out) == 2
+        assert f"--seed must be in [0, 2**64), not {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "embed", "cluster"])
+    def test_largest_seed_runs(self, sim120, emb120, tmp_path, command):
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(TWOBLOCK_120)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, *self.words(command, sim120, emb120, cfg),
+                       "--seed", 2**64 - 1, "--out", out) == 0
+        assert read_manifest(out)["seed"] == 2**64 - 1
+
+    def test_seeds_past_int64_draw_apart(self, tmp_path):
+        # numpy reads a key tuple past 2**63 - 1 as float64, where 2**63 and
+        # 2**63 + 1 are one number
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(TWOBLOCK_120)
+        for seed in (2**63, 2**63 + 1):
+            assert run("simulate", "--config", cfg, "--seed", seed,
+                       "--out", tmp_path / str(seed)) == 0
+        assert sha(tmp_path / str(2**63) / "edges_1.csv") != sha(
+            tmp_path / str(2**63 + 1) / "edges_1.csv")
 
 
 class TestCluster:
