@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
@@ -67,8 +66,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path) -> str:
+    try:  # the built-in module first, as random.py does: hashlib loads OpenSSL
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
     # read into one buffer: a new chunk per read would hold two at a time
-    h, chunk = hashlib.sha256(), bytearray(1 << 16)
+    h, chunk = sha256(), bytearray(1 << 16)
     with open(path, "rb", buffering=0) as fh:
         while size := fh.readinto(chunk):
             h.update(memoryview(chunk)[:size])

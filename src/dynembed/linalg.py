@@ -58,12 +58,26 @@ def _project_off(rows: np.ndarray, w: np.ndarray) -> None:
     w -= np.einsum("ki,k->i", rows, np.einsum("ki,i->k", rows, w))
 
 
-def _lanczos(apply, side: int, d: int, start: np.ndarray):
+def _uniforms(seed: int, stream: int, size: int) -> np.ndarray:
+    """``size`` uniforms in [-1, 1): SplitMix64's top 53 bits (Steele, Lea &
+    Flood 2014) at ``seed``'s counters stream * 2**40 + 1, 2, ...; streams: 0
+    starts Lanczos, p + 1 follows its product p, 1 fills zero singular values."""
+    x = np.arange((stream << 40) + 1, (stream << 40) + size + 1, dtype=np.uint64)
+    x *= np.uint64(0x9E3779B97F4A7C15)
+    x += np.uint64(seed)  # array arithmetic wraps mod 2**64 without a warning
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(factor)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)) * 2.0**-52 - 1.0
+
+
+def _lanczos(apply, side: int, d: int, start: np.ndarray, seed: int = 0):
     """Top-d eigenpairs by magnitude of the symmetric operator x -> apply(x)
     on vectors of length ``side``: Lanczos from ``start``, each new vector
     projected off the whole basis. A step whose residual vanishes has found
     an invariant subspace (the range of an operator of rank below d, say);
-    the run goes on from a fresh random direction with a zero coupling.
+    the run goes on from a fresh direction of ``seed`` with a zero coupling.
     Convergence is tested every eighth of the steps so far, since each test
     solves the projected matrix h anew. A basis of 2d + 32 vectors restarts
     thick (Wu & Simon 2000): it keeps the Ritz vectors of the d + 16 largest
@@ -74,7 +88,6 @@ def _lanczos(apply, side: int, d: int, start: np.ndarray):
     limit = min(side, 2 * d + 32)
     basis = np.empty((min(limit, 32), side))  # one Lanczos vector per row
     h = np.zeros((len(basis), len(basis)))  # the operator in that basis
-    fresh = np.random.default_rng(side)
     q, coupling = start / _norm(start), np.zeros(0)
     k, products, check, scale = 0, 0, 2 * d, 0.0
     while True:
@@ -98,7 +111,7 @@ def _lanczos(apply, side: int, d: int, start: np.ndarray):
             raise ValueError("operator returned non-finite values")
         scale = max(scale, abs(h[k - 1, k - 1]), beta)
         if k < side and beta <= np.finfo(float).eps * scale:
-            beta, w = 0.0, fresh.standard_normal(side)
+            beta, w = 0.0, _uniforms(seed, products + 1, side)
             for _ in range(2):  # a random vector needs a second pass
                 _project_off(basis[:k], w)
         coupling = np.zeros(k)
@@ -147,9 +160,11 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     its top-d eigenpairs (l, q) by magnitude give u = q, s = |l| and v =
     sign(l) q, a zero counted positive. A zero matrix has zero singular values.
 
-    Raises ValueError when d is out of range or the matrix has non-finite
-    entries.
+    Raises ValueError when d or the seed is out of range (a seed is an
+    integer in [0, 2**64)) or the matrix has non-finite entries.
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed={seed} out of range [0, 2**64)")
     if isinstance(m, np.ndarray) or not hasattr(m, "T"):
         m = np.asarray(m, dtype=float)
     rows, cols = m.shape
@@ -161,13 +176,12 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
         raise ValueError("matrix contains non-finite entries")
     # a is the wide orientation of m: its rows are the smaller side
     a = m if rows <= cols else m.T
-    rng = np.random.default_rng(seed)
-    start = rng.standard_normal(a.shape[0])
+    start = _uniforms(seed, 0, a.shape[0])
     if m.T is m:
-        values, u, products = _lanczos(lambda x: m @ x, rows, d, start)
+        values, u, products = _lanczos(lambda x: m @ x, rows, d, start, seed)
         s, v = np.abs(values), u * np.where(values < 0, -1.0, 1.0)
     else:
-        _, q, products = _lanczos(lambda x: a @ (a.T @ x), a.shape[0], d, start)
+        _, q, products = _lanczos(lambda x: a @ (a.T @ x), a.shape[0], d, start, seed)
         # b = B^T; row j of w is s_j v_j, and s_j is its norm: the root of a
         # small eigenvalue of B B^T would keep only half the digits of s_j
         b = a.T @ q
@@ -176,7 +190,7 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
         s = np.sqrt(np.einsum("bi,bi->b", w, w))
         order = np.argsort(-s, kind="stable")
         ub, w, s = ub[:, order], w[order], s[order]
-        w[s == 0] = rng.standard_normal((np.sum(s == 0), w.shape[1]))  # seeded fill
+        w[s == 0] = _uniforms(seed, 1, np.sum(s == 0) * w.shape[1]).reshape(-1, w.shape[1])
         for j, x in enumerate(w):  # Gram-Schmidt, twice
             for _ in range(2):
                 _project_off(w[:j], x)

@@ -1371,3 +1371,49 @@ def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
     assert loaded == []
     for d in (sim, rep, clus, *embeds.values()):
         assert "scipy" not in read_manifest(d)["versions"]
+
+
+def test_embed_and_stability_load_no_numpy_random_or_openssl(sim120, emb120, tmp_path):
+    # the Lanczos start vectors are hashed from the seed and input digests
+    # use the interpreter's built-in SHA-256, so neither numpy.random nor
+    # hashlib's OpenSSL (several MiB of every stage's peak) is loaded
+    src = str(Path(dynembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = [
+        ["embed", "--input", str(sim120 / "series"), "--method", method, "--dim", "3",
+         "--seed", "1", "--out", str(tmp_path / method)]
+        for method in ("uase", "omnibus")
+    ] + [
+        ["stability", "--embedding", str(emb120), "--truth", str(sim120 / "truth.csv"),
+         *TestStability.PAIRS, "--threshold", "10", "--out", str(tmp_path / "rep")],
+    ]
+    probe = (
+        "import json, sys\n"
+        "from dynembed import cli\n"
+        f"codes = [cli.main(words) for words in {calls!r}]\n"
+        "heavy = ('numpy.random', 'hashlib', '_hashlib')\n"
+        "print(json.dumps([codes, [k for k in heavy if k in sys.modules]]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert codes == [0] * len(calls)
+    assert loaded == []
+
+
+@pytest.mark.parametrize("lean", [True, False])
+def test_digests_equal_hashlib_with_and_without_the_builtin_module(lean, tmp_path, capsys,
+                                                                     monkeypatch):
+    # without the built-in module (_sha2 from Python 3.12, _sha256 before)
+    # the digest falls back to hashlib; a None entry makes its import fail
+    if not lean:
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(TWOBLOCK_120)
+    want = hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert run("simulate", "--config", cfg, "--seed", 1, "--out", tmp_path / "sim") == 0
+    assert read_manifest(tmp_path / "sim")["input_digests"] == {str(cfg): want}
+    capsys.readouterr()
+    assert run("digest-verify", "--path", cfg, "--expected", want) == 0
+    assert f"sha256  {want}  {cfg}" in capsys.readouterr().out

@@ -1,15 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator
 
+from dynembed.embedders import independent_ase, omnibus_embed, uase
 from dynembed.netseries import SymmetricPattern, Unfolding
 
 from dynembed.linalg import (
     ProcrustesResult,
     SymmetricOperator,
     _lanczos,
+    _uniforms,
     orient_columns,
     procrustes,
     spherical_coordinates,
@@ -218,6 +222,56 @@ class TestLanczos:
         np.testing.assert_allclose((got.u * got.s) @ got.v.T, (u * s) @ v.T, atol=1e-12)
         np.testing.assert_allclose(got.u.T @ got.u, np.eye(d), atol=1e-12)
         np.testing.assert_allclose(got.v.T @ got.v, np.eye(d), atol=1e-12)
+
+
+class TestUniforms:
+    def test_reference_words(self):
+        # oracle: the published first SplitMix64 outputs for seed 1234567; a
+        # uniform keeps a word's top 53 bits, exactly
+        words = np.array([6457827717110365317, 3203168211198807973, 9817491932198370423,
+                          4593380528125082431, 16408922859458223821], dtype=np.uint64)
+        want = (words >> np.uint64(11)).astype(float) * 2.0**-52 - 1.0
+        assert _uniforms(1234567, 0, 5).tobytes() == want.tobytes()
+
+    def test_uniforms_at_the_seed_range_ends(self):
+        # uint64 scalar arithmetic warns on overflow; the draws must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {(seed, stream): _uniforms(seed, stream, 4000)
+                     for seed in (0, 2**63, 2**64 - 1) for stream in (0, 1, 2**20)}
+            # a zero matrix draws on every stream: the start, the fresh
+            # directions and the fill of its zero singular values
+            res = truncated_svd(np.zeros((6, 9)), 4, seed=2**64 - 1)
+        for x in draws.values():
+            assert x.min() >= -1.0 and x.max() < 1.0
+            assert abs(x.mean()) < 0.05 and abs(np.mean(x * x) - 1 / 3) < 0.02
+        assert len({x.tobytes() for x in draws.values()}) == len(draws)
+        assert not np.any(res.s)
+        np.testing.assert_allclose(res.v.T @ res.v, np.eye(4), atol=1e-12)
+        k = (draws[0, 0] + 1.0) * 2.0**52  # k * 2**-52 - 1 for an integer k
+        np.testing.assert_array_equal(k, np.floor(k))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_refused_by_name(self, seed):
+        m = np.diag([2.0, 1.0, 0.5])
+        for call in (lambda: truncated_svd(m, 2, seed=seed),
+                     lambda: truncated_svd(SymmetricOperator(lambda x: m @ x, 3), 2, seed=seed),
+                     lambda: uase([m, m], 2, seed=seed),
+                     lambda: omnibus_embed([m, m], 2, seed=seed),
+                     lambda: independent_ase([m, m], 2, seed=seed)):
+            with pytest.raises(ValueError, match=rf"seed={seed} out of range"):
+                call()
+
+    def test_fresh_directions_follow_the_seed(self):
+        # the zero operator leaves the start's Krylov space at once: every
+        # later basis vector, and so every Ritz vector after the first, is a
+        # fresh direction, and those are a function of the seed alone
+        start = np.random.default_rng(61).standard_normal(30)
+        runs = {seed: _lanczos(lambda x: 0.0 * x, 30, 4, start, seed)[1] for seed in (5, 6)}
+        assert _lanczos(lambda x: 0.0 * x, 30, 4, start, 5)[1].tobytes() == runs[5].tobytes()
+        assert not np.allclose(np.abs(runs[5][:, 1:]), np.abs(runs[6][:, 1:]))
+        for vectors in runs.values():
+            np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
 
 
 class TestOrientColumns:
