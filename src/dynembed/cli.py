@@ -586,9 +586,7 @@ def cmd_stability(args) -> int:
         try:
             memberships.append([truth[(lab, t)] for lab in labels])
         except KeyError as missing:
-            raise DataError(
-                f"truth file lacks node/time {missing.args[0]}"
-            ) from None
+            raise DataError(f"truth file lacks node/time {missing.args[0]}") from None
     memberships = np.asarray(memberships)
 
     pairs = []
@@ -598,32 +596,34 @@ def cmd_stability(args) -> int:
             raise DataError(f"--pair {text!r} pairs group {ga}:{ta:g} with itself")
         for g, tv in ((ga, ta), (gb, tb)):
             if tv not in times:
-                raise DataError(
-                    f"pair time {tv:g} not among embedding times "
-                    f"{[f'{x:g}' for x in times]}"
-                )
+                raise DataError(f"pair time {tv:g} not among embedding times "
+                                f"{[f'{x:g}' for x in times]}")
             if not np.any(memberships[times.index(tv)] == g):
                 raise DataError(f"pair group {g}:{tv:g} has no nodes in {args.truth}")
         pairs.append(((ga, times.index(ta)), (gb, times.index(tb))))
 
     report = stability_report(emb, memberships, pairs, threshold=args.threshold)
-    rows = [(p.group_a[0], times[p.group_a[1]], p.group_b[0], times[p.group_b[1]],
-             p.centroid_gap, p.separation, p.gap_ratio, p.cov_gap, p.scale,
-             int(p.passed), int(p.cov_skipped)) for p in report.pairs]
-    _write_csv(run.path("report.csv"), [
-        "group_a", "time_a", "group_b", "time_b", "centroid_gap", "separation",
-        "gap_ratio", "cov_gap", "scale", "passed", "cov_skipped",
-    ], zip(*rows))
+    results = report.pairs
+    columns = {  # report.csv's columns in order, each read from PairResult fields by name
+        "group_a": [r.group_a[0] for r in results],
+        "time_a": [times[r.group_a[1]] for r in results],
+        "group_b": [r.group_b[0] for r in results],
+        "time_b": [times[r.group_b[1]] for r in results],
+        **{name: [getattr(r, name) for r in results]
+           for name in ("centroid_gap", "separation", "gap_ratio", "cov_gap", "scale")},
+        **{name: [int(getattr(r, name)) for r in results] for name in ("passed", "cov_skipped")},
+    }
+    _write_csv(run.path("report.csv"), list(columns), columns.values())
     lines = [f"threshold {args.threshold:g}"] + [
-        f"{ga}:{ta:g} vs {gb}:{tb:g}: gap_ratio={ratio:.4f} cov_gap={cov:.4f} "
-        f"[{'pass' if passed else 'FAIL'}]"
-        for ga, ta, gb, tb, _, _, ratio, cov, _, passed, _ in rows
+        f"{r.group_a[0]}:{times[r.group_a[1]]:g} vs {r.group_b[0]}:{times[r.group_b[1]]:g}: "
+        f"gap_ratio={r.gap_ratio:.4f} cov_gap={r.cov_gap:.4f} [{'pass' if r.passed else 'FAIL'}]"
+        for r in results
     ]
     run.path("report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     run.finish({
         "threshold": args.threshold,
         "passed": report.passed,
-        "gap_ratios": [float(row[6]) for row in rows],
+        "gap_ratios": [float(r.gap_ratio) for r in results],
     })
     for line in lines:
         print(line)

@@ -213,14 +213,12 @@ def omnibus_matrix(series) -> np.ndarray:
     m = np.zeros((side, side))
     blocks, flat = m.reshape(t_count, n, t_count, n), m.reshape(-1)
     for s, pattern in enumerate(patterns):
-        ends = np.append(pattern.starts, pattern.cols.size)
-        counts, base = np.diff(ends), np.arange(n) * side + s * n * (side + 1)
+        counts, base = np.diff(pattern.indptr), np.arange(n) * side + s * n * (side + 1)
         step = max(1, side * n // max(pattern.cols.size, 1))
         for lo in range(0, n, step):
-            at = slice(ends[lo], ends[min(lo + step, n)])
+            at = slice(pattern.indptr[lo], pattern.indptr[min(lo + step, n)])
             index = np.repeat(base[lo:lo + step], counts[lo:lo + step]) + pattern.cols[at]
-            real = pattern.cols[at] < n  # not an empty row's placeholder
-            flat[index[real]] = 1.0 if pattern.data is None else pattern.data[at][real]
+            flat[index] = 1.0 if pattern.data is None else pattern.data[at]
     for s, t in zip(*np.triu_indices(t_count, 1)):
         np.add(blocks[s, :, s], blocks[t, :, t], out=blocks[s, :, t])
         blocks[s, :, t] *= 0.5

@@ -58,11 +58,11 @@ def _project_off(rows: np.ndarray, w: np.ndarray) -> None:
     w -= np.einsum("ki,k->i", rows, np.einsum("ki,i->k", rows, w))
 
 
-def _uniforms(seed: int, stream: int, size: int) -> np.ndarray:
+def _uniforms(seed: int, stream: int, size: int, skip: int = 0) -> np.ndarray:
     """``size`` uniforms in [-1, 1): SplitMix64's top 53 bits (Steele, Lea &
-    Flood 2014) at ``seed``'s counters stream * 2**40 + 1, 2, ...; streams: 0
-    starts Lanczos, p + 1 follows its product p, 1 fills zero singular values."""
-    x = np.arange((stream << 40) + 1, (stream << 40) + size + 1, dtype=np.uint64)
+    Flood 2014) at ``seed``'s counters stream * 2**40 + skip + 1, + 2, ...;
+    streams: 0 starts Lanczos, p + 1 follows its product p, 1 fills null rows."""
+    x = np.arange(size, dtype=np.uint64) + np.uint64((stream << 40) + skip + 1)
     x *= np.uint64(0x9E3779B97F4A7C15)
     x += np.uint64(seed)  # array arithmetic wraps mod 2**64 without a warning
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
@@ -190,10 +190,13 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
         s = np.sqrt(np.einsum("bi,bi->b", w, w))
         order = np.argsort(-s, kind="stable")
         ub, w, s = ub[:, order], w[order], s[order]
-        w[s == 0] = _uniforms(seed, 1, np.sum(s == 0) * w.shape[1]).reshape(-1, w.shape[1])
-        for j, x in enumerate(w):  # Gram-Schmidt, twice
+        for j, x in enumerate(w):  # Gram-Schmidt, twice; a null row is filled from the seed
             for _ in range(2):
                 _project_off(w[:j], x)
+            if not _norm(x) > np.finfo(float).eps * s[0]:  # s_j is 0 or its round-off
+                x[:] = _uniforms(seed, 1, x.size, j * x.size)
+                for _ in range(2):
+                    _project_off(w[:j], x)
             x /= _norm(x)
         small, large = np.einsum("ia,ab->ib", q, ub), w.T
         u, v = (small, large) if rows <= cols else (large, small)

@@ -1,12 +1,12 @@
 """Adjacency snapshot sequences and timestamped edge list ingestion.
 
 A snapshot A is held in memory as a :class:`SymmetricPattern`, its full
-symmetric pattern as numpy arrays, from the sampler and ingestion through
-``load`` to the embedders; ``snapshots.npz`` stores its entries above the
-diagonal as CSR. The n x Tn unfolding (A_1 | ... | A_T) is applied as an
-:class:`Unfolding` of the patterns, never built. Everything here runs on
-numpy alone; scipy is imported only by ``SymmetricPattern.tocsr``, which
-``GraphSeries.snapshots`` calls.
+symmetric pattern as plain numpy CSR arrays, from the sampler and ingestion
+through ``load`` to the embedders; ``snapshots.npz`` stores its entries
+above the diagonal as CSR. The n x Tn unfolding (A_1 | ... | A_T) is
+applied as an :class:`Unfolding` of the patterns, never built. Everything
+here runs on numpy alone; scipy is imported only by
+``SymmetricPattern.tocsr``, which ``GraphSeries.snapshots`` calls.
 """
 
 from __future__ import annotations
@@ -41,23 +41,21 @@ def _key_dtype(n: int):
 
 
 class SymmetricPattern:
-    """A symmetric n x n matrix A, given by its entries in row-major order, as
-    numpy CSR arrays: ``cols`` (intp, which a gather takes unconverted),
-    ``starts`` of the rows and ``data``, None for a 0/1 matrix. A x is one
-    gather and one ``np.add.reduceat``; reduceat cannot sum an empty run, so
-    an empty row holds one entry in column n, which reads a zero appended to x.
+    """A symmetric n x n matrix A as numpy CSR arrays: ``indptr`` (n + 1 row
+    bounds), ``cols`` (intp, which a gather takes unconverted) and ``data``,
+    None for a 0/1 matrix; an empty row holds no entry. A x is one gather and
+    one ``np.add.reduceat`` over the starts of the rows that hold entries,
+    scattered into zeros when some row holds none.
     """
 
-    def __init__(self, cols, counts, data, n: int):
-        # cols (and data) of the entries in row-major order, counts[i] in row i
-        where = (np.cumsum(counts) - counts)[counts == 0]
-        if where.size:
-            cols = np.insert(cols, where, n)
-            data = None if data is None else np.insert(data, where, 0.0)
-        self.n, self.shape = n, (n, n)
-        self.cols, self.data = np.asarray(cols, dtype=np.intp), data
-        sizes = np.maximum(counts, 1)
-        self.starts = np.cumsum(sizes) - sizes
+    def __init__(self, indptr, cols, data, n: int):
+        self.n, self.shape, self.data = n, (n, n), data
+        self.indptr, self.cols = np.asarray(indptr, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        # reduceat cannot sum an empty run: A x sums the rows holding entries,
+        # and scatters them into zeros unless they are all the rows
+        held = np.flatnonzero(np.diff(self.indptr))
+        self._held = None if held.size == n else held
+        self._starts = self.indptr[:-1] if self._held is None else self.indptr[held]
 
     @classmethod
     def from_upper(cls, upper, n: int) -> "SymmetricPattern":
@@ -72,9 +70,9 @@ class SymmetricPattern:
         keys[:m] += keys[m:]  # j n + i, below the diagonal
         keys[m:] = upper
         keys.sort()
-        counts = np.diff(np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n))
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=keys.dtype) * n)
         np.remainder(keys, n, out=keys)  # the columns
-        return cls(keys, counts, None, n)
+        return cls(indptr, keys, None, n)
 
     @classmethod
     def from_matrix(cls, m) -> "SymmetricPattern":
@@ -88,10 +86,10 @@ class SymmetricPattern:
         if isinstance(m, np.ndarray):
             half = (m + m.T) * 0.5
             rows, cols = np.nonzero(half)
-            return cls(cols, np.bincount(rows, minlength=len(m)), half[rows, cols], len(m))
+            return cls(np.searchsorted(rows, np.arange(len(m) + 1)), cols, half[rows, cols], len(m))
         half = ((m + m.T) * 0.5).tocsr()
         half.sum_duplicates()  # sorted columns, no repeats
-        return cls(half.indices, np.diff(half.indptr), half.data, m.shape[0])
+        return cls(half.indptr, half.indices, half.data, m.shape[0])
 
     @property
     def T(self) -> "SymmetricPattern":
@@ -100,18 +98,21 @@ class SymmetricPattern:
     def __matmul__(self, x):
         if x.ndim == 2:
             return np.stack([self @ column for column in x.T], axis=1)
-        gathered = np.append(x, 0.0).take(self.cols)
+        gathered = x.take(self.cols).astype(float, copy=False)
         if self.data is not None:
             gathered *= self.data
-        return np.add.reduceat(gathered, self.starts)
+        sums = np.add.reduceat(gathered, self._starts)
+        if self._held is None:
+            return sums
+        out = np.zeros(self.n)
+        out[self._held] = sums
+        return out
 
     def entries(self):
         """Row (int32 when n^2 < 2^31), column and value of each entry in
         row-major order; the values are None for a 0/1 matrix."""
-        rows = np.repeat(np.arange(self.n, dtype=_key_dtype(self.n)),
-                         np.diff(np.append(self.starts, self.cols.size)))
-        real = self.cols < self.n
-        return rows[real], self.cols[real], None if self.data is None else self.data[real]
+        rows = np.repeat(np.arange(self.n, dtype=_key_dtype(self.n)), np.diff(self.indptr))
+        return rows, self.cols, self.data
 
     def upper(self):
         """Row and column of each entry above the diagonal, row-major."""
@@ -120,11 +121,10 @@ class SymmetricPattern:
         return rows[above], cols[above]
 
     def tocsr(self):
-        """A as a scipy CSR matrix."""
+        """A as a scipy CSR matrix; a weighted pattern shares its ``data``."""
         import scipy.sparse as sp
-        rows, cols, data = self.entries()
-        return sp.csr_matrix((np.ones(rows.size) if data is None else data, (rows, cols)),
-                             shape=self.shape)
+        data = np.ones(self.cols.size) if self.data is None else self.data
+        return sp.csr_matrix((data, self.cols, self.indptr), shape=self.shape)
 
 
 class Unfolding:
@@ -232,11 +232,9 @@ class GraphSeries:
 
     def densities(self) -> np.ndarray:
         """Share of node pairs joined in each snapshot; 0.0 with no pairs."""
-        # half a pattern's entries lie above its zero diagonal; an empty row's
-        # one entry, in column n, is none
-        pairs, n = self.n_nodes * (self.n_nodes - 1) / 2.0, self.n_nodes
-        return np.array([(p.cols.size - np.count_nonzero(p.cols[p.starts] == n)) // 2 / pairs
-                         if pairs else 0.0 for p in self.patterns])
+        # half a pattern's entries lie above its zero diagonal
+        pairs = self.n_nodes * (self.n_nodes - 1) / 2.0
+        return np.array([p.cols.size // 2 / pairs if pairs else 0.0 for p in self.patterns])
 
     def save(self, directory) -> list:
         """Write ``labels.txt`` and an uncompressed ``snapshots.npz`` holding

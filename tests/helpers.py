@@ -36,8 +36,9 @@ def write_csv_per_cell(path, header, columns) -> int:
 
 def transient_bytes(call):
     """``call()``'s result, and the tracemalloc peak during the call less the
-    bytes of the arrays it returns: a dense matrix, or a series' patterns.
-    numpy traces its data buffers, so this counts every temporary array."""
+    bytes of the arrays it returns: a dense matrix, or every array that a
+    series' patterns keep, a view counted with the array it views. numpy
+    traces its data buffers, so this counts every temporary array."""
     tracemalloc.start()
     try:
         result = call()
@@ -46,4 +47,5 @@ def transient_bytes(call):
         tracemalloc.stop()
     if isinstance(result, np.ndarray):
         return result, peak - result.nbytes
-    return result, peak - sum(p.cols.nbytes + p.starts.nbytes for p in result.patterns)
+    return result, peak - sum(a.nbytes for p in result.patterns for a in vars(p).values()
+                              if isinstance(a, np.ndarray) and a.base is None)

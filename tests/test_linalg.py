@@ -129,6 +129,23 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(m @ res.v, res.u * res.s, atol=1e-12)
         assert truncated_svd(m, 5, seed=4).v.tobytes() == res.v.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_round_off_null_rows_are_filled(self, seed):
+        # d exceeds the rank: the null rows of s_j v_j hold round-off, not
+        # zeros, and Gram-Schmidt once divided them 0 by 0 into NaN columns
+        m = np.diag([3.0, 2.0, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = truncated_svd(m, 4, seed=seed)
+            again = truncated_svd(m, 4, seed=seed)
+        for factor in (res.u, res.s, res.v):
+            assert np.all(np.isfinite(factor))
+        for factor in (res.u, res.v):
+            np.testing.assert_allclose(factor.T @ factor, np.eye(4), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m @ res.v, res.u * res.s, rtol=0, atol=1e-12)
+        for part in ("u", "s", "v"):
+            assert getattr(again, part).tobytes() == getattr(res, part).tobytes()
+
     def test_rejects_bad_rank(self):
         m = np.eye(4)
         with pytest.raises(ValueError):

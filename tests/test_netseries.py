@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from dynembed.embedders import omnibus_matrix
 from dynembed.netseries import (
     SERIES_FORMAT,
     GraphSeries,
@@ -86,7 +87,7 @@ class TestGraphSeries:
         csr = sp.csr_matrix(m)
         for pattern in (SymmetricPattern.from_matrix(m), SymmetricPattern.from_matrix(csr)):
             np.testing.assert_array_equal(pattern.cols, csr.indices)
-            np.testing.assert_array_equal(pattern.starts, csr.indptr[:-1])
+            np.testing.assert_array_equal(pattern.indptr, csr.indptr)
             np.testing.assert_array_equal(pattern.data, csr.data)
             for cols in ((), (3,)):
                 x = rng.standard_normal((n, *cols))
@@ -619,19 +620,79 @@ def symmetric_csr(upper, n):
 
 @pytest.mark.parametrize("n", [300, 50_000])
 def test_from_upper_matches_scipy_at_both_key_widths(n):
-    # n^2 < 2^31 sorts int32 keys, 50_000^2 int64 ones; an empty row holds
-    # its placeholder either way
+    # n^2 < 2^31 sorts int32 keys, 50_000^2 int64 ones; the empty last row
+    # holds no entry either way
     upper = random_upper_keys(n, 4 * n, seed=n)
     want = symmetric_csr(upper, n)
     pattern = SymmetricPattern.from_upper(upper, n)
     got = pattern.tocsr()
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
-    assert got.nnz == want.nnz and pattern.cols[pattern.starts[-1]] == n
+    assert got.nnz == want.nnz
+    assert pattern.cols.size == pattern.indptr[-1] and pattern.indptr[-2] == pattern.indptr[-1]
     rows, cols = pattern.upper()
     np.testing.assert_array_equal(rows * n + cols, upper)
-    # no pair at all, given as a plain list: every row holds its placeholder
-    assert SymmetricPattern.from_upper([], n).cols.tolist() == [n] * n
+    # no pair at all, given as a plain list: every row is empty
+    empty = SymmetricPattern.from_upper([], n)
+    assert empty.cols.size == 0 and empty.indptr.tolist() == [0] * (n + 1)
+
+
+# pairs i < j among 6 nodes that leave the named rows without an entry
+EMPTY_ROWS = {
+    "first": [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)],
+    "middle": [(0, 1), (0, 5), (1, 4), (3, 4), (4, 5)],
+    "last": [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)],
+    "all": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_ROWS))
+def test_empty_rows_hold_no_entry(case, tmp_path):
+    # each pattern as 0/1 from its keys and weighted from a dense and a scipy
+    # matrix, against the scipy matrix of the same entries
+    n, rng = 6, np.random.default_rng(len(case))
+    pairs = np.array(EMPTY_ROWS[case], dtype=np.intp).reshape(-1, 2)
+    ones = np.zeros((n, n))
+    ones[pairs[:, 0], pairs[:, 1]] = 1.0
+    ones += ones.T
+    weights = rng.random((n, n))
+    weighted = ones * (weights + weights.T)
+    zero_one = SymmetricPattern.from_upper(pairs[:, 0] * n + pairs[:, 1], n)
+    other = SymmetricPattern.from_matrix(weights + weights.T)  # no empty row
+    for pattern, dense in ((zero_one, ones), (SymmetricPattern.from_matrix(weighted), weighted),
+                           (SymmetricPattern.from_matrix(sp.csr_matrix(weighted)), weighted)):
+        want = sp.csr_matrix(dense)
+        empty = np.diff(want.indptr) == 0
+        assert np.any(empty) and pattern.cols.size == pattern.indptr[-1] == want.nnz
+        np.testing.assert_array_equal(pattern.indptr, want.indptr)
+        got = pattern.tocsr()
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        rows, cols, data = pattern.entries()
+        coo = want.tocoo()
+        np.testing.assert_array_equal(rows, coo.row)
+        np.testing.assert_array_equal(cols, coo.col)
+        np.testing.assert_array_equal(np.ones(rows.size) if data is None else data, coo.data)
+        above = coo.row < coo.col
+        for part, expected in zip(pattern.upper(), (coo.row[above], coo.col[above])):
+            np.testing.assert_array_equal(part, expected)
+        for shape in ((n,), (n, 3)):
+            x = rng.standard_normal(shape)
+            product = pattern @ x
+            assert product.shape == shape and np.all(product[empty] == 0)
+            np.testing.assert_allclose(product, want @ x, rtol=0, atol=1e-14)
+        # an integer vector is taken as floats, as by the scipy product
+        np.testing.assert_allclose(pattern @ np.arange(n), want @ np.arange(n), rtol=0, atol=1e-14)
+        b = weights + weights.T
+        np.testing.assert_array_equal(omnibus_matrix([pattern, other]), np.block(
+            [[dense, 0.5 * dense + 0.5 * b], [0.5 * dense + 0.5 * b, b]]))
+    series = GraphSeries([zero_one])
+    assert series.densities().tolist() == [pairs.shape[0] / (n * (n - 1) / 2)]
+    series.save(tmp_path)
+    back = GraphSeries.load(tmp_path).patterns[0]
+    for part in ("indptr", "cols"):
+        np.testing.assert_array_equal(getattr(back, part), getattr(zero_one, part))
+    assert back.data is None
 
 
 class TestTransientMemory:
@@ -658,9 +719,10 @@ class TestTransientMemory:
 
     @pytest.mark.parametrize("n, edges", [(2000, 100_000), (50_000, 200_000)])
     def test_load(self, tmp_path, n, edges):
-        # measured 10.5 and 15.9 bytes an entry (int32 and int64 keys; the
-        # empty row costs one copy of the columns), 34 and 37 when the
-        # validation and the keys used int64 index arrays
+        # measured 6.3 and 15.7 bytes an entry (int32 and int64 keys), 10.5
+        # and 15.9 when an empty row held a placeholder entry, which cost one
+        # copy of the columns, and 34 and 37 when the validation and the keys
+        # used int64 index arrays
         want = symmetric_csr(random_upper_keys(n, edges, seed=1), n)
         GraphSeries([want]).save(tmp_path)
         series, extra = transient_bytes(lambda: GraphSeries.load(tmp_path))
