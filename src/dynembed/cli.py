@@ -3,12 +3,11 @@
 Subcommands cover the full pipeline: ``simulate`` draws a snapshot series
 from a block model config, ``embed`` turns a series (saved or raw edge list)
 into per-snapshot point sets, ``stability`` scores group pairs of an
-embedding against ground-truth labels, ``cluster`` fits a Gaussian mixture
-to pooled spherical coordinates, and ``digest-verify`` checks a downloaded
-file against an expected checksum. Every command writes its outputs plus a
-``manifest.json`` recording the command, seed, input digests and timings
-into one output directory; reruns with identical inputs reproduce the CSVs
-byte for byte.
+embedding against ground-truth labels, and ``cluster`` fits a Gaussian
+mixture to pooled spherical coordinates. Every command writes its outputs
+plus a ``manifest.json`` recording the command, seed, input digests and
+timings into one output directory; reruns with identical inputs reproduce
+the CSVs byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or inconsistent data,
 3 a requested stability threshold failed.
@@ -113,30 +112,6 @@ def _blas() -> str:
         return "unknown"
 
 
-def _write_manifest(out_dir, args_list, seed, *, inputs=(), outputs=(),
-                    timings=None, details=None):
-    manifest = {
-        "command": list(args_list),
-        "seed": seed,
-        "versions": {
-            "dynembed": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas": _blas(),
-        },
-        "blas_threads": {var: os.environ.get(var) for var in (
-            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "input_digests": {str(p): _sha256(p) for p in inputs},
-        "outputs": sorted(str(o) for o in outputs),
-        "timings_seconds": timings or {},
-        "peak_rss_mib": _peak_rss_mib(),
-        "details": details or {},
-    }
-    with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 class _Run:
     """What one command's ``manifest.json`` records, kept as the run goes:
     the files written, each recorded as its path is handed out; the inputs
@@ -165,9 +140,28 @@ class _Run:
         self.timings[part], self.mark = now - self.mark, now
 
     def finish(self, details) -> None:
+        """Write ``manifest.json``, with the run's total time."""
         self.timings["total"] = time.perf_counter() - self.start
-        _write_manifest(self.out, self.args.argv, self.seed, inputs=self.inputs,
-                        outputs=self.outputs, timings=self.timings, details=details)
+        manifest = {
+            "command": list(self.args.argv),
+            "seed": self.seed,
+            "versions": {
+                "dynembed": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "blas": _blas(),
+            },
+            "blas_threads": {var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "input_digests": {str(p): _sha256(p) for p in self.inputs},
+            "outputs": sorted(str(o) for o in self.outputs),
+            "timings_seconds": self.timings,
+            "peak_rss_mib": _peak_rss_mib(),
+            "details": details,
+        }
+        with open(self.out / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _resolve_config(name_or_path) -> Path:
@@ -675,22 +669,6 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def cmd_digest_verify(args) -> int:
-    p = Path(args.path)
-    if not p.exists():
-        raise DataError(f"no such file {p}")
-    digest = _sha256(p)
-    print(f"sha256  {digest}  {p}")
-    if args.expected is not None:
-        if digest.lower() != args.expected.lower():
-            print(
-                f"MISMATCH: expected {args.expected.lower()}", file=sys.stderr
-            )
-            return EXIT_DATA
-        print("digest matches")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dynembed",
@@ -755,12 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("digest-verify", help="sha256-check a downloaded file")
-    p.add_argument("--path", required=True)
-    p.add_argument("--expected", default=None,
-                   help="expected hex digest; omit to just print the digest")
-    p.set_defaults(func=cmd_digest_verify)
     return parser
 
 

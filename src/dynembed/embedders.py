@@ -15,8 +15,8 @@ Four methods producing, for each snapshot, one point per node:
 Each takes a :class:`~dynembed.netseries.GraphSeries` or a list of square
 dense, nested-list or scipy matrices, weighted ones included, or of
 :class:`~dynembed.netseries.SymmetricPattern`, and sees them in one form,
-decided in :func:`as_patterns`: a symmetric pattern A_t per snapshot, which
-for a list matrix M is its symmetric part (M + M^T) / 2.
+decided in :func:`~dynembed.netseries.as_patterns`: a symmetric pattern A_t
+per snapshot, which for a list matrix M is its symmetric part (M + M^T) / 2.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import SymmetricOperator, TruncatedSvd, orient_columns, truncated_svd
-from .netseries import GraphSeries, SymmetricPattern, Unfolding
+from .netseries import Unfolding, as_patterns
 
 # omnibus_embed materializes the (T n) x (T n) omnibus matrix up to this many
 # float64 entries (1.6 GB) and applies a matrix-free product above it
@@ -57,26 +57,6 @@ class Embedding:
         self.dims = [p.shape[1] for p in self.points]
 
 
-def as_patterns(series):
-    """Per snapshot the :class:`~dynembed.netseries.SymmetricPattern` A_t,
-    and n. Raises ValueError, naming the matrix, unless every list matrix is
-    finite and n x n for the first one's n."""
-    if isinstance(series, GraphSeries):
-        return series.patterns, series.n_nodes
-    if not len(series):
-        raise ValueError("need at least one snapshot")
-    n, patterns = np.shape(series[0])[0], []
-    for t, m in enumerate(series):
-        rows, cols = np.shape(m)
-        if (rows, cols) != (n, n):
-            raise ValueError(f"matrix {t} is {rows} x {cols}, not {n} x {n}")
-        pattern = m if isinstance(m, SymmetricPattern) else SymmetricPattern.from_matrix(m)
-        if pattern.data is not None and not np.all(np.isfinite(pattern.data)):
-            raise ValueError(f"matrix {t} contains non-finite entries")
-        patterns.append(pattern)
-    return patterns, n
-
-
 def uase(series, d: int, seed: int = 0) -> Embedding:
     """Unfolded adjacency spectral embedding.
 
@@ -89,7 +69,7 @@ def uase(series, d: int, seed: int = 0) -> Embedding:
     and is decomposed as such, so its points are those of
     :func:`independent_ase`.
     """
-    patterns, _ = as_patterns(series)
+    patterns = as_patterns(series)
     svd = truncated_svd(Unfolding(patterns), d, seed)
     return uase_from_svd(svd, d, len(patterns))
 
@@ -175,7 +155,7 @@ def separate_embed(
     :func:`history_weights`, then spectrally embedded on its own. No average
     is built: it is applied as the weighted sum of the history's products.
     """
-    patterns, n = as_patterns(series)
+    patterns = as_patterns(series)
     dims = [int(dims)] * len(patterns) if np.isscalar(dims) else dims
     if len(dims) != len(patterns):
         raise ValueError("need one dimension per snapshot")
@@ -184,7 +164,7 @@ def separate_embed(
         w = history_weights(t, scheme, forgetting=forgetting, window=window)
         used = [(w[s], patterns[s]) for s in range(t + 1) if w[s] > 0]
         pairs.append(_signed_symmetric_embedding(
-            lambda x: sum(ws * (a @ x) for ws, a in used), n, d, seed))
+            lambda x: sum(ws * (a @ x) for ws, a in used), patterns[0].n, d, seed))
     points, signatures = map(list, zip(*pairs))
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
 
@@ -208,8 +188,9 @@ def omnibus_matrix(series) -> np.ndarray:
     # diagonal block s is set to A_s a block of rows at a time, through the
     # flat indices (row base + column) of about one matrix row of entries;
     # each other block averages two of them in place
-    patterns, n = as_patterns(series)
-    t_count, side = len(patterns), len(patterns) * n
+    patterns = as_patterns(series)
+    n, t_count = patterns[0].n, len(patterns)
+    side = t_count * n
     m = np.zeros((side, side))
     blocks, flat = m.reshape(t_count, n, t_count, n), m.reshape(-1)
     for s, pattern in enumerate(patterns):
@@ -240,8 +221,9 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; above that it is applied as (U^T E +
     E^T U) / 2 through the unfolding U = (A_1 | ... | A_T), E = (I | ... | I).
     """
-    patterns, n = as_patterns(series)
-    t_count, side = len(patterns), len(patterns) * n
+    patterns = as_patterns(series)
+    n, t_count = patterns[0].n, len(patterns)
+    side = t_count * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
         route, apply = "dense", omnibus_matrix(patterns).__matmul__
         del patterns  # the matrix holds all the eigensolver needs

@@ -74,23 +74,6 @@ class SymmetricPattern:
         np.remainder(keys, n, out=keys)  # the columns
         return cls(indptr, keys, None, n)
 
-    @classmethod
-    def from_matrix(cls, m) -> "SymmetricPattern":
-        """(M + M^T) / 2 for a square dense, nested-list or scipy sparse M,
-        which for a symmetric M is M exactly; a sparse M is added by its own
-        methods."""
-        if not hasattr(m, "tocsr"):
-            m = np.asarray(m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"matrix of shape {m.shape} is not square")
-        if isinstance(m, np.ndarray):
-            half = (m + m.T) * 0.5
-            rows, cols = np.nonzero(half)
-            return cls(np.searchsorted(rows, np.arange(len(m) + 1)), cols, half[rows, cols], len(m))
-        half = ((m + m.T) * 0.5).tocsr()
-        half.sum_duplicates()  # sorted columns, no repeats
-        return cls(half.indptr, half.indices, half.data, m.shape[0])
-
     @property
     def T(self) -> "SymmetricPattern":
         return self
@@ -163,21 +146,49 @@ class IngestStats:
     duplicate_pairs_collapsed: int
 
 
-def _snapshot(a, t: int) -> SymmetricPattern:
-    """Snapshot ``t`` as a 0/1 pattern: one given as such, or a dense or scipy
-    matrix that is square, symmetric and 0/1 with a zero diagonal."""
-    if isinstance(a, SymmetricPattern):
-        return a
-    shape = np.shape(a)
-    values = a.tocsr().data if hasattr(a, "tocsr") else np.asarray(a, dtype=float)
-    if len(shape) == 2 and shape[0] == shape[1] and np.all((values == 0) | (values == 1)):
-        # a 0/1 M has a 0/1 symmetric part (M + M^T) / 2 only where M = M^T
-        pattern = SymmetricPattern.from_matrix(a)
-        rows, cols, data = pattern.entries()
-        if np.all(data == 1) and not np.any(rows == cols):
-            pattern.data = None
-            return pattern
-    raise ValueError(f"snapshot {t} is not square symmetric 0/1 with a zero diagonal")
+def as_patterns(matrices) -> list:
+    """Per snapshot the :class:`SymmetricPattern` A_t that every embedder and
+    :class:`GraphSeries` sees: a series' own ``patterns``, or for each item
+    of a non-empty list the pattern as given, or the symmetric part (M +
+    M^T) / 2 of a square dense, nested-list or scipy matrix M, which for a
+    symmetric M is M exactly; a sparse M is added by its own methods.
+    Raises ValueError, naming the matrix, unless every matrix is finite and
+    n x n for the first one's n."""
+    if isinstance(matrices, GraphSeries):
+        return matrices.patterns
+    if not len(matrices):
+        raise ValueError("need at least one snapshot")
+    n, patterns = np.shape(matrices[0])[0], []
+    for t, m in enumerate(matrices):
+        rows, cols = np.shape(m)
+        if (rows, cols) != (n, n):
+            raise ValueError(f"matrix {t} is {rows} x {cols}, not {n} x {n}")
+        if not isinstance(m, SymmetricPattern):
+            m = m if hasattr(m, "tocsr") else np.asarray(m, dtype=float)
+            half = (m + m.T) * 0.5
+            if isinstance(half, np.ndarray):
+                rows, cols = np.nonzero(half)
+                m = SymmetricPattern(np.searchsorted(rows, np.arange(n + 1)), cols, half[rows, cols], n)
+            else:
+                half = half.tocsr()
+                half.sum_duplicates()  # sorted columns, no repeats
+                m = SymmetricPattern(half.indptr, half.indices, half.data, n)
+        if m.data is not None and not np.all(np.isfinite(m.data)):
+            raise ValueError(f"matrix {t} contains non-finite entries")
+        patterns.append(m)
+    return patterns
+
+
+def _holds_loop(pattern) -> bool:
+    """Whether ``pattern`` holds an entry (i, i). Rows are compared a block of
+    about n entries at a time, so no array of every entry's row is held."""
+    n, indptr, cols = pattern.n, pattern.indptr, pattern.cols
+    step = max(1, n * n // max(cols.size, 1))
+    for lo in range(0, n, step):
+        rows = np.repeat(np.arange(lo, min(lo + step, n)), np.diff(indptr[lo:lo + step + 1]))
+        if np.any(cols[indptr[lo]:indptr[lo] + rows.size] == rows):
+            return True
+    return False
 
 
 class GraphSeries:
@@ -191,19 +202,24 @@ class GraphSeries:
     times: nominal time value per snapshot (window start, or the model time).
     stats: ingestion bookkeeping, or None.
 
-    ``snapshots`` may be given as 0/1 patterns (``SymmetricPattern.from_upper``)
-    or as dense or scipy symmetric {0,1} matrices with a zero diagonal; any
-    other matrix raises ValueError naming the snapshot.
+    ``snapshots``, a list of matrices or patterns, is taken by
+    :func:`as_patterns`; each must then be symmetric and 0/1 with a zero
+    diagonal, a graph that ``save`` can hold, or ValueError names it.
     """
 
     def __init__(self, snapshots, node_labels=None, times=None,
                  stats: IngestStats | None = None):
-        if not len(snapshots):
-            raise ValueError("need at least one snapshot")
-        self.patterns = [_snapshot(a, t) for t, a in enumerate(snapshots)]
+        self.patterns = as_patterns(snapshots)
+        for t, (given, pattern) in enumerate(zip(snapshots, self.patterns)):
+            # a 0/1 M has a 0/1 symmetric part (M + M^T) / 2 only where M = M^T
+            values = (np.zeros(0) if isinstance(given, SymmetricPattern) else
+                      given.tocsr().data if hasattr(given, "tocsr") else np.asarray(given))
+            if (_holds_loop(pattern) or not np.all((values == 0) | (values == 1))
+                    or (pattern.data is not None and np.any(pattern.data != 1))):
+                raise ValueError(f"snapshot {t} is not square symmetric 0/1 with a zero diagonal")
+            if pattern.data is not None:
+                self.patterns[t] = SymmetricPattern(pattern.indptr, pattern.cols, None, pattern.n)
         n = self.n_nodes
-        if any(pattern.n != n for pattern in self.patterns):
-            raise ValueError("all snapshots must share the same node set")
         self.node_labels = list(range(n)) if node_labels is None else list(node_labels)
         if len(self.node_labels) != n:
             raise ValueError("node_labels length must match snapshot side")

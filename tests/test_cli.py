@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -943,8 +944,10 @@ class TestManifest:
             return None
 
         monkeypatch.setattr(cli.np, "show_config", show_config)
-        cli._write_manifest(tmp_path, [], 0)
-        assert read_manifest(tmp_path)["versions"]["blas"] == "unknown"
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text(TWOBLOCK_120)
+        assert run("simulate", "--config", cfg, "--seed", 1, "--out", tmp_path / "sim") == 0
+        assert read_manifest(tmp_path / "sim")["versions"]["blas"] == "unknown"
 
     @staticmethod
     def assert_record(out, inputs, parts):
@@ -1200,31 +1203,13 @@ class TestParsers:
                 _parse_dims(bad, 2)
 
 
-class TestDigestVerify:
-    def test_match_and_mismatch(self, tmp_path, capsys):
-        f = tmp_path / "blob.bin"
-        f.write_bytes(b"contact events")
-        digest = sha(f)
-        assert run("digest-verify", "--path", f) == 0
-        assert digest in capsys.readouterr().out
-        assert run("digest-verify", "--path", f,
-                   "--expected", digest.upper()) == 0
-        assert "digest matches" in capsys.readouterr().out
-        assert run("digest-verify", "--path", f, "--expected", "0" * 64) == 2
-        assert "MISMATCH" in capsys.readouterr().err
-
-    def test_missing_file(self, tmp_path):
-        assert run("digest-verify", "--path", tmp_path / "nope") == 2
-
-
-@pytest.mark.parametrize("command", ["digest-verify", "stability", "embed", "simulate"])
+@pytest.mark.parametrize("command", ["stability", "embed", "simulate"])
 def test_os_errors_exit_2(command, sim120, emb120, tmp_path, capsys):
     # a directory where a file is read, or a file where a directory is
     # written, is a data error, as a missing file is
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     words = {
-        "digest-verify": ["--path", tmp_path],
         "stability": ["--embedding", emb120, "--truth", tmp_path, *TestStability.PAIRS,
                       "--out", tmp_path / "rep"],
         "embed": ["--input", sim120 / "series", "--method", "uase", "--dim", 3,
@@ -1242,11 +1227,13 @@ class TestUsage:
         assert run("embed", "--frobnicate") == 1
         assert run("embed", "--input", "x", "--method", "bogus",
                    "--out", "y") == 1
-        capsys.readouterr()
+        # sha256sum -c or shasum -a 256 -c checks a download
+        assert run("digest-verify", "--path", "x") == 1
+        assert "invalid choice: 'digest-verify'" in capsys.readouterr().err
 
     def test_help_and_version_exit_0(self, capsys):
         assert run("--help") == 0
-        assert "simulate" in capsys.readouterr().out
+        assert "{simulate,embed,stability,cluster}" in capsys.readouterr().out
         assert run("--version") == 0
         assert "dynembed" in capsys.readouterr().out
 
@@ -1254,16 +1241,19 @@ class TestUsage:
 def test_no_module_reads_the_environment():
     # every setting is an option or a constant; an environment variable would
     # be a knob no manifest records. The one reader is the manifest writer,
-    # which records the BLAS thread variables and decides nothing by them.
+    # _Run.finish, which records the BLAS thread variables and decides nothing
+    # by them.
     import ast
 
     src = Path(dynembed.__file__).resolve().parent
     readers = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        recorder = {id(node) for f in ast.walk(tree) if path.name == "cli.py"
-                    and isinstance(f, ast.FunctionDef) and f.name == "_write_manifest"
+        recorder = {id(node) for c in tree.body if path.name == "cli.py"
+                    and isinstance(c, ast.ClassDef) and c.name == "_Run"
+                    for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "finish"
                     for node in ast.walk(f)}
+        assert path.name != "cli.py" or recorder, "no _Run.finish in cli.py"
         for node in ast.walk(tree):
             if id(node) in recorder:
                 continue
@@ -1276,19 +1266,24 @@ def test_no_module_reads_the_environment():
 
 
 def test_embedders_tell_series_from_lists_in_one_place():
-    # every embedder sees its input through embedders.as_patterns, the only
-    # isinstance(..., GraphSeries) test in the module
+    # every embedder and GraphSeries see their input through
+    # netseries.as_patterns, the only isinstance(..., GraphSeries) test in the
+    # package; the list is exact, so a second site fails
     import ast
 
-    tree = ast.parse(Path(embedders.__file__).read_text(encoding="utf-8"))
+    src = Path(dynembed.__file__).resolve().parent
     found = []
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
-                        and "GraphSeries" in ast.unparse(node.args[1])):
-                    found.append(func.name)
-    assert found == ["as_patterns"]
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "isinstance"
+                            and "GraphSeries" in ast.unparse(node.args[1])):
+                        found.append(f"{path.name}:{func.name}")
+    assert found == ["netseries.py:as_patterns"]
+    assert not [f for f in found if f.startswith("embedders.py:")]
 
 
 def test_only_interop_helpers_import_scipy():
@@ -1402,8 +1397,7 @@ def test_embed_and_stability_load_no_numpy_random_or_openssl(sim120, emb120, tmp
 
 
 @pytest.mark.parametrize("lean", [True, False])
-def test_digests_equal_hashlib_with_and_without_the_builtin_module(lean, tmp_path, capsys,
-                                                                     monkeypatch):
+def test_digests_equal_hashlib_with_and_without_the_builtin_module(lean, tmp_path, monkeypatch):
     # without the built-in module (_sha2 from Python 3.12, _sha256 before)
     # the digest falls back to hashlib; a None entry makes its import fail
     if not lean:
@@ -1414,6 +1408,32 @@ def test_digests_equal_hashlib_with_and_without_the_builtin_module(lean, tmp_pat
     want = hashlib.sha256(cfg.read_bytes()).hexdigest()
     assert run("simulate", "--config", cfg, "--seed", 1, "--out", tmp_path / "sim") == 0
     assert read_manifest(tmp_path / "sim")["input_digests"] == {str(cfg): want}
-    capsys.readouterr()
-    assert run("digest-verify", "--path", cfg, "--expected", want) == 0
-    assert f"sha256  {want}  {cfg}" in capsys.readouterr().out
+
+
+def test_ci_console_script_step_runs(tmp_path):
+    # the workflow's "Console script" step, cut from the file by plain text
+    # and run as CI runs a step, under bash -e in its working directory, with
+    # `dynembed` and `python` shims for this interpreter first on PATH
+    bash = shutil.which("bash")
+    if bash is None:
+        pytest.skip("bash is needed to run the workflow's step")
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    lines = workflow.read_text(encoding="utf-8").splitlines()
+    body = lines.index("        run: |", lines.index("      - name: Console script")) + 1
+    end = next(k for k in range(body, len(lines))
+               if lines[k].strip() and not lines[k].startswith(" " * 10))
+    script = tmp_path / "step.sh"
+    script.write_text(textwrap.dedent("\n".join(lines[body:end])) + "\n", encoding="utf-8")
+    shims, temp = tmp_path / "shims", tmp_path / "runner"
+    shims.mkdir()
+    temp.mkdir()
+    for name, command in (("dynembed", f'"{sys.executable}" -m dynembed.cli'),
+                          ("python", f'"{sys.executable}"')):
+        (shims / name).write_text(f'#!{bash}\nexec {command} "$@"\n', encoding="utf-8")
+        (shims / name).chmod(0o755)
+    src = str(Path(dynembed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, RUNNER_TEMP=str(temp),
+               PATH=os.pathsep.join([str(shims), os.environ.get("PATH", "")]))
+    done = subprocess.run([bash, "-e", str(script)], cwd=temp, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -271,9 +271,8 @@ class TestOmnibus:
         # oracle: the dense omnibus matrix times the same vector
         snaps = random_series(37, n=12, t=3).snapshots
         series = GraphSeries(snapshots=[snaps[0], sp.csr_matrix((12, 12)), snaps[2]])
-        patterns, n = embedders.as_patterns(series)
         x = np.random.default_rng(5).standard_normal(36)
-        np.testing.assert_allclose(embedders._omnibus_matvec(patterns, n)(x),
+        np.testing.assert_allclose(embedders._omnibus_matvec(series.patterns, 12)(x),
                                    omnibus_matrix(series) @ x, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("slack, dense", [(0, True), (-1, False)])

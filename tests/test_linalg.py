@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator
 
 from dynembed.embedders import independent_ase, omnibus_embed, uase
-from dynembed.netseries import SymmetricPattern, Unfolding
+from dynembed.netseries import Unfolding, as_patterns
 
 from dynembed.linalg import (
     ProcrustesResult,
@@ -227,7 +227,7 @@ class TestLanczos:
         rng = np.random.default_rng(71)
         dense = [np.triu(rng.random((9, 9)) < 0.4, 1).astype(float) for _ in range(3)]
         dense = [a + a.T for a in dense]
-        op = Unfolding([SymmetricPattern.from_matrix(a) for a in dense])
+        op = Unfolding(as_patterns(dense))
         full = np.hstack(dense)
         if transpose:
             op, full = op.T, full.T

@@ -14,6 +14,7 @@ from dynembed.netseries import (
     ParseError,
     SymmetricPattern,
     Unfolding,
+    as_patterns,
     ingest_edge_list,
 )
 from helpers import permute, transient_bytes
@@ -57,6 +58,8 @@ class TestGraphSeries:
             upper = np.triu(rng.random((n, n)) < (0.4 if t != 1 else 0.0), k=1)
             dense.append((upper + upper.T).astype(float))
         series = GraphSeries(snapshots=dense)
+        # a series keeps 0/1 patterns without values
+        assert all(p.data is None for p in series.patterns)
         assert series.patterns[1].upper()[0].size == 0
         for pattern, a, csr in zip(series.patterns, dense, series.snapshots):
             np.testing.assert_array_equal(pattern.tocsr().toarray(), a)
@@ -85,7 +88,7 @@ class TestGraphSeries:
         m = m + m.T + np.diag(rng.standard_normal(n))
         assert np.all(np.diag(m) != 0)
         csr = sp.csr_matrix(m)
-        for pattern in (SymmetricPattern.from_matrix(m), SymmetricPattern.from_matrix(csr)):
+        for pattern in as_patterns([m, csr]):
             np.testing.assert_array_equal(pattern.cols, csr.indices)
             np.testing.assert_array_equal(pattern.indptr, csr.indptr)
             np.testing.assert_array_equal(pattern.data, csr.data)
@@ -95,7 +98,7 @@ class TestGraphSeries:
                 assert np.all(np.abs(pattern @ x - csr @ x) <= bound)
 
     def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix 1 is 4 x 4, not 3 x 3"):
             GraphSeries(snapshots=[sp.eye(3), sp.eye(4)])
 
     def test_permute_round_trip(self):
@@ -158,12 +161,17 @@ class TestGraphSeries:
         [[1, 1, 0], [1, 0, 0], [0, 0, 0]],  # a self loop
         [[0, 2, 0], [2, 0, 0], [0, 0, 0]],  # a weight other than 1
         [[0, 2, 0], [0, 0, 0], [0, 0, 0]],  # asymmetric, with a 0/1 symmetric part
+        # patterns given as built: weighted with a loop, weighted, 0/1 with a loop
+        as_patterns([[[2, 3, 0], [3, 0, 1], [0, 1, 0]]])[0],
+        as_patterns([[[0, 2, 0], [2, 0, 0], [0, 0, 0]]])[0],
+        as_patterns([[[1, 1, 0], [1, 0, 0], [0, 0, 0]]])[0],
     ])
     def test_save_refuses_what_one_triangle_cannot_hold(self, tmp_path, dense):
         # a series holds only what one triangle can, so construction refuses it
+        if not isinstance(dense, SymmetricPattern):
+            dense = sp.csr_matrix(np.array(dense, dtype=float))
         with pytest.raises(ValueError, match="snapshot 0"):
-            GraphSeries(snapshots=[sp.csr_matrix(np.array(dense, dtype=float))]).save(
-                tmp_path / "series")
+            GraphSeries(snapshots=[dense]).save(tmp_path / "series")
         assert not (tmp_path / "series").exists()
 
     @pytest.mark.parametrize("edit", [
@@ -658,9 +666,9 @@ def test_empty_rows_hold_no_entry(case, tmp_path):
     weights = rng.random((n, n))
     weighted = ones * (weights + weights.T)
     zero_one = SymmetricPattern.from_upper(pairs[:, 0] * n + pairs[:, 1], n)
-    other = SymmetricPattern.from_matrix(weights + weights.T)  # no empty row
-    for pattern, dense in ((zero_one, ones), (SymmetricPattern.from_matrix(weighted), weighted),
-                           (SymmetricPattern.from_matrix(sp.csr_matrix(weighted)), weighted)):
+    other = as_patterns([weights + weights.T])[0]  # no empty row
+    for pattern, dense in ((zero_one, ones), (as_patterns([weighted])[0], weighted),
+                           (as_patterns([sp.csr_matrix(weighted)])[0], weighted)):
         want = sp.csr_matrix(dense)
         empty = np.diff(want.indptr) == 0
         assert np.any(empty) and pattern.cols.size == pattern.indptr[-1] == want.nnz
