@@ -595,8 +595,10 @@ def cmd_stability(args) -> int:
             if not np.any(memberships[times.index(tv)] == g):
                 raise DataError(f"pair group {g}:{tv:g} has no nodes in {args.truth}")
         pairs.append(((ga, times.index(ta)), (gb, times.index(tb))))
+    run.lap("load")
 
     report = stability_report(emb, memberships, pairs, threshold=args.threshold)
+    run.lap("score")
     results = report.pairs
     columns = {  # report.csv's columns in order, each read from PairResult fields by name
         "group_a": [r.group_a[0] for r in results],
@@ -614,6 +616,7 @@ def cmd_stability(args) -> int:
         for r in results
     ]
     run.path("report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    run.lap("write")
     run.finish({
         "threshold": args.threshold,
         "passed": report.passed,
@@ -627,11 +630,13 @@ def cmd_stability(args) -> int:
 def cmd_cluster(args) -> int:
     run = _Run(args)
     emb, labels_per_time, times = _load_embedding(args, run)
+    run.lap("load")
     theta, index = pool_spherical(emb)
     grid = _parse_grid(args.grid)
     best, fits = fit_gmm_bic(theta, grid, restarts=args.restarts, seed=args.seed)
     labels, resp = assign(best, theta)
     confidence = resp[np.arange(resp.shape[0]), labels]
+    run.lap("fit")
 
     _write_csv(run.path("assignments.csv"),
                ["node_label", "time_label", "cluster", "max_posterior"], [
@@ -649,6 +654,7 @@ def cmd_cluster(args) -> int:
             shares[:, t] = np.bincount(at_t, minlength=g_count) / at_t.size
     _write_csv(run.path("proportions.csv"), ["cluster"] + [f"{t:.17g}" for t in times],
                [np.arange(1, g_count + 1), *shares.T])
+    run.lap("write")
     run.finish({
         "selected_components": best.n_components,
         "bic_table": [[m.n_components, m.bic] for m in fits],

@@ -6,6 +6,11 @@ across snapshots into one matrix, and a full-covariance Gaussian mixture is
 fitted for each candidate component count. The Bayesian Information
 Criterion picks the count; nodes are then assigned their maximum a
 posteriori component per snapshot.
+
+Each count's restart seeds are numpy's SeedSequence words of the run's seed
+and each restart's k-means++ draws are numpy's PCG64 draws, both computed
+in-house by :mod:`dynembed.linalg` to the same bits, so numpy.random is not
+loaded and a later numpy changing its Generator algorithms moves no label.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedders import Embedding
-from .linalg import spherical_coordinates
+from .linalg import Pcg64, seed_words, spherical_coordinates
 
 RIDGE_FACTOR = 1e-6
 CONVERGENCE_RTOL = 1e-7
@@ -126,7 +131,7 @@ def _kmeans_pp_centers(points, g, rng):
         if total <= 0:
             centers.append(points[rng.integers(n)])
             continue
-        centers.append(points[rng.choice(n, p=d2 / total)])
+        centers.append(points[rng.choice(d2 / total)])
     return np.array(centers)
 
 
@@ -173,7 +178,7 @@ def fit_gmm(
     n, q = points.shape
     if n < g:
         raise ValueError(f"cannot fit {g} components to {n} points")
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     scale = max(float(np.var(points)), np.finfo(float).tiny)
 
     centers = _kmeans_pp_centers(points, g, rng)
@@ -239,11 +244,10 @@ def fit_gmm_bic(
             f"{n} points cannot support {max(g_grid)} components in "
             f"dimension {q}"
         )
-    root = np.random.SeedSequence(seed)
     winners = [
-        max((fit_gmm(points, g, seed=int(s)) for s in child.generate_state(restarts)),
+        max((fit_gmm(points, g, seed=s) for s in seed_words(seed, restarts, (i,))),
             key=lambda m: m.loglik)
-        for g, child in zip(g_grid, root.spawn(len(g_grid)))
+        for i, g in enumerate(g_grid)
     ]
     return min(winners, key=lambda m: m.bic), winners
 

@@ -72,6 +72,96 @@ def _uniforms(seed: int, stream: int, size: int, skip: int = 0) -> np.ndarray:
     return (x >> np.uint64(11)) * 2.0**-52 - 1.0
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, mult: int):
+    """seed_seq_fe's hash, mod 2**32: xor the constant, step the constant by
+    ``mult``, multiply by it and xor-shift; the constant carries over calls."""
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & _M32) & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def seed_words(seed: int, n: int, spawn_key: tuple = ()) -> list:
+    """numpy's ``SeedSequence(seed, spawn_key=spawn_key).generate_state(n)``,
+    the same uint32 words as ints: O'Neill's seed_seq_fe with a pool of 4.
+    Child i of ``spawn(...)`` has spawn key ``spawn_key + (i,)``."""
+    def words(value):  # 32-bit words, least significant first
+        if value < 0:
+            raise ValueError(f"seed={value} is negative")
+        return [value & _M32] + (words(value >> 32) if value >> 32 else [])
+
+    entropy, hashmix = words(seed), _hashmix(0x43B0D7E5, 0x931E8875)
+    if spawn_key:  # the seed padded to the pool, then the key's words
+        entropy += [0] * (4 - len(entropy)) + [w for k in spawn_key for w in words(k)]
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * hashmix(y)) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], pool[src])
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], word)
+    out = _hashmix(0x8B51F9DD, 0x58F38DED)
+    return [out(pool[i % 4]) for i in range(n)]
+
+
+class Pcg64:
+    """numpy's ``Generator(PCG64(seed))``, without importing numpy.random:
+    the same integers(n), random() and choice(n, p) draws, the last taken as
+    choice(p). The state and increment are SeedSequence(seed)'s 8 words as 4
+    little-endian uint64s; each 64-bit output is PCG's XSL-RR of the 128-bit
+    LCG state after a step (O'Neill 2014), and a 32-bit draw takes the low
+    half of one, keeping the high half for the next."""
+
+    def __init__(self, seed: int):
+        w = [a | b << 32 for a, b in zip(*[iter(seed_words(seed, 8))] * 2)]
+        self.inc = (w[2] << 64 | w[3]) << 1 & _M128 | 1
+        self.state = ((self.inc + (w[0] << 64 | w[1])) * _PCG_MULT + self.inc) & _M128
+        self.upper = None
+
+    def next64(self) -> int:
+        self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        x, r = (self.state >> 64 ^ self.state) & _M64, self.state >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def next32(self) -> int:
+        if self.upper is not None:
+            word, self.upper = self.upper, None
+            return word
+        word = self.next64()
+        self.upper = word >> 32
+        return word & _M32
+
+    def integers(self, n: int) -> int:
+        """Uniform in [0, n), 0 < n <= 2**32: Lemire's multiply with
+        rejection (2019); n = 1 draws nothing."""
+        if not 0 < n <= 1 << 32:
+            raise ValueError(f"n={n} out of range (0, 2**32]")
+        while n > 1:
+            m = self.next32() * n
+            if m & _M32 >= (1 << 32) % n:
+                return m >> 32
+        return 0
+
+    def random(self) -> float:
+        return (self.next64() >> 11) * 2.0**-53
+
+    def choice(self, p: np.ndarray) -> int:
+        """An index drawn with probabilities p, as numpy's choice(len(p), p=p)."""
+        cdf = np.cumsum(p)
+        return int(np.searchsorted(cdf / cdf[-1], self.random(), side="right"))
+
+
 def _lanczos(apply, side: int, d: int, start: np.ndarray, seed: int = 0):
     """Top-d eigenpairs by magnitude of the symmetric operator x -> apply(x)
     on vectors of length ``side``: Lanczos from ``start``, each new vector

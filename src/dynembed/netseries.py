@@ -158,11 +158,13 @@ def as_patterns(matrices) -> list:
         return matrices.patterns
     if not len(matrices):
         raise ValueError("need at least one snapshot")
-    n, patterns = np.shape(matrices[0])[0], []
+    first = np.shape(matrices[0])
+    n, patterns = first[0] if len(first) == 2 else "n", []
     for t, m in enumerate(matrices):
-        rows, cols = np.shape(m)
-        if (rows, cols) != (n, n):
-            raise ValueError(f"matrix {t} is {rows} x {cols}, not {n} x {n}")
+        shape = np.shape(m)
+        if shape != (n, n):
+            size = " x ".join(map(str, shape)) if len(shape) == 2 else f"{len(shape)}-D"
+            raise ValueError(f"matrix {t} is {size}, not {n} x {n}")
         if not isinstance(m, SymmetricPattern):
             m = m if hasattr(m, "tocsr") else np.asarray(m, dtype=float)
             half = (m + m.T) * 0.5

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedders import Embedding, uase
-from .linalg import procrustes
+from .linalg import procrustes, seed_words
 from .models import DsbmSpec, sample_dsbm
 from .mrdpg import latent_structure, model_from_dsbm, theoretical_error_covariance
 
@@ -227,20 +227,18 @@ def consistency_curve(
     """
     if len(sizes) > 1 and not np.all(np.diff(sizes) > 0):
         raise ValueError("sizes must be strictly increasing")
-    root = np.random.SeedSequence(seed)
     errors = []
-    for n, child in zip(sizes, root.spawn(len(sizes))):
+    for i, n in enumerate(sizes):
         spec = make_spec(int(n))
         reference = _exact_reference(spec, d)[0]
         grams = spec.gram_matrices() if noise_free else None
-        rep_seeds = child.generate_state(reps)
         errs = []
-        for r in range(reps):
+        for rep_seed in seed_words(seed, reps, (i,)):
             if noise_free:
-                emb = uase(grams, d, seed=int(rep_seeds[r]))
+                emb = uase(grams, d, seed=rep_seed)
             else:
-                series = sample_dsbm(spec, seed=int(rep_seeds[r]))
-                emb = uase(series, d, seed=int(rep_seeds[r]))
+                series = sample_dsbm(spec, seed=rep_seed)
+                emb = uase(series, d, seed=rep_seed)
             row_err = np.linalg.norm(_aligned_stack(emb, reference) - reference, axis=1)
             errs.append(float(np.max(row_err)) / np.sqrt(spec.rho))
         errors.append(errs)
@@ -289,11 +287,10 @@ def clt_check(
     theory = theoretical_error_covariance(structure, t, state)
     n = spec.n_nodes
     rows_t = slice((t + 1) * n, (t + 2) * n)
-    rep_seeds = np.random.SeedSequence(seed).generate_state(reps)
     pooled = []
-    for r in range(reps):
-        series = sample_dsbm(spec, seed=int(rep_seeds[r]))
-        emb = uase(series, d, seed=int(rep_seeds[r]))
+    for rep_seed in seed_words(seed, reps):
+        series = sample_dsbm(spec, seed=rep_seed)
+        emb = uase(series, d, seed=rep_seed)
         resid = _aligned_stack(emb, reference)[rows_t] - reference[rows_t]
         pooled.append(resid[group] * np.sqrt(n))
     resid = np.vstack(pooled)

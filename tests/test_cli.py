@@ -993,13 +993,13 @@ class TestManifest:
         assert run("stability", "--embedding", emb120, "--truth", sim120 / "truth.csv",
                    *TestStability.PAIRS, "--threshold", 10, "--out", out) == 0
         self.assert_record(out, [emb120 / "embedding.csv", sim120 / "truth.csv"],
-                           ["total"])
+                           ["load", "score", "write", "total"])
 
     def test_cluster_record(self, emb120, tmp_path):
         out = tmp_path / "clus"
         assert run("cluster", "--embedding", emb120 / "embedding.csv", "--grid", "1-2",
                    "--restarts", 1, "--out", out) == 0
-        self.assert_record(out, [emb120 / "embedding.csv"], ["total"])
+        self.assert_record(out, [emb120 / "embedding.csv"], ["load", "fit", "write", "total"])
 
 
 class TestSeedRange:
@@ -1369,8 +1369,9 @@ def test_scoring_commands_load_no_scipy(sim120, emb120, tmp_path):
 
 
 def test_embed_and_stability_load_no_numpy_random_or_openssl(sim120, emb120, tmp_path):
-    # the Lanczos start vectors are hashed from the seed and input digests
-    # use the interpreter's built-in SHA-256, so neither numpy.random nor
+    # the Lanczos start vectors are hashed from the seed, cluster computes
+    # numpy's SeedSequence and PCG64 words in-house, and input digests use
+    # the interpreter's built-in SHA-256, so neither numpy.random nor
     # hashlib's OpenSSL (several MiB of every stage's peak) is loaded
     src = str(Path(dynembed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -1381,6 +1382,8 @@ def test_embed_and_stability_load_no_numpy_random_or_openssl(sim120, emb120, tmp
     ] + [
         ["stability", "--embedding", str(emb120), "--truth", str(sim120 / "truth.csv"),
          *TestStability.PAIRS, "--threshold", "10", "--out", str(tmp_path / "rep")],
+        ["cluster", "--embedding", str(emb120), "--grid", "1-3", "--restarts", "2",
+         "--seed", "1", "--out", str(tmp_path / "clus")],
     ]
     probe = (
         "import json, sys\n"

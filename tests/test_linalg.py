@@ -10,12 +10,14 @@ from dynembed.embedders import independent_ase, omnibus_embed, uase
 from dynembed.netseries import Unfolding, as_patterns
 
 from dynembed.linalg import (
+    Pcg64,
     ProcrustesResult,
     SymmetricOperator,
     _lanczos,
     _uniforms,
     orient_columns,
     procrustes,
+    seed_words,
     spherical_coordinates,
     truncated_svd,
 )
@@ -289,6 +291,52 @@ class TestUniforms:
         assert not np.allclose(np.abs(runs[5][:, 1:]), np.abs(runs[6][:, 1:]))
         for vectors in runs.values():
             np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
+
+
+class TestSeededDraws:
+    # seed_words and Pcg64 compute numpy's SeedSequence and PCG64 words
+    # in-house; the frozen words catch a drift on either side
+
+    def test_reference_words(self):
+        # oracle: numpy 2.4's SeedSequence(0).generate_state(4), its third
+        # spawned child's, and the first three PCG64(101).random_raw words
+        assert seed_words(0, 4) == [2968811710, 3677149159, 745650761, 2884920346]
+        assert seed_words(0, 4, (2,)) == [3241444873, 3830689794, 285037786, 2342166964]
+        assert seed_words(2**64 - 1, 4, (5, 1)) == [
+            1231321241, 1516414090, 3626969999, 1067481263]
+        rng = Pcg64(101)
+        assert [rng.next64() for _ in range(3)] == [
+            17405102656223811442, 6630147816760228827, 14477104582272359118]
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1, 2**70])
+    def test_same_words_and_draws_as_numpy(self, seed):
+        # oracle: numpy.random itself; 3 * 2**30 rejects a quarter of the
+        # 32-bit words, and n = 1 draws none
+        root = np.random.SeedSequence(seed)
+        assert seed_words(seed, 9) == root.generate_state(9).tolist()
+        for i, child in enumerate(root.spawn(4)):
+            assert seed_words(seed, 5, (i,)) == child.generate_state(5).tolist()
+            assert seed_words(seed, 3, (i, 1)) == child.spawn(2)[1].generate_state(3).tolist()
+        want, got = np.random.default_rng(seed), Pcg64(seed)
+        p = np.arange(1.0, 51.0) ** 2
+        p /= p.sum()
+        for n in (1, 3, 4840, 2**31, 3 * 2**30, 2**32):
+            for _ in range(25):
+                assert got.integers(n) == want.integers(n)
+            # a 64-bit draw leaves a buffered 32-bit half for the next integers()
+            assert got.random() == want.random()
+            assert got.choice(p) == want.choice(50, p=p)
+
+    def test_negative_seed_and_out_of_range_n_refused(self):
+        for call in (lambda: seed_words(-1, 2), lambda: seed_words(0, 2, (-1,)),
+                     lambda: Pcg64(-5)):
+            with pytest.raises(ValueError, match="is negative"):
+                call()
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(-1)
+        for n in (0, 2**32 + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                Pcg64(0).integers(n)
 
 
 class TestOrientColumns:

@@ -100,6 +100,13 @@ class TestGraphSeries:
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError, match="matrix 1 is 4 x 4, not 3 x 3"):
             GraphSeries(snapshots=[sp.eye(3), sp.eye(4)])
+        # an item that is not a matrix is named too, first or later
+        for items, message in (([np.ones(3)], "matrix 0 is 1-D, not n x n"),
+                               ([np.ones((2, 2, 2))], "matrix 0 is 3-D, not n x n"),
+                               ([1.0, np.eye(2)], "matrix 0 is 0-D, not n x n"),
+                               ([np.eye(3), np.ones(3)], "matrix 1 is 1-D, not 3 x 3")):
+            with pytest.raises(ValueError, match=message):
+                as_patterns(items)
 
     def test_permute_round_trip(self):
         series = make_series(seed=3)
