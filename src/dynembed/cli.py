@@ -39,8 +39,8 @@ from .embedders import (
     uase_from_svd,
 )
 from .linalg import truncated_svd
-from .models import bundled_config_path, load_dsbm_config, sample_dsbm
-from .netseries import GraphSeries, ingest_edge_list
+from .models import bundled_config_path, dsbm_snapshots, load_dsbm_config
+from .netseries import GraphSeries, SeriesWriter, ingest_edge_list
 from .stability import DEFAULT_GAP_THRESHOLD, stability_report
 
 EXIT_OK = 0
@@ -135,9 +135,9 @@ class _Run:
         return path
 
     def lap(self, part) -> None:
-        """Time since the previous lap, or the start, as part ``part``."""
+        """Time since the previous lap, or the start, added to part ``part``."""
         now = time.perf_counter()
-        self.timings[part], self.mark = now - self.mark, now
+        self.timings[part], self.mark = self.timings.get(part, 0.0) + now - self.mark, now
 
     def finish(self, details) -> None:
         """Write ``manifest.json``, with the run's total time."""
@@ -460,31 +460,34 @@ def cmd_simulate(args) -> int:
     config = _resolve_config(args.config)
     run.inputs.append(config)
     spec = load_dsbm_config(config)
-    series = sample_dsbm(spec, seed=args.seed)
+    n = spec.n_nodes
+    snapshots = dsbm_snapshots(spec, seed=args.seed)
     # human-facing labels and times start at 1
-    series.node_labels = [str(i + 1) for i in range(spec.n_nodes)]
-    series.times = list(range(1, spec.n_snapshots + 1))
-    run.lap("sample")
-    saved = series.save(run.path("series", files=("snapshots.npz", "labels.txt")))
-    run.lap("save")
-    # each edges_t.csv from the upper triangle the series file holds
-    for t, (indptr, indices) in enumerate(saved):
-        rows = np.repeat(np.arange(spec.n_nodes), np.diff(indptr))
-        _write_csv(run.path(f"edges_{t + 1}.csv"), ["u", "v"],
-                   [(series.node_labels, ends) for ends in (rows, indices)])
-    run.lap("edges")
+    labels, times = [str(i + 1) for i in range(n)], list(range(1, spec.n_snapshots + 1))
+    pairs, densities = n * (n - 1) / 2.0, []
+    # one snapshot at a time: drawn, appended to the series file and written
+    # as edges_t.csv from the upper triangle that file holds, then freed
+    with SeriesWriter(run.path("series", files=("snapshots.npz", "labels.txt")),
+                      labels, times) as series:
+        for t, pattern in enumerate(snapshots):
+            run.lap("sample")
+            indptr, indices = series.append(pattern)
+            del pattern
+            run.lap("save")
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            _write_csv(run.path(f"edges_{t + 1}.csv"), ["u", "v"],
+                       [(labels, ends) for ends in (rows, indices)])
+            densities.append(indices.size / pairs if pairs else 0.0)
+            del indptr, indices, rows
+            run.lap("edges")
     _write_csv(run.path("truth.csv"), ["node_label", "time_label", "community"], [
-        (series.node_labels, np.tile(np.arange(spec.n_nodes), spec.n_snapshots)),
-        (series.times, np.repeat(np.arange(spec.n_snapshots), spec.n_nodes)),
+        (labels, np.tile(np.arange(n), spec.n_snapshots)),
+        (times, np.repeat(np.arange(spec.n_snapshots), n)),
         (range(1, spec.n_communities + 1), np.asarray(spec.memberships).ravel()),
     ])
     run.lap("truth")
-    run.finish({
-        "n_nodes": spec.n_nodes,
-        "n_snapshots": spec.n_snapshots,
-        "densities": [float(x) for x in series.densities()],
-    })
-    print(f"wrote {spec.n_snapshots} snapshots of {spec.n_nodes} nodes to {run.out}")
+    run.finish({"n_nodes": n, "n_snapshots": spec.n_snapshots, "densities": densities})
+    print(f"wrote {spec.n_snapshots} snapshots of {n} nodes to {run.out}")
     return EXIT_OK
 
 
@@ -538,6 +541,7 @@ def cmd_embed(args) -> int:
                [np.arange(1, rank + 1), svd.s])
     if emb.left is not None:
         _write_csv(run.path("left.csv"), None, emb.left.T)
+    run.lap("write")
     details = {
         "method": args.method,
         "dimensions": emb.dims,
@@ -556,7 +560,8 @@ def cmd_embed(args) -> int:
     if emb.route is not None:
         details["omnibus_route"] = emb.route
     run.finish(details)
-    print(f"{args.method} embedding: {rows} rows, dimensions {emb.dims}, written to {run.out}")
+    distinct = list(dict.fromkeys(emb.dims))  # each once, in order of first appearance
+    print(f"{args.method} embedding: {rows} rows, dimensions {distinct}, written to {run.out}")
     return EXIT_OK
 
 

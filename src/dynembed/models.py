@@ -178,20 +178,26 @@ def _sample_rows(n: int, probability_at, p_max: float, seed: int,
     return SymmetricPattern.from_upper(np.concatenate(hits), n)
 
 
-def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:
-    """Draw a snapshot sequence from the model; snapshot t uses stream t.
+def dsbm_snapshots(spec: DsbmSpec, seed: int = 0):
+    """Each snapshot's :class:`SymmetricPattern` in turn, drawn when it is
+    asked for; snapshot t uses stream t. Every P_t's largest entry is taken
+    here, so a model whose probabilities exceed 1 raises before any draw.
 
     Each snapshot evaluates P_t one slab of rows at a time, so memory grows
     with the edges drawn rather than with n^2; the draw equals one
     whole-triangle draw of ``spec.gram_matrix(t)`` from the Philox stream
     keyed by (seed, t).
     """
-    snaps = [
-        _sample_rows(spec.n_nodes, partial(spec._probability_at, t),
-                     spec._max_probability(t), seed, stream=t)
-        for t in range(spec.n_snapshots)
-    ]
-    return GraphSeries(snapshots=snaps)
+    limits = [spec._max_probability(t) for t in range(spec.n_snapshots)]
+    return (_sample_rows(spec.n_nodes, partial(spec._probability_at, t), p_max, seed, stream=t)
+            for t, p_max in enumerate(limits))
+
+
+def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:
+    """The series of :func:`dsbm_snapshots`, every snapshot held at once; a
+    caller that handles one snapshot at a time, as ``dynembed simulate``
+    does, holds one pattern instead of T."""
+    return GraphSeries(snapshots=list(dsbm_snapshots(spec, seed)))
 
 
 def _parse_matrix(raw: str) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 # drops any, and builds one snapshot for each window it keeps
 MAX_WINDOWS = 2**20
 
-# snapshots.npz layout of GraphSeries.save; format 1, a file with no format
+# snapshots.npz layout of SeriesWriter; format 1, a file with no format
 # entry, held each snapshot's entries on both sides of the diagonal as row_t/col_t
 SERIES_FORMAT = 2
 
@@ -193,6 +193,62 @@ def _holds_loop(pattern) -> bool:
     return False
 
 
+def _require_graph(t: int, pattern, given=np.zeros(0)) -> None:
+    """ValueError naming snapshot ``t`` unless ``pattern``, built from a
+    matrix with the entries ``given``, is a 0/1 graph with a zero diagonal:
+    a 0/1 M has a 0/1 symmetric part (M + M^T) / 2 only where M = M^T."""
+    if (_holds_loop(pattern) or not np.all((given == 0) | (given == 1))
+            or (pattern.data is not None and np.any(pattern.data != 1))):
+        raise ValueError(f"snapshot {t} is not square symmetric 0/1 with a zero diagonal")
+
+
+class SeriesWriter:
+    """Writes a series into ``directory`` one snapshot at a time: its
+    ``labels.txt``, and an uncompressed ``snapshots.npz`` holding the entries
+    ``format``, ``n_nodes`` and ``times``, then per :meth:`append` the
+    snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``. The
+    bytes are those ``np.savez`` writes for the same entries in that order.
+    A context manager; the file is complete once it closes.
+    """
+
+    def __init__(self, directory, node_labels, times):
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        with open(directory / "labels.txt", "w", encoding="utf-8") as fh:
+            fh.writelines(f"{label}\n" for label in node_labels)
+        self.n, self.count = len(node_labels), 0
+        # np.savez's settings: stored, with zip64 allowed and forced on each entry
+        self.zip = zipfile.ZipFile(directory / "snapshots.npz", "w", zipfile.ZIP_STORED,
+                                   allowZip64=True)
+        self._put(format=np.array(SERIES_FORMAT), n_nodes=np.array([self.n]),
+                  times=np.asarray(times))
+
+    def _put(self, **entries) -> None:
+        for name, array in entries.items():
+            with self.zip.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array)
+
+    def append(self, pattern):
+        """Write the next snapshot, int32 unless n or the edge count needs
+        int64, and return its ``indptr`` and ``indices``; ValueError unless
+        the n-node ``pattern`` is a 0/1 graph with a zero diagonal."""
+        _require_graph(self.count, pattern)
+        rows, cols = pattern.upper()
+        dtype = np.int64 if max(self.n + 1, cols.size) > np.iinfo(np.int32).max else np.int32
+        indptr = np.searchsorted(rows, np.arange(self.n + 1, dtype=rows.dtype)).astype(dtype)
+        del rows
+        indices = cols.astype(dtype)
+        self._put(**{f"indptr_{self.count}": indptr, f"indices_{self.count}": indices})
+        self.count += 1
+        return indptr, indices
+
+    def __enter__(self) -> "SeriesWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.zip.close()
+
+
 class GraphSeries:
     """A sequence of undirected simple graph snapshots on a shared node set.
 
@@ -213,12 +269,8 @@ class GraphSeries:
                  stats: IngestStats | None = None):
         self.patterns = as_patterns(snapshots)
         for t, (given, pattern) in enumerate(zip(snapshots, self.patterns)):
-            # a 0/1 M has a 0/1 symmetric part (M + M^T) / 2 only where M = M^T
-            values = (np.zeros(0) if isinstance(given, SymmetricPattern) else
-                      given.tocsr().data if hasattr(given, "tocsr") else np.asarray(given))
-            if (_holds_loop(pattern) or not np.all((values == 0) | (values == 1))
-                    or (pattern.data is not None and np.any(pattern.data != 1))):
-                raise ValueError(f"snapshot {t} is not square symmetric 0/1 with a zero diagonal")
+            _require_graph(t, pattern, np.zeros(0) if isinstance(given, SymmetricPattern) else
+                           given.tocsr().data if hasattr(given, "tocsr") else np.asarray(given))
             if pattern.data is not None:
                 self.patterns[t] = SymmetricPattern(pattern.indptr, pattern.cols, None, pattern.n)
         n = self.n_nodes
@@ -248,31 +300,12 @@ class GraphSeries:
         never built."""
         return Unfolding(self.patterns)
 
-    def densities(self) -> np.ndarray:
-        """Share of node pairs joined in each snapshot; 0.0 with no pairs."""
-        # half a pattern's entries lie above its zero diagonal
-        pairs = self.n_nodes * (self.n_nodes - 1) / 2.0
-        return np.array([p.cols.size // 2 / pairs if pairs else 0.0 for p in self.patterns])
-
-    def save(self, directory) -> list:
-        """Write ``labels.txt`` and an uncompressed ``snapshots.npz`` holding
-        each snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``,
-        int32 unless n or the edge count needs int64; returns those arrays."""
-        n = self.n_nodes
-        payload = {"format": np.array(SERIES_FORMAT), "n_nodes": np.array([n]),
-                   "times": np.asarray(self.times)}
-        for t, pattern in enumerate(self.patterns):
-            rows, cols = pattern.upper()
-            dtype = np.int64 if max(n + 1, cols.size) > np.iinfo(np.int32).max else np.int32
-            indptr = np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype))
-            payload[f"indptr_{t}"], payload[f"indices_{t}"] = indptr.astype(dtype), cols.astype(dtype)
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        np.savez(directory / "snapshots.npz", **payload)
-        with open(directory / "labels.txt", "w", encoding="utf-8") as fh:
-            for label in self.node_labels:
-                fh.write(f"{label}\n")
-        return [(payload[f"indptr_{t}"], payload[f"indices_{t}"]) for t in range(self.n_snapshots)]
+    def save(self, directory) -> None:
+        """Write ``labels.txt`` and ``snapshots.npz`` into ``directory`` with
+        a :class:`SeriesWriter`."""
+        with SeriesWriter(directory, self.node_labels, self.times) as writer:
+            for pattern in self.patterns:
+                writer.append(pattern)
 
     @classmethod
     def load(cls, directory) -> "GraphSeries":
