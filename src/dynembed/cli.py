@@ -558,7 +558,7 @@ def cmd_embed(args) -> int:
     if emb.signatures is not None:
         details["eigenvalue_signatures"] = [list(s) for s in emb.signatures]
     if emb.route is not None:
-        details["omnibus_route"] = emb.route
+        details["omnibus_route"], details["omnibus_products"] = emb.route, emb.products
     run.finish(details)
     distinct = list(dict.fromkeys(emb.dims))  # each once, in order of first appearance
     print(f"{args.method} embedding: {rows} rows, dimensions {distinct}, written to {run.out}")

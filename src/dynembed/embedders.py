@@ -28,8 +28,8 @@ import numpy as np
 from .linalg import SymmetricOperator, TruncatedSvd, orient_columns, truncated_svd
 from .netseries import Unfolding, as_patterns
 
-# omnibus_embed materializes the (T n) x (T n) omnibus matrix up to this many
-# float64 entries (1.6 GB) and applies a matrix-free product above it
+# omnibus_embed holds the omnibus matrix's T(T + 1) / 2 distinct blocks (3/4 to
+# 1/2 of its 1.6 GB) up to this many (T n)^2 entries, and is matrix-free above
 DENSE_OMNIBUS_MAX_ENTRIES = 200_000_000
 
 
@@ -43,6 +43,7 @@ class Embedding:
     signatures: per-decomposition (positive, negative) eigenvalue counts when
         the method is eigenvalue-based, else None.
     route: omnibus's product, "dense" or "matrix-free"; else None.
+    products: the products omnibus's decomposition applied; else None.
     dims: embedding dimension per snapshot.
     """
 
@@ -51,6 +52,7 @@ class Embedding:
     left: np.ndarray | None = None
     signatures: list | None = None
     route: str | None = None
+    products: int | None = None
     dims: list = field(init=False)
 
     def __post_init__(self):
@@ -93,10 +95,10 @@ def _signed_symmetric_embedding(apply, side: int, d: int, seed: int):
     q) of the symmetric side x side operator x -> apply(x), and its
     signature: the signs of the l, zero counted positive, which are those of
     the columns of u * v since v = sign(l) u. A d that splits a tied +l, -l
-    has no defined answer."""
+    has no defined answer. The product count is returned third."""
     res = truncated_svd(SymmetricOperator(apply, side), d, seed)
     positive = int(np.sum(np.sum(res.u * res.v, axis=0) >= 0))
-    return res.v * np.sqrt(res.s), (positive, d - positive)
+    return res.v * np.sqrt(res.s), (positive, d - positive), res.gram_products
 
 
 def independent_ase(series, dims, seed: int = 0) -> Embedding:
@@ -159,13 +161,13 @@ def separate_embed(
     dims = [int(dims)] * len(patterns) if np.isscalar(dims) else dims
     if len(dims) != len(patterns):
         raise ValueError("need one dimension per snapshot")
-    pairs = []  # (points, signature) of each snapshot
+    triples = []  # (points, signature, products) of each snapshot
     for t, d in enumerate(dims):
         w = history_weights(t, scheme, forgetting=forgetting, window=window)
         used = [(w[s], patterns[s]) for s in range(t + 1) if w[s] > 0]
-        pairs.append(_signed_symmetric_embedding(
+        triples.append(_signed_symmetric_embedding(
             lambda x: sum(ws * (a @ x) for ws, a in used), patterns[0].n, d, seed))
-    points, signatures = map(list, zip(*pairs))
+    points, signatures, _ = map(list, zip(*triples))
     return Embedding(points=points, method=f"separate-{scheme}", signatures=signatures)
 
 
@@ -183,58 +185,63 @@ def _omnibus_matvec(patterns, n: int):
     return matvec
 
 
-def omnibus_matrix(series) -> np.ndarray:
-    """Dense pairwise-average block matrix: block (s, t) is (A_s + A_t) / 2."""
-    # diagonal block s is set to A_s a block of rows at a time, through the
-    # flat indices (row base + column) of about one matrix row of entries;
-    # each other block averages two of them in place
+def omnibus_blocks(series) -> list:
+    """The omnibus matrix's distinct blocks, dense: row s of the T x T nested
+    list holds block (s, t) = (A_s + A_t) / 2, and block (t, s) is the same
+    array, so T(T + 1) / 2 arrays of n x n are held. ``np.block`` of the
+    list is the (T n) x (T n) matrix."""
+    # A_s is set a few rows, about n entries, at a time, so no entry-sized
+    # index is held
     patterns = as_patterns(series)
-    n, t_count = patterns[0].n, len(patterns)
-    side = t_count * n
-    m = np.zeros((side, side))
-    blocks, flat = m.reshape(t_count, n, t_count, n), m.reshape(-1)
+    n = patterns[0].n
+    blocks = [[None] * len(patterns) for _ in patterns]
     for s, pattern in enumerate(patterns):
-        counts, base = np.diff(pattern.indptr), np.arange(n) * side + s * n * (side + 1)
-        step = max(1, side * n // max(pattern.cols.size, 1))
+        a = blocks[s][s] = np.zeros((n, n))
+        counts, step = np.diff(pattern.indptr), max(1, n * n // max(pattern.cols.size, 1))
         for lo in range(0, n, step):
-            at = slice(pattern.indptr[lo], pattern.indptr[min(lo + step, n)])
-            index = np.repeat(base[lo:lo + step], counts[lo:lo + step]) + pattern.cols[at]
-            flat[index] = 1.0 if pattern.data is None else pattern.data[at]
-    for s, t in zip(*np.triu_indices(t_count, 1)):
-        np.add(blocks[s, :, s], blocks[t, :, t], out=blocks[s, :, t])
-        blocks[s, :, t] *= 0.5
-        blocks[t, :, s] = blocks[s, :, t]  # the same average (A_t + A_s) / 2
-    return m
+            hi = min(lo + step, n)
+            at = slice(pattern.indptr[lo], pattern.indptr[hi])
+            rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
+            a[rows, pattern.cols[at]] = 1.0 if pattern.data is None else pattern.data[at]
+    for s, t in zip(*np.triu_indices(len(patterns), 1)):
+        blocks[s][t] = blocks[t][s] = np.add(blocks[s][s], blocks[t][t])
+        blocks[s][t] *= 0.5
+    return blocks
 
 
 def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     """Omnibus embedding of all snapshots jointly.
 
-    Builds the (T n) x (T n) matrix whose (s, t) block is the average of
-    snapshots s and t, takes its top-d eigenpairs by magnitude (the top-d
+    Decomposes the (T n) x (T n) matrix whose (s, t) block is the average of
+    snapshots s and t: takes its top-d eigenpairs by magnitude (the top-d
     singular triplets of this symmetric matrix) and scales the eigenvectors
     by the square-rooted eigenvalue magnitudes. Row block t is the
     snapshot-t point set; all blocks share one coordinate system. The
     (positive, negative) eigenvalue counts are reported as the signature.
 
-    The matrix is materialized when it has at most
-    ``DENSE_OMNIBUS_MAX_ENTRIES`` entries; above that it is applied as (U^T E +
-    E^T U) / 2 through the unfolding U = (A_1 | ... | A_T), E = (I | ... | I).
+    Up to ``DENSE_OMNIBUS_MAX_ENTRIES`` matrix entries its T(T + 1) / 2
+    distinct blocks are held (:func:`omnibus_blocks`); above, it is applied as
+    (U^T E + E^T U) / 2 through the unfolding U = (A_1 | ... | A_T), E = (I |
+    ... | I). ``products`` counts the products the decomposition applied.
     """
     patterns = as_patterns(series)
     n, t_count = patterns[0].n, len(patterns)
     side = t_count * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        route, apply = "dense", omnibus_matrix(patterns).__matmul__
-        del patterns  # the matrix holds all the eigensolver needs
+        # (M x)_s = sum_t B_st x_t in ascending t, one gemv per term
+        blocks = omnibus_blocks(patterns)
+        route, apply = "dense", lambda x: np.concatenate(
+            [sum(b @ y for b, y in zip(row, x.reshape(t_count, n))) for row in blocks])
+        del patterns  # the blocks hold all the eigensolver needs
     else:
         route, apply = "matrix-free", _omnibus_matvec(patterns, n)
-    scaled, signature = _signed_symmetric_embedding(apply, side, d, seed)
+    scaled, signature, products = _signed_symmetric_embedding(apply, side, d, seed)
     # the omnibus point set keeps its own largest entries positive; the
     # per-snapshot methods follow the left vectors, as uase does
     (scaled,) = orient_columns(scaled)
     points = [scaled[t * n : (t + 1) * n] for t in range(t_count)]
-    return Embedding(points=points, method="omnibus", signatures=[signature], route=route)
+    return Embedding(points=points, method="omnibus", signatures=[signature], route=route,
+                     products=products)
 
 
 def select_dimension(singular_values: np.ndarray) -> tuple[int, np.ndarray]:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import scipy.sparse as sp
 
-from dynembed.netseries import GraphSeries
+from dynembed.netseries import GraphSeries, as_patterns
 
 
 def permute(series: GraphSeries, perm) -> GraphSeries:
@@ -16,6 +16,13 @@ def permute(series: GraphSeries, perm) -> GraphSeries:
     snaps = [sp.csr_matrix(a)[perm][:, perm] for a in series.snapshots]
     labels = [series.node_labels[i] for i in perm]
     return GraphSeries(snapshots=snaps, node_labels=labels, times=list(series.times))
+
+
+def omnibus_matrix(series) -> np.ndarray:
+    """The dense omnibus matrix, block (s, t) = (A_s + A_t) / 2, from each
+    snapshot's scipy matrix: the oracle for ``embedders.omnibus_blocks``."""
+    a = [p.tocsr().toarray() for p in as_patterns(series)]
+    return np.block([[(x + y) * 0.5 for y in a] for x in a])
 
 
 def write_csv_per_cell(path, header, columns) -> int:
@@ -36,9 +43,10 @@ def write_csv_per_cell(path, header, columns) -> int:
 
 def transient_bytes(call):
     """``call()``'s result, and the tracemalloc peak during the call less the
-    bytes of the arrays it returns: a dense matrix, or every array that a
-    series' patterns keep, a view counted with the array it views. numpy
-    traces its data buffers, so this counts every temporary array."""
+    bytes of the arrays it returns: a dense matrix, each distinct array of a
+    nested list of blocks, or every array that a series' patterns keep, a
+    view counted with the array it views. numpy traces its data buffers, so
+    this counts every temporary array."""
     tracemalloc.start()
     try:
         result = call()
@@ -47,5 +55,8 @@ def transient_bytes(call):
         tracemalloc.stop()
     if isinstance(result, np.ndarray):
         return result, peak - result.nbytes
+    if isinstance(result, list):
+        distinct = {id(b): b for row in result for b in row}
+        return result, peak - sum(b.nbytes for b in distinct.values())
     return result, peak - sum(a.nbytes for p in result.patterns for a in vars(p).values()
                               if isinstance(a, np.ndarray) and a.base is None)

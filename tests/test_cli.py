@@ -742,6 +742,21 @@ class TestEmbed:
         assert read_manifest(out)["details"]["omnibus_route"] == route
         assert "omnibus_route" not in read_manifest(emb120)["details"]
 
+    @pytest.mark.parametrize("budget", [None, 0])
+    def test_manifest_counts_the_omnibus_products(self, sim120, emb120, tmp_path,
+                                                  monkeypatch, budget):
+        # the omnibus decomposition's own count, not the scree's gram_products
+        if budget is not None:
+            monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", budget)
+        out = tmp_path / "omni"
+        assert run("embed", "--input", sim120 / "series", "--method", "omnibus",
+                   "--dim", 3, "--seed", 1, "--out", out) == 0
+        series = GraphSeries.load(sim120 / "series")
+        products = embedders.omnibus_embed(series, 3, seed=1).products
+        assert products > 0
+        assert read_manifest(out)["details"]["omnibus_products"] == products
+        assert "omnibus_products" not in read_manifest(emb120)["details"]
+
     def test_edge_list_daily_band(self, tmp_path, capsys):
         # 22:00-06:00 wraps midnight; half a band is refused, not ignored
         events = tmp_path / "events.txt"

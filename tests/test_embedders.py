@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,8 +9,8 @@ from dynembed import embedders
 from dynembed.embedders import (
     history_weights,
     independent_ase,
+    omnibus_blocks,
     omnibus_embed,
-    omnibus_matrix,
     select_dimension,
     separate_embed,
     uase,
@@ -17,7 +19,7 @@ from dynembed.linalg import procrustes
 from dynembed.models import DsbmSpec, bundled_config_path, load_dsbm_config, sample_dsbm
 from dynembed.mrdpg import noise_free_embedding
 from dynembed.netseries import GraphSeries, ingest_edge_list
-from helpers import permute, transient_bytes
+from helpers import omnibus_matrix, permute, transient_bytes
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +41,21 @@ def random_series(seed, n=15, t=3, p=0.35):
 def sign_aligned(a, b):
     # a's columns flipped to point the way of b's
     return a * np.where(np.sum(a * b, axis=0) < 0, -1.0, 1.0)
+
+
+def handed_to_solver(series, monkeypatch, record=lambda apply: apply):
+    """record(apply) when omnibus_embed hands its product to the
+    eigensolver, which then stops the run."""
+    class Handed(Exception):
+        pass
+
+    def solver(apply, side, d, seed):
+        raise Handed(record(apply))
+
+    monkeypatch.setattr(embedders, "_signed_symmetric_embedding", solver)
+    with pytest.raises(Handed) as handed:
+        omnibus_embed(series, 1)
+    return handed.value.args[0]
 
 
 EMBEDDERS = {
@@ -210,16 +227,19 @@ class TestOmnibus:
         for snaps, dense in ((series, a), (weighted, weighted)):
             expected = np.block([[0.5 * dense[s] + 0.5 * dense[t] for t in range(3)]
                                  for s in range(3)])
-            np.testing.assert_array_equal(omnibus_matrix(snaps), expected)
+            blocks = omnibus_blocks(snaps)
+            np.testing.assert_array_equal(np.block(blocks), expected)
+            # each distinct block is held once
+            assert all(blocks[t][s] is blocks[s][t] for s in range(3) for t in range(3))
 
     def test_matrix_scatter_holds_no_entry_sized_index(self):
-        # a block of rows at a time: measured 0.7 bytes an entry beside the
-        # matrix, 21 when each snapshot's rows and columns were indexed whole
+        # a block of rows at a time: measured 0.04 bytes an entry beside the
+        # blocks, 21 when each snapshot's rows and columns were indexed whole
         series = sample_dsbm(DsbmSpec([[[0.2]], [[0.3]]], 800), seed=2)
-        m, extra = transient_bytes(lambda: omnibus_matrix(series))
+        blocks, extra = transient_bytes(lambda: omnibus_blocks(series))
         a = [x.toarray() for x in series.snapshots]
-        np.testing.assert_array_equal(m, np.block([[a[0], (a[0] + a[1]) / 2],
-                                                   [(a[0] + a[1]) / 2, a[1]]]))
+        np.testing.assert_array_equal(np.block(blocks), np.block([[a[0], (a[0] + a[1]) / 2],
+                                                                  [(a[0] + a[1]) / 2, a[1]]]))
         assert extra < 4 * sum(p.cols.size for p in series.patterns)
 
     def test_against_dense_eigendecomposition_oracle(self, fourblock_series):
@@ -275,14 +295,47 @@ class TestOmnibus:
         np.testing.assert_allclose(embedders._omnibus_matvec(series.patterns, 12)(x),
                                    omnibus_matrix(series) @ x, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["series", "weighted"])
+    def test_block_product_matches_dense_oracle(self, kind, T, monkeypatch):
+        # snapshot 0 has empty rows, snapshot 1 is empty
+        n, rng = 12, np.random.default_rng(T)
+        snaps = [x.toarray() for x in random_series(41, n=n, t=3).snapshots]
+        snaps[0][[2, 5, 9]] = snaps[0][:, [2, 5, 9]] = 0
+        snaps[1][:] = 0
+        snaps = snaps[:T]
+        assert np.sum(~snaps[0].any(axis=1)) == 3
+        if kind == "weighted":
+            weights = [rng.random((n, n)) for _ in snaps]
+            series = [a * (w + w.T) for a, w in zip(snaps, weights)]
+        else:
+            series = GraphSeries(snapshots=[sp.csr_matrix(a) for a in snaps])
+        x = rng.standard_normal(T * n)
+        product = handed_to_solver(series, monkeypatch)
+        np.testing.assert_allclose(product(x), omnibus_matrix(series) @ x, rtol=0, atol=1e-12)
+
+    def test_dense_route_holds_each_distinct_block_once(self, monkeypatch):
+        # T = 3: six n x n blocks, where the whole matrix held nine, beside
+        # the scatter's bound per entry above
+        n, t_count = 300, 3
+        series = sample_dsbm(DsbmSpec([[[0.2]], [[0.3]], [[0.25]]], n), seed=2)
+        tracemalloc.start()
+        try:
+            peak = handed_to_solver(series, monkeypatch,
+                                    lambda apply: tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        blocks = t_count * (t_count + 1) // 2 * n * n * 8
+        assert peak < blocks + 4 * sum(p.cols.size for p in series.patterns)
+
     @pytest.mark.parametrize("slack, dense", [(0, True), (-1, False)])
     def test_dense_up_to_the_threshold(self, slack, dense, monkeypatch):
-        # side 60 (n = 20, T = 3): the matrix is materialized at exactly
-        # side^2 entries and not one entry below
+        # side 60 (n = 20, T = 3): the blocks are built at exactly side^2
+        # entries and not one entry below
         calls = []
         monkeypatch.setattr(embedders, "DENSE_OMNIBUS_MAX_ENTRIES", 60 * 60 + slack)
-        fill = embedders.omnibus_matrix
-        monkeypatch.setattr(embedders, "omnibus_matrix",
+        fill = embedders.omnibus_blocks
+        monkeypatch.setattr(embedders, "omnibus_blocks",
                             lambda patterns: calls.append(1) or fill(patterns))
         emb = omnibus_embed(random_series(31, n=20, t=3), 5, seed=2)
         assert calls == ([1] if dense else [])

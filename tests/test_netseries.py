@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from dynembed.embedders import omnibus_matrix
+from dynembed.embedders import omnibus_blocks
 from dynembed.netseries import (
     SERIES_FORMAT,
     GraphSeries,
@@ -703,7 +703,7 @@ def test_empty_rows_hold_no_entry(case, tmp_path):
         # an integer vector is taken as floats, as by the scipy product
         np.testing.assert_allclose(pattern @ np.arange(n), want @ np.arange(n), rtol=0, atol=1e-14)
         b = weights + weights.T
-        np.testing.assert_array_equal(omnibus_matrix([pattern, other]), np.block(
+        np.testing.assert_array_equal(np.block(omnibus_blocks([pattern, other])), np.block(
             [[dense, 0.5 * dense + 0.5 * b], [0.5 * dense + 0.5 * b, b]]))
     GraphSeries([zero_one]).save(tmp_path)
     back = GraphSeries.load(tmp_path).patterns[0]
