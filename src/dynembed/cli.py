@@ -465,20 +465,20 @@ def cmd_simulate(args) -> int:
     # human-facing labels and times start at 1
     labels, times = [str(i + 1) for i in range(n)], list(range(1, spec.n_snapshots + 1))
     pairs, densities = n * (n - 1) / 2.0, []
-    # one snapshot at a time: drawn, appended to the series file and written
-    # as edges_t.csv from the upper triangle that file holds, then freed
+    # one snapshot's edge keys at a time: drawn, appended to the series file
+    # and written as edges_t.csv, then freed
     with SeriesWriter(run.path("series", files=("snapshots.npz", "labels.txt")),
                       labels, times) as series:
-        for t, pattern in enumerate(snapshots):
+        for t, upper in enumerate(snapshots):
             run.lap("sample")
-            indptr, indices = series.append(pattern)
-            del pattern
+            series.append(upper)
             run.lap("save")
-            rows = np.repeat(np.arange(n), np.diff(indptr))
+            densities.append(upper.size / pairs if pairs else 0.0)
+            rows = upper // n
+            np.remainder(upper, n, out=upper)  # the columns
             _write_csv(run.path(f"edges_{t + 1}.csv"), ["u", "v"],
-                       [(labels, ends) for ends in (rows, indices)])
-            densities.append(indices.size / pairs if pairs else 0.0)
-            del indptr, indices, rows
+                       [(labels, rows), (labels, upper)])
+            del upper, rows
             run.lap("edges")
     _write_csv(run.path("truth.csv"), ["node_label", "time_label", "community"], [
         (labels, np.tile(np.arange(n), spec.n_snapshots)),

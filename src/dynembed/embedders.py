@@ -190,19 +190,10 @@ def omnibus_blocks(series) -> list:
     list holds block (s, t) = (A_s + A_t) / 2, and block (t, s) is the same
     array, so T(T + 1) / 2 arrays of n x n are held. ``np.block`` of the
     list is the (T n) x (T n) matrix."""
-    # A_s is set a few rows, about n entries, at a time, so no entry-sized
-    # index is held
     patterns = as_patterns(series)
-    n = patterns[0].n
     blocks = [[None] * len(patterns) for _ in patterns]
     for s, pattern in enumerate(patterns):
-        a = blocks[s][s] = np.zeros((n, n))
-        counts, step = np.diff(pattern.indptr), max(1, n * n // max(pattern.cols.size, 1))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            at = slice(pattern.indptr[lo], pattern.indptr[hi])
-            rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
-            a[rows, pattern.cols[at]] = 1.0 if pattern.data is None else pattern.data[at]
+        blocks[s][s] = pattern.toarray()
     for s, t in zip(*np.triu_indices(len(patterns), 1)):
         blocks[s][t] = blocks[t][s] = np.add(blocks[s][s], blocks[t][t])
         blocks[s][t] *= 0.5

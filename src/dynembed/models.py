@@ -8,8 +8,8 @@ Edge probabilities are
     P_t[i, j] = rho * w_i * w_j * B_t[z_i(t), z_j(t)]
 
 and snapshots are independent Bernoulli draws on the strict upper triangle,
-each kept as the symmetric 0/1 pattern of its edges
-(:class:`~dynembed.netseries.SymmetricPattern`): sampling needs numpy alone.
+each drawn as the rising keys i n + j, i < j, of its edges: sampling needs
+numpy alone.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ _SLAB_CELLS = 1 << 18
 
 
 def _sample_rows(n: int, probability_at, p_max: float, seed: int,
-                 stream: int) -> SymmetricPattern:
-    """Bernoulli draw of the strict upper triangle, slab of rows by slab.
+                 stream: int) -> np.ndarray:
+    """Bernoulli draw of the strict upper triangle, slab of rows by slab, as
+    the rising keys i n + j of its edges (i, j).
 
     ``probability_at(i, j)`` returns the entries at index arrays i, j of an
     n x n edge probability matrix whose entries are at most ``p_max``. The
@@ -175,13 +176,13 @@ def _sample_rows(n: int, probability_at, p_max: float, seed: int,
         uniform = (words[at] >> np.uint64(11)) * 2.0**-53
         hit = uniform < probability_at(rows, cols)
         hits.append(rows[hit] * n + cols[hit])
-    return SymmetricPattern.from_upper(np.concatenate(hits), n)
+    return np.concatenate(hits)
 
 
 def dsbm_snapshots(spec: DsbmSpec, seed: int = 0):
-    """Each snapshot's :class:`SymmetricPattern` in turn, drawn when it is
-    asked for; snapshot t uses stream t. Every P_t's largest entry is taken
-    here, so a model whose probabilities exceed 1 raises before any draw.
+    """Each snapshot's rising edge keys i n + j, i < j, drawn when asked
+    for; snapshot t uses stream t. Every P_t's largest entry is taken here,
+    so a model whose probabilities exceed 1 raises before any draw.
 
     Each snapshot evaluates P_t one slab of rows at a time, so memory grows
     with the edges drawn rather than with n^2; the draw equals one
@@ -195,9 +196,10 @@ def dsbm_snapshots(spec: DsbmSpec, seed: int = 0):
 
 def sample_dsbm(spec: DsbmSpec, seed: int = 0) -> GraphSeries:
     """The series of :func:`dsbm_snapshots`, every snapshot held at once; a
-    caller that handles one snapshot at a time, as ``dynembed simulate``
-    does, holds one pattern instead of T."""
-    return GraphSeries(snapshots=list(dsbm_snapshots(spec, seed)))
+    caller that handles one snapshot's keys at a time, as ``dynembed
+    simulate`` does, holds no pattern."""
+    return GraphSeries(snapshots=[SymmetricPattern.from_upper(upper, spec.n_nodes)
+                                  for upper in dsbm_snapshots(spec, seed)])
 
 
 def _parse_matrix(raw: str) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Adjacency snapshot sequences and timestamped edge list ingestion.
 
-A snapshot A is held in memory as a :class:`SymmetricPattern`, its full
-symmetric pattern as plain numpy CSR arrays, from the sampler and ingestion
-through ``load`` to the embedders; ``snapshots.npz`` stores its entries
-above the diagonal as CSR. The n x Tn unfolding (A_1 | ... | A_T) is
-applied as an :class:`Unfolding` of the patterns, never built. Everything
-here runs on numpy alone; scipy is imported only by
-``SymmetricPattern.tocsr``, which ``GraphSeries.snapshots`` calls.
+A snapshot's edges cross module boundaries as their rising keys i n + j,
+i < j, from the sampler and ingestion to ``snapshots.npz``, which stores
+them as CSR rows of the strict upper triangle. In memory a snapshot A is a
+:class:`SymmetricPattern`, full symmetric CSR arrays that only this module
+reads. The n x Tn unfolding (A_1 | ... | A_T) is applied as an
+:class:`Unfolding` of the patterns, never built. Everything here runs on
+numpy alone; scipy is imported only by ``SymmetricPattern.tocsr``.
 """
 
 from __future__ import annotations
@@ -91,17 +91,31 @@ class SymmetricPattern:
         out[self._held] = sums
         return out
 
-    def entries(self):
-        """Row (int32 when n^2 < 2^31), column and value of each entry in
-        row-major order; the values are None for a 0/1 matrix."""
-        rows = np.repeat(np.arange(self.n, dtype=_key_dtype(self.n)), np.diff(self.indptr))
-        return rows, self.cols, self.data
+    def _row_blocks(self):
+        """Per block of rows, about n entries, the slice of its entries and
+        their rows, so no array of every entry's row is held."""
+        n, indptr = self.n, self.indptr
+        step = max(1, n * n // max(self.cols.size, 1))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            yield (slice(indptr[lo], indptr[hi]),
+                   np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1])))
 
     def upper(self):
-        """Row and column of each entry above the diagonal, row-major."""
-        rows, cols, _ = self.entries()
-        above = rows < cols
-        return rows[above], cols[above]
+        """The rising keys i n + j, i < j, of the entries above the diagonal,
+        which :meth:`from_upper` takes back."""
+        keys = [np.empty(0, np.intp)]
+        for at, rows in self._row_blocks():
+            cols = self.cols[at]
+            keys.append((rows * self.n + cols)[rows < cols])
+        return np.concatenate(keys)
+
+    def toarray(self):
+        """A as a dense n x n array."""
+        a = np.zeros(self.shape)
+        for at, rows in self._row_blocks():
+            a[rows, self.cols[at]] = 1.0 if self.data is None else self.data[at]
+        return a
 
     def tocsr(self):
         """A as a scipy CSR matrix; a weighted pattern shares its ``data``."""
@@ -181,23 +195,12 @@ def as_patterns(matrices) -> list:
     return patterns
 
 
-def _holds_loop(pattern) -> bool:
-    """Whether ``pattern`` holds an entry (i, i). Rows are compared a block of
-    about n entries at a time, so no array of every entry's row is held."""
-    n, indptr, cols = pattern.n, pattern.indptr, pattern.cols
-    step = max(1, n * n // max(cols.size, 1))
-    for lo in range(0, n, step):
-        rows = np.repeat(np.arange(lo, min(lo + step, n)), np.diff(indptr[lo:lo + step + 1]))
-        if np.any(cols[indptr[lo]:indptr[lo] + rows.size] == rows):
-            return True
-    return False
-
-
 def _require_graph(t: int, pattern, given=np.zeros(0)) -> None:
     """ValueError naming snapshot ``t`` unless ``pattern``, built from a
     matrix with the entries ``given``, is a 0/1 graph with a zero diagonal:
     a 0/1 M has a 0/1 symmetric part (M + M^T) / 2 only where M = M^T."""
-    if (_holds_loop(pattern) or not np.all((given == 0) | (given == 1))
+    if (any(np.any(pattern.cols[at] == rows) for at, rows in pattern._row_blocks())
+            or not np.all((given == 0) | (given == 1))
             or (pattern.data is not None and np.any(pattern.data != 1))):
         raise ValueError(f"snapshot {t} is not square symmetric 0/1 with a zero diagonal")
 
@@ -205,13 +208,17 @@ def _require_graph(t: int, pattern, given=np.zeros(0)) -> None:
 class SeriesWriter:
     """Writes a series into ``directory`` one snapshot at a time: its
     ``labels.txt``, and an uncompressed ``snapshots.npz`` holding the entries
-    ``format``, ``n_nodes`` and ``times``, then per :meth:`append` the
-    snapshot's strict upper triangle as CSR ``indptr_t``/``indices_t``. The
-    bytes are those ``np.savez`` writes for the same entries in that order.
-    A context manager; the file is complete once it closes.
+    ``format``, ``n_nodes`` and ``times``, then per :meth:`append` of a
+    snapshot's keys its strict upper triangle as CSR ``indptr_t``/``indices_t``.
+    The bytes are those ``np.savez`` writes for the same entries in that order.
+    A context manager; the file is complete once it closes. A label holding a
+    line break, which ``load`` would read as two, is refused before any file.
     """
 
     def __init__(self, directory, node_labels, times):
+        for k, label in enumerate(map(str, node_labels)):
+            if "\n" in label or "\r" in label:
+                raise ValueError(f"node label {k} ({label!r}) holds a line break")
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with open(directory / "labels.txt", "w", encoding="utf-8") as fh:
@@ -228,19 +235,15 @@ class SeriesWriter:
             with self.zip.open(f"{name}.npy", "w", force_zip64=True) as fh:
                 np.lib.format.write_array(fh, array)
 
-    def append(self, pattern):
-        """Write the next snapshot, int32 unless n or the edge count needs
-        int64, and return its ``indptr`` and ``indices``; ValueError unless
-        the n-node ``pattern`` is a 0/1 graph with a zero diagonal."""
-        _require_graph(self.count, pattern)
-        rows, cols = pattern.upper()
-        dtype = np.int64 if max(self.n + 1, cols.size) > np.iinfo(np.int32).max else np.int32
-        indptr = np.searchsorted(rows, np.arange(self.n + 1, dtype=rows.dtype)).astype(dtype)
-        del rows
-        indices = cols.astype(dtype)
-        self._put(**{f"indptr_{self.count}": indptr, f"indices_{self.count}": indices})
+    def append(self, upper) -> None:
+        """Write the next snapshot from the rising keys i n + j, i < j, of its
+        edges, int32 unless n or the edge count needs int64."""
+        n = self.n
+        dtype = np.int64 if max(n + 1, upper.size) > np.iinfo(np.int32).max else np.int32
+        indptr = np.searchsorted(upper, np.arange(n + 1, dtype=upper.dtype) * n).astype(dtype)
+        self._put(**{f"indptr_{self.count}": indptr,
+                     f"indices_{self.count}": (upper % n).astype(dtype)})
         self.count += 1
-        return indptr, indices
 
     def __enter__(self) -> "SeriesWriter":
         return self
@@ -305,7 +308,7 @@ class GraphSeries:
         a :class:`SeriesWriter`."""
         with SeriesWriter(directory, self.node_labels, self.times) as writer:
             for pattern in self.patterns:
-                writer.append(pattern)
+                writer.append(pattern.upper())
 
     @classmethod
     def load(cls, directory) -> "GraphSeries":

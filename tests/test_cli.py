@@ -257,17 +257,26 @@ class TestSimulate:
         assert 0 < read_manifest(out)["peak_rss_mib"] < 200
 
     def test_series_file_equals_library_save(self, tmp_path):
-        # simulate streams its series through the writer GraphSeries.save
-        # uses, so its files equal saving sample_dsbm's whole series
-        cfg = tmp_path / "two.cfg"
-        cfg.write_text(TWOBLOCK_120)
-        assert run("simulate", "--config", cfg, "--seed", 5, "--out", tmp_path / "sim") == 0
-        series = sample_dsbm(load_dsbm_config(cfg), seed=5)
-        series.node_labels, series.times = [str(i + 1) for i in range(120)], [1, 2]
-        series.save(tmp_path / "saved")
-        for name in ("snapshots.npz", "labels.txt"):
-            assert ((tmp_path / "sim" / "series" / name).read_bytes()
-                    == (tmp_path / "saved" / name).read_bytes()), name
+        # simulate streams its snapshots' keys through the writer
+        # GraphSeries.save uses, so its files equal saving sample_dsbm's
+        # whole series; also with an all-zero snapshot between two others,
+        # and at a single node
+        configs = (TWOBLOCK_120,
+                   TWOBLOCK_120.replace("[snapshot.1]", "[snapshot.0]\nblock_matrix =\n"
+                                        "    0 0\n    0 0\n\n[snapshot.1]"),
+                   "[model]\nn_nodes = 1\n\n[snapshot.1]\nblock_matrix = 0.5\n")
+        for k, config in enumerate(configs):
+            cfg, out = tmp_path / f"model{k}.cfg", tmp_path / str(k)
+            cfg.write_text(config)
+            assert run("simulate", "--config", cfg, "--seed", 5, "--out", out / "sim") == 0
+            spec = load_dsbm_config(cfg)
+            series = sample_dsbm(spec, seed=5)
+            series.node_labels = [str(i + 1) for i in range(spec.n_nodes)]
+            series.times = list(range(1, spec.n_snapshots + 1))
+            series.save(out / "saved")
+            for name in ("snapshots.npz", "labels.txt"):
+                assert ((out / "sim" / "series" / name).read_bytes()
+                        == (out / "saved" / name).read_bytes()), (k, name)
 
     def test_traced_peak_does_not_grow_with_snapshots(self, tmp_path):
         # each snapshot is drawn, written and freed before the next is drawn:
@@ -1370,6 +1379,18 @@ def test_only_interop_helpers_import_scipy():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), [])
     assert set(importers) == helpers, importers
+
+
+def test_only_netseries_reads_pattern_rows():
+    # a snapshot's edges leave netseries as upper-triangle keys, a dense
+    # array or a product: no other module reads a pattern's CSR arrays
+    import ast
+
+    src = Path(dynembed.__file__).resolve().parent
+    readers = {f"{path.name}:{node.attr}" for path in src.glob("*.py") if path.name != "netseries.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr in ("indptr", "cols")}
+    assert not readers, sorted(readers)
 
 
 def test_cli_import_skips_scipy_stats():

@@ -12,13 +12,14 @@ from dynembed.models import (
     load_dsbm_config,
     sample_dsbm,
 )
+from dynembed.netseries import SymmetricPattern
 
 
 def sample_adjacency(p, seed, stream=0):
     # one symmetric Bernoulli(p) draw from the Philox stream keyed by
     # (seed, stream), through the sampler behind sample_dsbm, as a CSR matrix
-    return models._sample_rows(p.shape[0], lambda i, j: p[i, j], p.max(), seed,
-                               stream).tocsr()
+    upper = models._sample_rows(p.shape[0], lambda i, j: p[i, j], p.max(), seed, stream)
+    return SymmetricPattern.from_upper(upper, p.shape[0]).tocsr()
 
 
 @pytest.fixture(scope="module")

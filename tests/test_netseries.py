@@ -60,7 +60,7 @@ class TestGraphSeries:
         series = GraphSeries(snapshots=dense)
         # a series keeps 0/1 patterns without values
         assert all(p.data is None for p in series.patterns)
-        assert series.patterns[1].upper()[0].size == 0
+        assert series.patterns[1].upper().size == 0
         for pattern, a, csr in zip(series.patterns, dense, series.snapshots):
             np.testing.assert_array_equal(pattern.tocsr().toarray(), a)
             np.testing.assert_array_equal(csr.toarray(), a)
@@ -192,6 +192,30 @@ class TestGraphSeries:
         with pytest.raises(ValueError, match="snapshot 0"):
             GraphSeries(snapshots=[dense]).save(tmp_path / "series")
         assert not (tmp_path / "series").exists()
+
+    @pytest.mark.parametrize("row", [0, 6, 11])  # the first, a middle and the last row
+    @pytest.mark.parametrize("p", [0.3, 1.0])  # at p = 1 a block of the row walk is one row
+    def test_loop_in_any_row_is_refused(self, row, p):
+        n = 12
+        upper = np.triu(np.random.default_rng(row).random((n, n)) < p, k=1)
+        graph = (upper + upper.T).astype(float)
+        pattern = as_patterns([graph])[0]
+        assert (len(list(pattern._row_blocks())) == n) == (p == 1.0)
+        np.testing.assert_array_equal(pattern.toarray(), graph)
+        np.testing.assert_array_equal(pattern.upper(), np.flatnonzero(upper))
+        GraphSeries([graph])
+        graph[row, row] = 1.0
+        with pytest.raises(ValueError, match="snapshot 0 .* zero diagonal"):
+            GraphSeries([graph])
+
+    def test_save_refuses_a_label_holding_a_line_break(self, tmp_path):
+        # labels.txt holds one label a line, so load would read such a
+        # label as two; nothing is written
+        for label in ("x\ny", "x\r", "\r\ny"):
+            series = GraphSeries([[[0, 1], [1, 0]]], node_labels=["z", label])
+            with pytest.raises(ValueError, match="node label 1 .* line break"):
+                series.save(tmp_path / "series")
+            assert not (tmp_path / "series").exists()
 
     @pytest.mark.parametrize("edit", [
         "old format", "missing times", "wrong version", "index out of range",
@@ -649,8 +673,7 @@ def test_from_upper_matches_scipy_at_both_key_widths(n):
     np.testing.assert_array_equal(got.indices, want.indices)
     assert got.nnz == want.nnz
     assert pattern.cols.size == pattern.indptr[-1] and pattern.indptr[-2] == pattern.indptr[-1]
-    rows, cols = pattern.upper()
-    np.testing.assert_array_equal(rows * n + cols, upper)
+    np.testing.assert_array_equal(pattern.upper(), upper)
     # no pair at all, given as a plain list: every row is empty
     empty = SymmetricPattern.from_upper([], n)
     assert empty.cols.size == 0 and empty.indptr.tolist() == [0] * (n + 1)
@@ -687,14 +710,8 @@ def test_empty_rows_hold_no_entry(case, tmp_path):
         got = pattern.tocsr()
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
-        rows, cols, data = pattern.entries()
-        coo = want.tocoo()
-        np.testing.assert_array_equal(rows, coo.row)
-        np.testing.assert_array_equal(cols, coo.col)
-        np.testing.assert_array_equal(np.ones(rows.size) if data is None else data, coo.data)
-        above = coo.row < coo.col
-        for part, expected in zip(pattern.upper(), (coo.row[above], coo.col[above])):
-            np.testing.assert_array_equal(part, expected)
+        np.testing.assert_array_equal(pattern.toarray(), dense)
+        np.testing.assert_array_equal(pattern.upper(), np.sort(pairs[:, 0] * n + pairs[:, 1]))
         for shape in ((n,), (n, 3)):
             x = rng.standard_normal(shape)
             product = pattern @ x
