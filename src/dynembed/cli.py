@@ -448,15 +448,12 @@ def _parse_grid(text):
                 values.append(int(part))
         except ValueError:
             raise DataError(f"bad --grid entry {part!r}") from None
-    if not values:
-        raise DataError("empty --grid")
     if min(values) < 1:
         raise DataError("--grid component counts must be at least 1")
     return values
 
 
-def cmd_simulate(args) -> int:
-    run = _Run(args)
+def cmd_simulate(args, run):
     config = _resolve_config(args.config)
     run.inputs.append(config)
     spec = load_dsbm_config(config)
@@ -486,13 +483,11 @@ def cmd_simulate(args) -> int:
         (range(1, spec.n_communities + 1), np.asarray(spec.memberships).ravel()),
     ])
     run.lap("truth")
-    run.finish({"n_nodes": n, "n_snapshots": spec.n_snapshots, "densities": densities})
-    print(f"wrote {spec.n_snapshots} snapshots of {n} nodes to {run.out}")
-    return EXIT_OK
+    return ({"n_nodes": n, "n_snapshots": spec.n_snapshots, "densities": densities},
+            [f"wrote {spec.n_snapshots} snapshots of {n} nodes to {run.out}"], EXIT_OK)
 
 
-def cmd_embed(args) -> int:
-    run = _Run(args)
+def cmd_embed(args, run):
     # a smoothing option not given keeps separate_embed's default
     smoothing = {name: getattr(args, name) for name in ("scheme", "forgetting", "window")
                  if getattr(args, name) is not None}
@@ -559,10 +554,9 @@ def cmd_embed(args) -> int:
         details["eigenvalue_signatures"] = [list(s) for s in emb.signatures]
     if emb.route is not None:
         details["omnibus_route"], details["omnibus_products"] = emb.route, emb.products
-    run.finish(details)
     distinct = list(dict.fromkeys(emb.dims))  # each once, in order of first appearance
-    print(f"{args.method} embedding: {rows} rows, dimensions {distinct}, written to {run.out}")
-    return EXIT_OK
+    return details, [f"{args.method} embedding: {rows} rows, dimensions {distinct}, "
+                     f"written to {run.out}"], EXIT_OK
 
 
 def _read_truth(path):
@@ -572,8 +566,7 @@ def _read_truth(path):
     return dict(zip(zip(nodes, times.tolist()), communities))
 
 
-def cmd_stability(args) -> int:
-    run = _Run(args)
+def cmd_stability(args, run):
     if not (np.isfinite(args.threshold) and args.threshold > 0):
         raise DataError(f"--threshold must be positive and finite, not {args.threshold:g}")
     emb, labels_per_time, times = _load_embedding(args, run)
@@ -622,18 +615,12 @@ def cmd_stability(args) -> int:
     ]
     run.path("report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     run.lap("write")
-    run.finish({
-        "threshold": args.threshold,
-        "passed": report.passed,
-        "gap_ratios": [float(r.gap_ratio) for r in results],
-    })
-    for line in lines:
-        print(line)
-    return EXIT_OK if report.passed else EXIT_THRESHOLD
+    return ({"threshold": args.threshold, "passed": report.passed,
+             "gap_ratios": [float(r.gap_ratio) for r in results]},
+            lines, EXIT_OK if report.passed else EXIT_THRESHOLD)
 
 
-def cmd_cluster(args) -> int:
-    run = _Run(args)
+def cmd_cluster(args, run):
     emb, labels_per_time, times = _load_embedding(args, run)
     run.lap("load")
     theta, index = pool_spherical(emb)
@@ -660,7 +647,7 @@ def cmd_cluster(args) -> int:
     _write_csv(run.path("proportions.csv"), ["cluster"] + [f"{t:.17g}" for t in times],
                [np.arange(1, g_count + 1), *shares.T])
     run.lap("write")
-    run.finish({
+    return {
         "selected_components": best.n_components,
         "bic_table": [[m.n_components, m.bic] for m in fits],
         # the kept fit of each grid count, so a count's BIC can be audited
@@ -674,10 +661,8 @@ def cmd_cluster(args) -> int:
         "pooled_rows": int(theta.shape[0]),
         "grid": grid,
         "restarts": args.restarts,
-    })
-    print(f"selected {best.n_components} components over grid {grid}; "
-          f"{theta.shape[0]} pooled rows; results in {run.out}")
-    return EXIT_OK
+    }, [f"selected {best.n_components} components over grid {grid}; "
+        f"{theta.shape[0]} pooled rows; results in {run.out}"], EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -756,7 +741,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.argv = words
     try:
-        return args.func(args)
+        # each command writes its own files and hands back the manifest's
+        # details, the lines to print and its exit code
+        run = _Run(args)
+        details, lines, code = args.func(args, run)
+        run.finish(details)
+        print(*lines, sep="\n")
+        return code
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -188,12 +188,16 @@ def _omnibus_matvec(patterns, n: int):
 def omnibus_blocks(series) -> list:
     """The omnibus matrix's distinct blocks, dense: row s of the T x T nested
     list holds block (s, t) = (A_s + A_t) / 2, and block (t, s) is the same
-    array, so T(T + 1) / 2 arrays of n x n are held. ``np.block`` of the
-    list is the (T n) x (T n) matrix."""
+    array, so T(T + 1) / 2 arrays are held. Each holds zero rows below its
+    n x n block up to a multiple of 8 rows, so that a threaded BLAS, which
+    splits a product's rows between threads, adds each row in one order at
+    any thread count (measured on OpenBLAS 0.3.31 at 1, 2 and 4 threads).
+    ``np.block`` of the blocks' first n rows is the (T n) x (T n) matrix."""
     patterns = as_patterns(series)
+    rows = -(-patterns[0].n // 8) * 8
     blocks = [[None] * len(patterns) for _ in patterns]
     for s, pattern in enumerate(patterns):
-        blocks[s][s] = pattern.toarray()
+        blocks[s][s] = pattern.toarray(rows)
     for s, t in zip(*np.triu_indices(len(patterns), 1)):
         blocks[s][t] = blocks[t][s] = np.add(blocks[s][s], blocks[t][t])
         blocks[s][t] *= 0.5
@@ -219,10 +223,11 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     n, t_count = patterns[0].n, len(patterns)
     side = t_count * n
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        # (M x)_s = sum_t B_st x_t in ascending t, one gemv per term
+        # (M x)_s = sum_t B_st x_t in ascending t, one gemv per term, less
+        # the padding rows
         blocks = omnibus_blocks(patterns)
         route, apply = "dense", lambda x: np.concatenate(
-            [sum(b @ y for b, y in zip(row, x.reshape(t_count, n))) for row in blocks])
+            [sum(b @ y for b, y in zip(row, x.reshape(t_count, n)))[:n] for row in blocks])
         del patterns  # the blocks hold all the eigensolver needs
     else:
         route, apply = "matrix-free", _omnibus_matvec(patterns, n)

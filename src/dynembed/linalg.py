@@ -245,10 +245,10 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     (a.T @ x) come from :func:`_lanczos`, started from a vector drawn with
     ``seed``. The eigenvectors of B B^T, for the d-row projection B = q.T @
     m, turn q into u and B into the rows s_j v_j. An m that is its own
-    transpose, ``m.T is m`` (a :class:`SymmetricOperator`, a pattern, a
-    one-snapshot unfolding), is decomposed directly, with half the products:
-    its top-d eigenpairs (l, q) by magnitude give u = q, s = |l| and v =
-    sign(l) q, a zero counted positive. A zero matrix has zero singular values.
+    transpose, ``m.T is m`` (a :class:`SymmetricOperator`, a one-snapshot
+    unfolding), is decomposed directly, with half the products: its top-d
+    eigenpairs (l, q) by magnitude give u = q, s = |l| and v = sign(l) q, a
+    zero counted positive. A zero matrix has zero singular values.
 
     Raises ValueError when d or the seed is out of range (a seed is an
     integer in [0, 2**64)) or the matrix has non-finite entries.

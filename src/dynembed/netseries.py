@@ -74,10 +74,6 @@ class SymmetricPattern:
         np.remainder(keys, n, out=keys)  # the columns
         return cls(indptr, keys, None, n)
 
-    @property
-    def T(self) -> "SymmetricPattern":
-        return self
-
     def __matmul__(self, x):
         if x.ndim == 2:
             return np.stack([self @ column for column in x.T], axis=1)
@@ -110,9 +106,9 @@ class SymmetricPattern:
             keys.append((rows * self.n + cols)[rows < cols])
         return np.concatenate(keys)
 
-    def toarray(self):
-        """A as a dense n x n array."""
-        a = np.zeros(self.shape)
+    def toarray(self, height=None):
+        """A as a dense n x n array, or with zero rows below it to ``height`` rows."""
+        a = np.zeros((height or self.n, self.n))
         for at, rows in self._row_blocks():
             a[rows, self.cols[at]] = 1.0 if self.data is None else self.data[at]
         return a
@@ -257,8 +253,8 @@ class GraphSeries:
 
     patterns: one 0/1 :class:`SymmetricPattern` per snapshot, applied by ``unfold()``.
     snapshots: read-only; the patterns as scipy CSR matrices (scipy is a test
-        dependency), built on each access for the benchmark's exact scree and
-        edge count (``bench/run.py``, ``bench/tracer.py``).
+        dependency), built on each access for the benchmark's exact scree
+        (``bench/run.py``).
     node_labels: original labels, index position = node id.
     times: nominal time value per snapshot (window start, or the model time).
     stats: ingestion bookkeeping, or None.

@@ -25,6 +25,15 @@ def omnibus_matrix(series) -> np.ndarray:
     return np.block([[(x + y) * 0.5 for y in a] for x in a])
 
 
+def unpadded(blocks) -> np.ndarray:
+    """``np.block`` of ``embedders.omnibus_blocks``'s n x n blocks, after
+    checking that each holds zero rows below them up to a multiple of 8."""
+    n = blocks[0][0].shape[1]
+    for b in (b for row in blocks for b in row):
+        assert b.shape[0] % 8 == 0 and 0 <= b.shape[0] - n < 8 and not b[n:].any()
+    return np.block([[b[:n] for b in row] for row in blocks])
+
+
 def write_csv_per_cell(path, header, columns) -> int:
     """Reference CSV writer: formats one cell at a time, floats (Python or
     numpy) at 17 significant digits and everything else by ``str``."""

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -724,21 +726,34 @@ class TestEmbed:
         cfg.write_text("[model]\nn_nodes = 500\n\n" + "".join(
             f"[snapshot.{t}]\nblock_matrix =\n    {blocks[t >= 6]}\n\n" for t in range(1, 11)))
         assert run("simulate", "--config", cfg, "--seed", 1, "--out", tmp_path / "sim") == 0
+        # (series, embed options, thread counts, files compared); the dense
+        # omnibus route on the two-block model at n = 1002 and 1003 differed
+        # between one thread and two or four while its blocks had n rows
+        jobs = [(tmp_path / "sim", ["--method", "uase", "--dim", "auto", "--seed", "1"],
+                 ("1", "2"), ("embedding.csv", "scree.csv", "left.csv"))]
+        for n in (1002, 1003):
+            cfg = tmp_path / f"two{n}.cfg"
+            cfg.write_text(TWOBLOCK_120.replace("n_nodes = 120", f"n_nodes = {n}"))
+            assert run("simulate", "--config", cfg, "--seed", 0, "--out", tmp_path / f"sim{n}") == 0
+            jobs.append((tmp_path / f"sim{n}", ["--method", "omnibus", "--dim", "3", "--seed", "0"],
+                         ("1", "2", "4"), ("embedding.csv", "scree.csv")))
         src = str(Path(dynembed.__file__).resolve().parents[1])
-        children = {}
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads)
-            children[threads] = subprocess.Popen(
-                [sys.executable, "-m", "dynembed.cli", "embed", "--input",
-                 str(tmp_path / "sim" / "series"), "--method", "uase", "--dim", "auto",
-                 "--seed", "1", "--out", str(tmp_path / threads)],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        for child in children.values():
-            _, err = child.communicate()
-            assert child.returncode == 0, err.decode()
-        for name in ("embedding.csv", "scree.csv", "left.csv"):
-            assert sha(tmp_path / "1" / name) == sha(tmp_path / "2" / name), name
+        for k, (sim, options, counts, names) in enumerate(jobs):
+            children = {}
+            for threads in counts:
+                env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads)
+                children[threads] = subprocess.Popen(
+                    [sys.executable, "-m", "dynembed.cli", "embed", "--input",
+                     str(sim / "series"), *options, "--out", str(tmp_path / f"{k}-{threads}")],
+                    env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            for child in children.values():
+                _, err = child.communicate()
+                assert child.returncode == 0, err.decode()
+            for threads in counts[1:]:
+                for name in names:
+                    assert sha(tmp_path / f"{k}-1" / name) == sha(tmp_path / f"{k}-{threads}" / name), \
+                        (options, threads, name)
 
     @pytest.mark.parametrize("budget, route", [(None, "dense"), (0, "matrix-free")])
     def test_manifest_names_the_omnibus_route(self, sim120, emb120, tmp_path,
@@ -1252,6 +1267,10 @@ class TestParsers:
         for bad in ("5-2", "2-8:0", "0", "-3", "x", ""):
             with pytest.raises(DataError):
                 _parse_grid(bad)
+        # every comma part gives a value or is refused, so no grid is empty
+        for bad in ("", ",", "2,"):
+            with pytest.raises(DataError, match="bad --grid entry ''"):
+                _parse_grid(bad)
 
     def test_parse_pair(self):
         assert _parse_pair("4:1/4:2") == ((4, 1.0), (4, 2.0))
@@ -1284,6 +1303,79 @@ def test_os_errors_exit_2(command, sim120, emb120, tmp_path, capsys):
     assert run(command, *words) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+OUTSIDE_INPUT = ["header-only embedding", "header-only embedding, cluster",
+                 "header-only truth", "directory without embedding", "no model section",
+                 "no nodes", "bad snapshot section", "no snapshot section",
+                 "zero window", "empty range"]
+
+
+@pytest.mark.parametrize("case", OUTSIDE_INPUT)
+def test_outside_input_is_refused_with_exit_2(case, sim120, emb120, tmp_path, capsys):
+    # a file or option a user hands in that cannot be used is named in the
+    # message, and the refused run leaves no output directory
+    embedding, truth, empty = tmp_path / "embedding.csv", tmp_path / "truth.csv", tmp_path / "d"
+    embedding.write_text("node_label,time_label,y_1\n")
+    truth.write_text("node_label,time_label,community\n")
+    empty.mkdir()
+    cfg, events = tmp_path / "model.cfg", tmp_path / "events.txt"
+    events.write_text("1 a b\n2 b c\n")
+    model, snapshot = "[model]\nn_nodes = 4\n\n", "[snapshot.1]\nblock_matrix = 0.5\n"
+    simulate = ("simulate", "--config", cfg)
+    embed = ("embed", "--input", events, "--method", "uase", "--dim", 1)
+
+    def stability(emb, truth):
+        return ("stability", "--embedding", emb, "--truth", truth, *TestStability.PAIRS)
+
+    words, text, message = {
+        "header-only embedding": (stability(embedding, sim120 / "truth.csv"), None,
+                                  f"{embedding}: no embedding rows"),
+        "header-only embedding, cluster": (("cluster", "--embedding", embedding, "--grid", 2),
+                                           None, f"{embedding}: no embedding rows"),
+        "header-only truth": (stability(emb120, truth), None, f"{truth}: no truth rows"),
+        "directory without embedding": (stability(empty, sim120 / "truth.csv"), None,
+                                        f"no embedding CSV at {empty / 'embedding.csv'}"),
+        "no model section": (simulate, snapshot, "config needs a [model] section"),
+        "no nodes": (simulate, "[model]\nn_nodes = 0\n\n" + snapshot,
+                     "n_nodes must be a positive integer"),
+        "bad snapshot section": (simulate, model + "[snapshot.x]\nblock_matrix = 0.5\n",
+                                 "bad snapshot section name 'snapshot.x'"),
+        "no snapshot section": (simulate, model, "config needs at least one [snapshot.N] section"),
+        "zero window": ((*embed, "--window-seconds", 0), None, "window_seconds must be positive"),
+        "empty range": ((*embed, "--window-seconds", 1, "--start", 2, "--end", 1), None,
+                        "empty time range"),
+    }[case]
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(*words, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert not out.exists()
+
+
+def test_readme_walkthrough_prints_what_it_shows(tmp_path, monkeypatch, capsys):
+    # each `dynembed` command of the README's CLI walkthrough, run in order
+    # in one directory, prints the `#` lines below it and exits with the
+    # code of its `# exit code` line, or 0
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    walkthrough = readme.split("\n## CLI walkthrough\n")[1].split("\n### ")[0]
+    steps = []  # [words, stdout lines, exit code]
+    for block in re.findall(r"```sh\n(.*?)```", walkthrough, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("dynembed "):
+                steps.append([shlex.split(line)[1:], [], 0])
+            elif line.startswith("# exit code "):
+                steps[-1][2] = int(line.removeprefix("# exit code "))
+            elif line.startswith("# "):
+                steps[-1][1].append(line[2:])
+    assert [words[0] for words, _, _ in steps] == [
+        "simulate", "embed", "stability", "embed", "stability", "cluster"]
+    monkeypatch.chdir(tmp_path)
+    for words, lines, code in steps:
+        assert cli.main(words) == code, words
+        assert capsys.readouterr().out.splitlines() == lines, words
 
 
 class TestUsage:
@@ -1379,6 +1471,20 @@ def test_only_interop_helpers_import_scipy():
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), [])
     assert set(importers) == helpers, importers
+
+
+def test_only_main_prints_or_opens_a_run():
+    # one frame for every command: main opens the _Run, writes the manifest
+    # and prints the lines a command returns beside its details and exit code
+    import ast
+
+    tree = ast.parse((Path(dynembed.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8"))
+    main = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+    calls = {name: [node for node in ast.walk(within) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id in ("print", "_Run")]
+             for name, within in (("cli", tree), ("main", main))}
+    assert calls["main"] and calls["cli"] == calls["main"], [
+        f"{node.func.id}:{node.lineno}" for node in calls["cli"] if node not in calls["main"]]
 
 
 def test_only_netseries_reads_pattern_rows():
