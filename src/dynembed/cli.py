@@ -54,10 +54,6 @@ SCREE_LENGTH = 50
 CSV_CHUNK_ROWS = 1 << 10
 
 
-class DataError(Exception):
-    """Input exists but cannot be used as requested."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage problems; 2 is reserved for data errors
     def error(self, message):
@@ -122,7 +118,7 @@ class _Run:
         self.args, self.out = args, Path(args.out)
         self.seed = getattr(args, "seed", None)
         if self.seed is not None and not 0 <= self.seed < 1 << 64:  # a Philox key word
-            raise DataError(f"--seed must be in [0, 2**64), not {self.seed}")
+            raise ValueError(f"--seed must be in [0, 2**64), not {self.seed}")
         self.inputs, self.outputs, self.timings = [], [], {}
         self.start = self.mark = time.perf_counter()
 
@@ -171,7 +167,7 @@ def _resolve_config(name_or_path) -> Path:
     try:
         return bundled_config_path(str(name_or_path))
     except FileNotFoundError:
-        raise DataError(
+        raise ValueError(
             f"config {name_or_path!r} is neither a file nor a bundled name"
         ) from None
 
@@ -257,7 +253,7 @@ def _read_csv(path, kind, columns, repeat=None):
     stem2, ... CSV_CHUNK_ROWS lines at a time, each line's commas are
     counted and each column is converted whole, a float column by one
     ``np.fromiter`` and one ``np.isfinite``. Only a chunk that fails is
-    parsed again row by row, so the DataError names the file and the 1-based
+    parsed again row by row, so the ValueError names the file and the 1-based
     line of the first wrong header, ragged row or cell that does not parse in
     file order; it is raised also when the file has no rows.
     """
@@ -271,7 +267,7 @@ def _read_csv(path, kind, columns, repeat=None):
             names += [f"{stem}{j + 1}" for j in range(extra)]
             parsers += [parse] * extra
         if header != names:
-            raise DataError(f"{path}: line 1: not a {kind} CSV")
+            raise ValueError(f"{path}: line 1: not a {kind} CSV")
         parts = [[] for _ in names]
         line_number = 1
         while chunk := list(map(str.strip, itertools.islice(fh, CSV_CHUNK_ROWS))):
@@ -280,7 +276,7 @@ def _read_csv(path, kind, columns, repeat=None):
                 part.append(column)
             line_number += len(chunk)
     if line_number == 1:
-        raise DataError(f"{path}: no {kind} rows")
+        raise ValueError(f"{path}: no {kind} rows")
     return [np.concatenate(part) if parse is _finite_float else
             list(itertools.chain.from_iterable(part))
             for parse, part in zip(parsers, parts)]
@@ -289,7 +285,7 @@ def _read_csv(path, kind, columns, repeat=None):
 def _csv_columns(path, names, parsers, lines, first_line_number) -> list:
     """The cells of ``lines`` parsed column by column, a float array for
     ``_finite_float``; when that fails, the lines are checked row by row so
-    that the DataError names the first ragged row or bad cell."""
+    that the ValueError names the first ragged row or bad cell."""
     width = len(names)
     try:
         if set(map(str.count, lines, itertools.repeat(","))) != {width - 1}:
@@ -310,7 +306,7 @@ def _csv_columns(path, names, parsers, lines, first_line_number) -> list:
         for line_number, line in enumerate(lines, start=first_line_number):
             cells = line.split(",")
             if len(cells) != width:
-                raise DataError(
+                raise ValueError(
                     f"{path}: line {line_number}: ragged row, {len(cells)} "
                     f"cells for {width} columns"
                 ) from None
@@ -318,7 +314,7 @@ def _csv_columns(path, names, parsers, lines, first_line_number) -> list:
                 try:
                     parse(cell)
                 except ValueError:
-                    raise DataError(
+                    raise ValueError(
                         f"{path}: line {line_number}: bad {name} {cell!r}"
                     ) from None
         raise
@@ -361,17 +357,17 @@ def _load_embedding(args, run):
     if p.is_dir():
         p = p / "embedding.csv"
     if not p.exists():
-        raise DataError(f"no embedding CSV at {p}")
+        raise ValueError(f"no embedding CSV at {p}")
     run.inputs.append(p)
     return _read_embedding_csv(p)
 
 
 def _refuse_given(args, names, where) -> None:
-    """DataError naming those of the options ``names`` that were given
+    """ValueError naming those of the options ``names`` that were given
     (argparse leaves an option not given None): they apply only ``where``."""
     given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
     if given:
-        raise DataError(f"{', '.join(given)} {'apply' if given[1:] else 'applies'} {where}")
+        raise ValueError(f"{', '.join(given)} {'apply' if given[1:] else 'applies'} {where}")
 
 
 def _load_series(args, run) -> GraphSeries:
@@ -380,18 +376,18 @@ def _load_series(args, run) -> GraphSeries:
     if p.is_dir():
         p = p / "snapshots.npz"
     if not p.exists():
-        raise DataError(f"no such input {p}")
+        raise ValueError(f"no such input {p}")
     band = {name: getattr(args, name) for name in
             ("window_seconds", "start", "end", "daily_start", "daily_end")}
     if p.suffix == ".npz":
         if p.name != "snapshots.npz":
-            raise DataError(f"{p}: a saved series is read from a snapshots.npz "
-                            "and the labels.txt beside it")
+            raise ValueError(f"{p}: a saved series is read from a snapshots.npz "
+                             "and the labels.txt beside it")
         _refuse_given(args, band, f"to a raw edge list, not to the saved series {p}")
         run.inputs += [p, p.parent / "labels.txt"]
         return GraphSeries.load(p.parent)
     if args.window_seconds is None:
-        raise DataError("raw edge list input needs --window-seconds to define snapshots")
+        raise ValueError("raw edge list input needs --window-seconds to define snapshots")
     run.inputs.append(p)
     return ingest_edge_list(p, column_order=args.column_order,
                             label_order=args.label_order, **band)
@@ -403,13 +399,13 @@ def _parse_dims(text, n_snapshots):
     try:
         dims = [int(x) for x in text.split(",")]
     except ValueError:
-        raise DataError(f"bad --dim value {text!r}") from None
+        raise ValueError(f"bad --dim value {text!r}") from None
     if any(d <= 0 for d in dims):
-        raise DataError("--dim entries must be positive")
+        raise ValueError("--dim entries must be positive")
     if len(dims) == 1:
         return dims[0]
     if len(dims) != n_snapshots:
-        raise DataError(
+        raise ValueError(
             f"--dim lists {len(dims)} dimensions for {n_snapshots} snapshots"
         )
     return dims
@@ -426,7 +422,7 @@ def _parse_pair(text):
             out.append((int(g), float(t)))
         return out[0], out[1]
     except ValueError:
-        raise DataError(
+        raise ValueError(
             f"bad --pair {text!r}; expected 'group:time/group:time'"
         ) from None
 
@@ -436,20 +432,20 @@ def _parse_grid(text):
     for part in text.split(","):
         part = part.strip()
         try:
-            if "-" in part[1:]:
-                body, _, step_text = part.partition(":")
-                lo_text, hi_text = body.split("-", 1)
-                lo, hi = int(lo_text), int(hi_text)
-                step = int(step_text) if step_text else 1
-                if step <= 0 or hi < lo:
-                    raise DataError(f"bad --grid range {part!r}")
-                values.extend(range(lo, hi + 1, step))
-            else:
+            if "-" not in part[1:]:
                 values.append(int(part))
+                continue
+            body, _, step_text = part.partition(":")
+            lo_text, hi_text = body.split("-", 1)
+            lo, hi = int(lo_text), int(hi_text)
+            step = int(step_text) if step_text else 1
         except ValueError:
-            raise DataError(f"bad --grid entry {part!r}") from None
+            raise ValueError(f"bad --grid entry {part!r}") from None
+        if step <= 0 or hi < lo:
+            raise ValueError(f"bad --grid range {part!r}")
+        values.extend(range(lo, hi + 1, step))
     if min(values) < 1:
-        raise DataError("--grid component counts must be at least 1")
+        raise ValueError("--grid component counts must be at least 1")
     return values
 
 
@@ -502,7 +498,7 @@ def cmd_embed(args, run):
     n = series.n_nodes
 
     if args.method in ("uase", "omnibus") and "," in args.dim:
-        raise DataError(f"--method {args.method} takes one dimension, not a list")
+        raise ValueError(f"--method {args.method} takes one dimension, not a list")
     dims = _parse_dims(args.dim, series.n_snapshots)
     # one decomposition of the unfolding gives the scree and, for uase, the
     # embedding. Only --dim auto reads a long scree (the n x Tn unfolding has
@@ -510,7 +506,7 @@ def cmd_embed(args, run):
     # noise bulk, so a given dimension is decomposed at its own rank.
     rank = min(SCREE_LENGTH, n) if dims is None else int(np.max(dims))
     if rank > n:
-        raise DataError(f"dimension {rank} out of range for {n} nodes")
+        raise ValueError(f"dimension {rank} out of range for {n} nodes")
     unfolded = series.unfold()
     svd = truncated_svd(unfolded, rank, seed=args.seed)
     # ||A v_j - s_j u_j|| / s_1 for each scree triplet
@@ -568,7 +564,7 @@ def _read_truth(path):
 
 def cmd_stability(args, run):
     if not (np.isfinite(args.threshold) and args.threshold > 0):
-        raise DataError(f"--threshold must be positive and finite, not {args.threshold:g}")
+        raise ValueError(f"--threshold must be positive and finite, not {args.threshold:g}")
     emb, labels_per_time, times = _load_embedding(args, run)
     truth = _read_truth(args.truth)
     run.inputs.append(Path(args.truth))
@@ -578,26 +574,31 @@ def cmd_stability(args, run):
         try:
             memberships.append([truth[(lab, t)] for lab in labels])
         except KeyError as missing:
-            raise DataError(f"truth file lacks node/time {missing.args[0]}") from None
+            raise ValueError(f"truth file lacks node/time {missing.args[0]}") from None
     memberships = np.asarray(memberships)
 
     pairs = []
     for text in args.pair:
         (ga, ta), (gb, tb) = _parse_pair(text)
         if (ga, ta) == (gb, tb):
-            raise DataError(f"--pair {text!r} pairs group {ga}:{ta:g} with itself")
+            raise ValueError(f"--pair {text!r} pairs group {ga}:{ta:.17g} with itself")
         for g, tv in ((ga, ta), (gb, tb)):
             if tv not in times:
-                raise DataError(f"pair time {tv:g} not among embedding times "
-                                f"{[f'{x:g}' for x in times]}")
+                raise ValueError(f"pair time {tv:.17g} not among embedding times "
+                                 f"{[f'{x:.17g}' for x in times]}")
             if not np.any(memberships[times.index(tv)] == g):
-                raise DataError(f"pair group {g}:{tv:g} has no nodes in {args.truth}")
+                raise ValueError(f"pair group {g}:{tv:.17g} has no nodes in {args.truth}")
         pairs.append(((ga, times.index(ta)), (gb, times.index(tb))))
     run.lap("load")
 
-    report = stability_report(emb, memberships, pairs, threshold=args.threshold)
+    results = []
+    for text, pair in zip(args.pair, pairs):  # one call each, so a refusal names the --pair
+        try:
+            results += stability_report(emb, memberships, [pair], threshold=args.threshold).pairs
+        except ValueError as exc:
+            raise ValueError(f"--pair {text!r}: {exc}") from None
+    passed = all(r.passed for r in results)
     run.lap("score")
-    results = report.pairs
     columns = {  # report.csv's columns in order, each read from PairResult fields by name
         "group_a": [r.group_a[0] for r in results],
         "time_a": [times[r.group_a[1]] for r in results],
@@ -609,15 +610,15 @@ def cmd_stability(args, run):
     }
     _write_csv(run.path("report.csv"), list(columns), columns.values())
     lines = [f"threshold {args.threshold:g}"] + [
-        f"{r.group_a[0]}:{times[r.group_a[1]]:g} vs {r.group_b[0]}:{times[r.group_b[1]]:g}: "
+        f"{r.group_a[0]}:{times[r.group_a[1]]:.17g} vs {r.group_b[0]}:{times[r.group_b[1]]:.17g}: "
         f"gap_ratio={r.gap_ratio:.4f} cov_gap={r.cov_gap:.4f} [{'pass' if r.passed else 'FAIL'}]"
         for r in results
     ]
     run.path("report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     run.lap("write")
-    return ({"threshold": args.threshold, "passed": report.passed,
+    return ({"threshold": args.threshold, "passed": passed,
              "gap_ratios": [float(r.gap_ratio) for r in results]},
-            lines, EXIT_OK if report.passed else EXIT_THRESHOLD)
+            lines, EXIT_OK if passed else EXIT_THRESHOLD)
 
 
 def cmd_cluster(args, run):
@@ -748,7 +749,7 @@ def main(argv=None) -> int:
         run.finish(details)
         print(*lines, sep="\n")
         return code
-    except (DataError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

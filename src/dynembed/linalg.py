@@ -251,12 +251,18 @@ def truncated_svd(m, d: int, seed: int = 0) -> TruncatedSvd:
     zero counted positive. A zero matrix has zero singular values.
 
     Raises ValueError when d or the seed is out of range (a seed is an
-    integer in [0, 2**64)) or the matrix has non-finite entries.
+    integer in [0, 2**64)), the matrix has non-finite entries, or m is
+    neither array-like nor an operator with ``.T``.
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed={seed} out of range [0, 2**64)")
     if isinstance(m, np.ndarray) or not hasattr(m, "T"):
-        m = np.asarray(m, dtype=float)
+        try:
+            m = np.asarray(m, dtype=float)
+        except TypeError:
+            raise ValueError(f"m ({type(m).__name__}) is neither array-like nor an operator "
+                             "with .shape, @ and .T; a symmetric one can be wrapped as "
+                             "SymmetricOperator(lambda x: m @ x, side)") from None
     rows, cols = m.shape
     if not 1 <= d <= min(rows, cols):
         raise ValueError(f"d={d} out of range for {rows}x{cols} matrix")

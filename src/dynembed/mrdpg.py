@@ -214,41 +214,35 @@ def theoretical_error_covariance(
     return inner / np.outer(structure.sigma, structure.sigma)
 
 
-@dataclass(frozen=True)
-class ExchangeabilityResult:
-    """Comparison of two (state, time) cells' columns over the sequences."""
-
-    exact: bool
-    proportional: bool
-    scale: float | None
-
-
 def _columns_equal(col_a: np.ndarray, col_b: np.ndarray) -> bool:
     """Whether two columns agree within COLUMN_RTOL of their largest entry."""
     norm = max(np.max(np.abs(col_a)), np.max(np.abs(col_b)))
     return bool(np.max(np.abs(col_a - col_b)) <= COLUMN_RTOL * norm)
 
 
-def exchangeable_states(model: FiniteModel, cell_a, cell_b) -> ExchangeabilityResult:
+def exchangeable_states(model: FiniteModel, cell_a, cell_b) -> float | None:
     """Decide whether two (state, time) cells (a, t) and (b, u) are exchangeable.
 
     A cell's column over the sequences, kernels[t][sequences[:, t], a], holds
     its edge probabilities to the nodes of each sequence and alone decides its
     right position, column^T (p * x) / sigma (see :func:`latent_structure`).
-    Equal columns are exactly exchangeable: one shared position. Proportional
-    columns, col_a = scale * col_b, are degree-scaled exchangeable: positions
-    differ by that scalar only. The times may differ.
+    Returns the scale a with col_a = a * col_b, or None when there is none.
+    Equal columns are exactly exchangeable, one shared position, and give
+    1.0; proportional ones are degree-scaled exchangeable, positions that
+    differ by a only, and give the fitted a. The times may differ. A fitted
+    a of exactly 1.0 would rerun the equality test that just failed, so 1.0
+    always means equal columns.
     """
     (a, t), (b, u) = cell_a, cell_b
     col_a = model.kernels[t][model.sequences[:, t], a]
     col_b = model.kernels[u][model.sequences[:, u], b]
     if _columns_equal(col_a, col_b):
-        return ExchangeabilityResult(True, True, 1.0)
+        return 1.0
     denom = float(col_b @ col_b)
     scale = float(col_a @ col_b) / denom if denom else 0.0
     if scale > 0 and _columns_equal(col_a, scale * col_b):
-        return ExchangeabilityResult(False, True, scale)
-    return ExchangeabilityResult(False, False, None)
+        return scale
+    return None
 
 
 def exchangeability_classes(model: FiniteModel, t: int) -> list:
@@ -258,7 +252,7 @@ def exchangeability_classes(model: FiniteModel, t: int) -> list:
     classes: list[list[int]] = []
     for state in realized:
         for group in classes:
-            if exchangeable_states(model, (state, t), (group[0], t)).exact:
+            if exchangeable_states(model, (state, t), (group[0], t)) == 1.0:
                 group.append(state)
                 break
         else:
@@ -285,13 +279,9 @@ def discover_pairs(model: FiniteModel):
     for t in range(model.n_times - 1):
         held = np.unique(model.sequences[:, t : t + 2], axis=0).tolist()
         candidates += [((a, t), (b, t + 1)) for a, b in held]
-    pairs, scales = [], []
-    for pair in candidates:
-        res = exchangeable_states(model, *pair)
-        if res.proportional:
-            pairs.append(pair)
-            scales.append(res.scale)
-    return pairs, scales
+    scales = [exchangeable_states(model, *pair) for pair in candidates]
+    return ([pair for pair, s in zip(candidates, scales) if s is not None],
+            [s for s in scales if s is not None])
 
 
 def model_from_dsbm(spec: DsbmSpec):

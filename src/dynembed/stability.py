@@ -26,14 +26,6 @@ from .mrdpg import latent_structure, model_from_dsbm, theoretical_error_covarian
 DEFAULT_GAP_THRESHOLD = 0.3
 
 
-def _pad_to(v: np.ndarray, d: int) -> np.ndarray:
-    if v.shape[-1] == d:
-        return v
-    out = np.zeros(v.shape[:-1] + (d,))
-    out[..., : v.shape[-1]] = v
-    return out
-
-
 def eigenvalue_cov_gap(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     """Relative distance between two covariance spectra.
 
@@ -41,8 +33,8 @@ def eigenvalue_cov_gap(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     it lower-bounds the aligned Frobenius distance.
     """
     d = max(cov_a.shape[0], cov_b.shape[0])
-    ea = np.sort(np.linalg.eigvalsh(_pad_to(_pad_to(cov_a, d).T, d)))
-    eb = np.sort(np.linalg.eigvalsh(_pad_to(_pad_to(cov_b, d).T, d)))
+    ea = np.sort(np.linalg.eigvalsh(np.pad(cov_a, (0, d - cov_a.shape[0])).T))
+    eb = np.sort(np.linalg.eigvalsh(np.pad(cov_b, (0, d - cov_b.shape[0])).T))
     scale = max(np.linalg.norm(ea), np.linalg.norm(eb), 1e-300)
     return float(np.linalg.norm(ea - eb) / scale)
 
@@ -125,20 +117,20 @@ def stability_report(
         pts_a = clouds[ta][ga] / scale
         pts_b = clouds[tb][gb]
         d = max(pts_a.shape[1], pts_b.shape[1])
-        mean_a = _pad_to(centroids[ta][ga] / scale, d)
-        mean_b = _pad_to(centroids[tb][gb], d)
+        mean_a = np.pad(centroids[ta][ga] / scale, (0, d - pts_a.shape[1]))
+        mean_b = np.pad(centroids[tb][gb], (0, d - pts_b.shape[1]))
         centroid_gap = float(np.linalg.norm(mean_a - mean_b))
 
         separation = min(
-            (float(np.linalg.norm(own - _pad_to(other, d)))
+            (float(np.linalg.norm(own - np.pad(other, (0, d - other.size))))
              for t, own in ((ta, mean_a), (tb, mean_b))
              for g, other in centroids[t].items() if (g, t) not in ((ga, ta), (gb, tb))),
             default=np.inf,
         )
         if not np.isfinite(separation):
-            raise ValueError("no reference groups left to measure separation against")
+            raise ValueError(f"{name}: no reference groups left to measure separation against")
         if separation <= 0:
-            raise ValueError("a reference group coincides with the pair; no verdict")
+            raise ValueError(f"{name}: a reference group coincides with the pair; no verdict")
 
         gap_ratio = centroid_gap / separation
         cov_skipped = pts_a.shape[0] < 2 or pts_b.shape[0] < 2

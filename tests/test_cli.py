@@ -16,7 +16,7 @@ import pytest
 
 import dynembed
 from dynembed import cli, embedders
-from dynembed.cli import DataError, _parse_dims, _parse_grid, _parse_pair
+from dynembed.cli import _parse_dims, _parse_grid, _parse_pair
 from dynembed.cluster import parameter_count
 from dynembed.embedders import uase
 from dynembed.linalg import truncated_svd
@@ -407,7 +407,7 @@ class TestReadCsv:
             lines[line - 1] = ",".join(cells) + "\n"
         path = tmp_path / "embedding.csv"
         path.write_text("".join(lines))
-        with pytest.raises(DataError) as info:
+        with pytest.raises(ValueError) as info:
             cli._read_embedding_csv(path)
         assert str(info.value) == f"{path}: {message}"
 
@@ -416,7 +416,7 @@ class TestReadCsv:
         rows[cli.CSV_CHUNK_ROWS + 1] = "x,1,one\n"
         truth = tmp_path / "truth.csv"
         truth.write_text("node_label,time_label,community\n" + "".join(rows))
-        with pytest.raises(DataError) as info:
+        with pytest.raises(ValueError) as info:
             cli._read_truth(truth)
         assert str(info.value) == f"{truth}: line {cli.CSV_CHUNK_ROWS + 3}: bad community 'one'"
 
@@ -920,8 +920,8 @@ class TestStability:
         assert len(lines) == len(rows) + 1
         for row, line in zip(rows, lines[1:]):
             verdict = "[pass]" if row[9] == "1" else "[FAIL]"
-            assert line.startswith(f"{row[0]}:{float(row[1]):g} vs "
-                                   f"{row[2]}:{float(row[3]):g}: ")
+            assert line.startswith(f"{row[0]}:{float(row[1]):.17g} vs "
+                                   f"{row[2]}:{float(row[3]):.17g}: ")
             assert line.endswith(verdict)
         assert read_manifest(out)["details"]["gap_ratios"] == [
             float(r[6]) for r in rows]
@@ -992,6 +992,50 @@ class TestStability:
         assert run("stability", "--embedding", sim120 / "truth.csv", "--truth",
                    sim120 / "truth.csv", *self.PAIRS,
                    "--out", tmp_path / "rep") == 2
+
+    # half-hour windows in unix-epoch seconds, which :g would print as 1.25439e+09
+    EPOCH_TIMES = (1254384000, 1254385800, 1254387600)
+
+    def epoch_files(self, tmp_path, communities, xs=(0, 1, 2, 4, 5, 6, 8, 9, 10)):
+        """embedding.csv and truth.csv of nodes n0, n1, ... at EPOCH_TIMES, node
+        i at (xs[i], 0) in community communities[i] at every time."""
+        emb, truth = ["node_label,time_label,y_1,y_2"], ["node_label,time_label,community"]
+        for t in self.EPOCH_TIMES:
+            for i, (c, x) in enumerate(zip(communities, xs)):
+                emb.append(f"n{i},{t},{x},0")
+                truth.append(f"n{i},{t},{c}")
+        (tmp_path / "embedding.csv").write_text("\n".join(emb) + "\n")
+        (tmp_path / "truth.csv").write_text("\n".join(truth) + "\n")
+        return tmp_path / "embedding.csv", tmp_path / "truth.csv"
+
+    def test_epoch_times_named_in_full(self, tmp_path, capsys):
+        emb, truth = self.epoch_files(tmp_path, [1, 1, 1, 2, 2, 2, 3, 3, 3])
+        out = tmp_path / "rep"
+        assert run("stability", "--embedding", emb, "--truth", truth,
+                   "--pair", "1:1254385800/1:1254387600", "--out", out) == 0
+        lines = (out / "report.txt").read_text().splitlines()
+        assert lines[1].startswith("1:1254385800 vs 1:1254387600: gap_ratio=0.0000")
+        assert capsys.readouterr().out.splitlines() == lines
+        assert run("stability", "--embedding", emb, "--truth", truth,
+                   "--pair", "1:1254385801/1:1254387600", "--out", tmp_path / "bad") == 2
+        assert ("pair time 1254385801 not among embedding times "
+                "['1254384000', '1254385800', '1254387600']") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("communities, xs, scored, refusal", [
+        ([1] * 9, range(9), (), "no reference groups left to measure separation against"),
+        # community 3's centroid (1, 0) is community 1's, not community 2's
+        ([1, 1, 1, 2, 2, 2, 3, 3, 3], (0, 1, 2, 4, 5, 6, 1, 1, 1),
+         ("--pair", "2:1254384000/2:1254387600"),
+         "a reference group coincides with the pair; no verdict"),
+    ])
+    def test_refusal_names_the_pair_as_written(self, tmp_path, capsys, communities, xs,
+                                               scored, refusal):
+        emb, truth = self.epoch_files(tmp_path, communities, xs)
+        pair = "1:1254384000/1:1254385800"
+        assert run("stability", "--embedding", emb, "--truth", truth, *scored,
+                   "--pair", pair, "--out", tmp_path / "rep") == 2
+        assert capsys.readouterr().err == f"error: --pair '{pair}': pair 1:0/1:1: {refusal}\n"
+        assert not (tmp_path / "rep").exists()
 
 
 class TestManifest:
@@ -1265,17 +1309,21 @@ class TestParsers:
         assert _parse_grid("3-3") == [3]
         assert _parse_grid("2-4") == [2, 3, 4]
         for bad in ("5-2", "2-8:0", "0", "-3", "x", ""):
-            with pytest.raises(DataError):
+            with pytest.raises(ValueError):
+                _parse_grid(bad)
+        # the range check sits outside the parse, so its message survives
+        for bad in ("5-2", "2-8:0"):
+            with pytest.raises(ValueError, match=f"bad --grid range '{bad}'"):
                 _parse_grid(bad)
         # every comma part gives a value or is refused, so no grid is empty
         for bad in ("", ",", "2,"):
-            with pytest.raises(DataError, match="bad --grid entry ''"):
+            with pytest.raises(ValueError, match="bad --grid entry ''"):
                 _parse_grid(bad)
 
     def test_parse_pair(self):
         assert _parse_pair("4:1/4:2") == ((4, 1.0), (4, 2.0))
         for bad in ("4:1", "a:b/c:d", "1/2"):
-            with pytest.raises(DataError):
+            with pytest.raises(ValueError):
                 _parse_pair(bad)
 
     def test_parse_dims(self):
@@ -1283,7 +1331,7 @@ class TestParsers:
         assert _parse_dims("4", 2) == 4
         assert _parse_dims("3,2", 2) == [3, 2]
         for bad in ("x", "0", "1,2,3"):
-            with pytest.raises(DataError):
+            with pytest.raises(ValueError):
                 _parse_dims(bad, 2)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import LinearOperator
 
 from dynembed.embedders import independent_ase, omnibus_embed, uase
-from dynembed.netseries import Unfolding, as_patterns
+from dynembed.netseries import SymmetricPattern, Unfolding, as_patterns
 
 from dynembed.linalg import (
     Pcg64,
@@ -164,6 +164,20 @@ class TestTruncatedSvd:
         op = SymmetricOperator(lambda x: m @ x, 4)
         with pytest.raises(ValueError, match="non-finite"):
             truncated_svd(op, 1)
+
+    def test_rejects_operator_without_transpose(self):
+        class ShapeAndProduct:  # .shape and @, no .T
+            shape = (4, 4)
+
+            def __matmul__(self, x):
+                return x
+
+        for op in (SymmetricPattern.from_upper([1, 5], 4), ShapeAndProduct()):
+            with pytest.raises(ValueError, match=r"\.shape, @ and \.T.*SymmetricOperator"):
+                truncated_svd(op, 1)
+        # dense arrays and nested lists are still converted
+        for m in (np.diag([3.0, 1.0]), [[3, 0], [0, 1]]):
+            assert truncated_svd(m, 1).s.tolist() == [3.0]
 
 
 def orthonormal_columns(rng, side, count):

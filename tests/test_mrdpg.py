@@ -157,18 +157,13 @@ class TestExchangeability:
             sequences=np.array([[0], [1], [2]]),
             probabilities=np.array([0.4, 0.3, 0.3]),
         )
-        res = exchangeable_states(model, (2, 0), (0, 0))
-        assert not res.exact
-        assert res.proportional
-        np.testing.assert_allclose(res.scale, 2.0, rtol=1e-9)
+        np.testing.assert_allclose(exchangeable_states(model, (2, 0), (0, 0)), 2.0, rtol=1e-9)
         s = latent_structure(model)
         np.testing.assert_allclose(s.y[0][2], 2.0 * s.y[0][0], atol=1e-10)
 
     def test_unrelated_states(self, fourblock_model):
         _, model, _ = fourblock_model
-        res = exchangeable_states(model, (0, 0), (1, 0))
-        assert not res.exact
-        assert not res.proportional
+        assert exchangeable_states(model, (0, 0), (1, 0)) is None
 
 
 def oracle_specs():

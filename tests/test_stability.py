@@ -129,7 +129,7 @@ def test_separation_needs_a_reference_group():
     pts = np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 0.0], [1.2, 0.0]])
     memb = np.array([0, 0, 1, 1])
     emb = Embedding(points=[pts], method="test")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pair 0:0/1:0: no reference groups left"):
         stability_report(emb, memb, [((0, 0), (1, 0))])
 
 
@@ -141,7 +141,7 @@ def test_reference_group_on_top_of_pair_rejected():
     ])
     memb = np.array([0, 0, 1, 1, 2, 2])
     emb = Embedding(points=[pts], method="test")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pair 0:0/1:0: a reference group coincides"):
         stability_report(emb, memb, [((0, 0), (1, 0))])
 
 
