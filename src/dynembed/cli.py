@@ -550,6 +550,7 @@ def cmd_embed(args, run):
         details["eigenvalue_signatures"] = [list(s) for s in emb.signatures]
     if emb.route is not None:
         details["omnibus_route"], details["omnibus_products"] = emb.route, emb.products
+        details["omnibus_dense_bytes"] = emb.dense_bytes
     distinct = list(dict.fromkeys(emb.dims))  # each once, in order of first appearance
     return details, [f"{args.method} embedding: {rows} rows, dimensions {distinct}, "
                      f"written to {run.out}"], EXIT_OK

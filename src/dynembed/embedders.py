@@ -28,7 +28,7 @@ import numpy as np
 from .linalg import SymmetricOperator, TruncatedSvd, orient_columns, truncated_svd
 from .netseries import Unfolding, as_patterns
 
-# omnibus_embed holds the omnibus matrix's T(T + 1) / 2 distinct blocks (3/4 to
+# omnibus_embed holds the omnibus matrix's T(T - 1) / 2 shared blocks (1/4 to
 # 1/2 of its 1.6 GB) up to this many (T n)^2 entries, and is matrix-free above
 DENSE_OMNIBUS_MAX_ENTRIES = 200_000_000
 
@@ -44,6 +44,7 @@ class Embedding:
         the method is eigenvalue-based, else None.
     route: omnibus's product, "dense" or "matrix-free"; else None.
     products: the products omnibus's decomposition applied; else None.
+    dense_bytes: bytes of the dense blocks omnibus held; else None.
     dims: embedding dimension per snapshot.
     """
 
@@ -53,6 +54,7 @@ class Embedding:
     signatures: list | None = None
     route: str | None = None
     products: int | None = None
+    dense_bytes: int | None = None
     dims: list = field(init=False)
 
     def __post_init__(self):
@@ -186,22 +188,37 @@ def _omnibus_matvec(patterns, n: int):
 
 
 def omnibus_blocks(series) -> list:
-    """The omnibus matrix's distinct blocks, dense: row s of the T x T nested
-    list holds block (s, t) = (A_s + A_t) / 2, and block (t, s) is the same
-    array, so T(T + 1) / 2 arrays are held. Each holds zero rows below its
+    """The omnibus matrix's distinct blocks: row s of the T x T nested list
+    holds block (s, t) = (A_s + A_t) / 2. A diagonal block (s, s) is A_s
+    itself, the snapshot's :class:`~dynembed.netseries.SymmetricPattern`;
+    a shared block (s, t), s != t, is one dense array, which block (t, s)
+    is too, so T(T - 1) / 2 arrays are held. Each holds zero rows below its
     n x n block up to a multiple of 8 rows, so that a threaded BLAS, which
     splits a product's rows between threads, adds each row in one order at
-    any thread count (measured on OpenBLAS 0.3.31 at 1, 2 and 4 threads).
-    ``np.block`` of the blocks' first n rows is the (T n) x (T n) matrix."""
+    any thread count (measured on OpenBLAS 0.3.31 at 1, 2 and 4 threads)."""
     patterns = as_patterns(series)
-    rows = -(-patterns[0].n // 8) * 8
-    blocks = [[None] * len(patterns) for _ in patterns]
-    for s, pattern in enumerate(patterns):
-        blocks[s][s] = pattern.toarray(rows)
+    n = patterns[0].n
+    blocks = [[a if s == t else None for t in range(len(patterns))]
+              for s, a in enumerate(patterns)]
     for s, t in zip(*np.triu_indices(len(patterns), 1)):
-        blocks[s][t] = blocks[t][s] = np.add(blocks[s][s], blocks[t][t])
-        blocks[s][t] *= 0.5
+        # both patterns added into the block's one array, then halved
+        shared = blocks[s][t] = blocks[t][s] = np.zeros((-(-n // 8) * 8, n))
+        patterns[t].add_to(patterns[s].add_to(shared))
+        shared *= 0.5
     return blocks
+
+
+def _omnibus_dense_matvec(blocks, n: int):
+    # (M x)_s = sum_t B_st x_t in ascending t: every shared block's gemv,
+    # less its padding rows, runs before the patterns' products A_s x_s
+    def matvec(x):
+        xs = x.reshape(len(blocks), n)
+        terms = [[None if s == t else (b @ xs[t])[:n] for t, b in enumerate(row)]
+                 for s, row in enumerate(blocks)]
+        return np.concatenate([sum(blocks[s][s] @ xs[s] if y is None else y for y in row)
+                               for s, row in enumerate(terms)])
+
+    return matvec
 
 
 def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
@@ -214,21 +231,20 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     snapshot-t point set; all blocks share one coordinate system. The
     (positive, negative) eigenvalue counts are reported as the signature.
 
-    Up to ``DENSE_OMNIBUS_MAX_ENTRIES`` matrix entries its T(T + 1) / 2
-    distinct blocks are held (:func:`omnibus_blocks`); above, it is applied as
+    Up to ``DENSE_OMNIBUS_MAX_ENTRIES`` matrix entries its T(T - 1) / 2
+    shared blocks are held dense and each diagonal block A_s is applied
+    through its pattern (:func:`omnibus_blocks`); above, it is applied as
     (U^T E + E^T U) / 2 through the unfolding U = (A_1 | ... | A_T), E = (I |
-    ... | I). ``products`` counts the products the decomposition applied.
+    ... | I). ``products`` counts the products the decomposition applied and
+    ``dense_bytes`` the bytes of the dense blocks held, 0 when matrix-free.
     """
     patterns = as_patterns(series)
     n, t_count = patterns[0].n, len(patterns)
-    side = t_count * n
+    side, dense_bytes = t_count * n, 0
     if side * side <= DENSE_OMNIBUS_MAX_ENTRIES:
-        # (M x)_s = sum_t B_st x_t in ascending t, one gemv per term, less
-        # the padding rows
         blocks = omnibus_blocks(patterns)
-        route, apply = "dense", lambda x: np.concatenate(
-            [sum(b @ y for b, y in zip(row, x.reshape(t_count, n)))[:n] for row in blocks])
-        del patterns  # the blocks hold all the eigensolver needs
+        dense_bytes = sum(b.nbytes for s, row in enumerate(blocks) for b in row[s + 1:])
+        route, apply = "dense", _omnibus_dense_matvec(blocks, n)
     else:
         route, apply = "matrix-free", _omnibus_matvec(patterns, n)
     scaled, signature, products = _signed_symmetric_embedding(apply, side, d, seed)
@@ -237,7 +253,7 @@ def omnibus_embed(series, d: int, seed: int = 0) -> Embedding:
     (scaled,) = orient_columns(scaled)
     points = [scaled[t * n : (t + 1) * n] for t in range(t_count)]
     return Embedding(points=points, method="omnibus", signatures=[signature], route=route,
-                     products=products)
+                     products=products, dense_bytes=dense_bytes)
 
 
 def select_dimension(singular_values: np.ndarray) -> tuple[int, np.ndarray]:

@@ -106,12 +106,16 @@ class SymmetricPattern:
             keys.append((rows * self.n + cols)[rows < cols])
         return np.concatenate(keys)
 
-    def toarray(self, height=None):
-        """A as a dense n x n array, or with zero rows below it to ``height`` rows."""
-        a = np.zeros((height or self.n, self.n))
+    def add_to(self, a):
+        """Add A into the first n rows of the dense array ``a``, in place,
+        with no temporary of a's size."""
         for at, rows in self._row_blocks():
-            a[rows, self.cols[at]] = 1.0 if self.data is None else self.data[at]
+            a[rows, self.cols[at]] += 1.0 if self.data is None else self.data[at]
         return a
+
+    def toarray(self):
+        """A as a dense n x n array."""
+        return self.add_to(np.zeros(self.shape))
 
     def tocsr(self):
         """A as a scipy CSR matrix; a weighted pattern shares its ``data``."""

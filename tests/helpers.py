@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import scipy.sparse as sp
 
-from dynembed.netseries import GraphSeries, as_patterns
+from dynembed.netseries import GraphSeries, SymmetricPattern, as_patterns
 
 
 def permute(series: GraphSeries, perm) -> GraphSeries:
@@ -27,11 +27,16 @@ def omnibus_matrix(series) -> np.ndarray:
 
 def unpadded(blocks) -> np.ndarray:
     """``np.block`` of ``embedders.omnibus_blocks``'s n x n blocks, after
-    checking that each holds zero rows below them up to a multiple of 8."""
-    n = blocks[0][0].shape[1]
-    for b in (b for row in blocks for b in row):
-        assert b.shape[0] % 8 == 0 and 0 <= b.shape[0] - n < 8 and not b[n:].any()
-    return np.block([[b[:n] for b in row] for row in blocks])
+    checking that each diagonal block is a pattern, taken as its dense
+    array, and each shared block holds zero rows below it up to a multiple
+    of 8."""
+    n = blocks[0][0].n
+    for s, row in enumerate(blocks):
+        assert isinstance(row[s], SymmetricPattern)
+        for b in row[:s] + row[s + 1:]:
+            assert b.shape[0] % 8 == 0 and 0 <= b.shape[0] - n < 8 and not b[n:].any()
+    return np.block([[b.toarray() if s == t else b[:n] for t, b in enumerate(row)]
+                     for s, row in enumerate(blocks)])
 
 
 def write_csv_per_cell(path, header, columns) -> int:
@@ -53,7 +58,8 @@ def write_csv_per_cell(path, header, columns) -> int:
 def transient_bytes(call):
     """``call()``'s result, and the tracemalloc peak during the call less the
     bytes of the arrays it returns: a dense matrix, each distinct array of a
-    nested list of blocks, or every array that a series' patterns keep, a
+    nested list of blocks (which may hold patterns made before the call),
+    or every array that a series' patterns keep, a
     view counted with the array it views. numpy traces its data buffers, so
     this counts every temporary array."""
     tracemalloc.start()
@@ -65,7 +71,7 @@ def transient_bytes(call):
     if isinstance(result, np.ndarray):
         return result, peak - result.nbytes
     if isinstance(result, list):
-        distinct = {id(b): b for row in result for b in row}
+        distinct = {id(b): b for row in result for b in row if isinstance(b, np.ndarray)}
         return result, peak - sum(b.nbytes for b in distinct.values())
     return result, peak - sum(a.nbytes for p in result.patterns for a in vars(p).values()
                               if isinstance(a, np.ndarray) and a.base is None)

@@ -9,6 +9,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -763,8 +764,16 @@ class TestEmbed:
         out = tmp_path / "omni"
         assert run("embed", "--input", sim120 / "series", "--method", "omnibus",
                    "--dim", 3, "--seed", 1, "--out", out) == 0
-        assert read_manifest(out)["details"]["omnibus_route"] == route
+        details = read_manifest(out)["details"]
+        assert details["omnibus_route"] == route
         assert "omnibus_route" not in read_manifest(emb120)["details"]
+        # the dense route holds the T(T - 1) / 2 shared blocks, n rows
+        # padded to a multiple of 8, and the matrix-free route none
+        series = GraphSeries.load(sim120 / "series")
+        n, t_count = series.n_nodes, series.n_snapshots
+        shared = t_count * (t_count - 1) // 2 * -(-n // 8) * 8 * n * 8
+        assert details["omnibus_dense_bytes"] == (shared if route == "dense" else 0)
+        assert "omnibus_dense_bytes" not in read_manifest(emb120)["details"]
 
     @pytest.mark.parametrize("budget", [None, 0])
     def test_manifest_counts_the_omnibus_products(self, sim120, emb120, tmp_path,
@@ -1355,8 +1364,9 @@ def test_os_errors_exit_2(command, sim120, emb120, tmp_path, capsys):
 
 OUTSIDE_INPUT = ["header-only embedding", "header-only embedding, cluster",
                  "header-only truth", "directory without embedding", "no model section",
-                 "no nodes", "bad snapshot section", "no snapshot section",
-                 "zero window", "empty range"]
+                 "no nodes", "zero rho", "bad snapshot section", "no snapshot section",
+                 "zero window", "empty range", "forgetting above 1", "zero smoothing window",
+                 "corrupt series member"]
 
 
 @pytest.mark.parametrize("case", OUTSIDE_INPUT)
@@ -1372,6 +1382,8 @@ def test_outside_input_is_refused_with_exit_2(case, sim120, emb120, tmp_path, ca
     model, snapshot = "[model]\nn_nodes = 4\n\n", "[snapshot.1]\nblock_matrix = 0.5\n"
     simulate = ("simulate", "--config", cfg)
     embed = ("embed", "--input", events, "--method", "uase", "--dim", 1)
+    separate = ("embed", "--input", sim120 / "series", "--method", "separate", "--dim", 2)
+    series = tmp_path / "series"
 
     def stability(emb, truth):
         return ("stability", "--embedding", emb, "--truth", truth, *TestStability.PAIRS)
@@ -1387,15 +1399,36 @@ def test_outside_input_is_refused_with_exit_2(case, sim120, emb120, tmp_path, ca
         "no model section": (simulate, snapshot, "config needs a [model] section"),
         "no nodes": (simulate, "[model]\nn_nodes = 0\n\n" + snapshot,
                      "n_nodes must be a positive integer"),
+        "zero rho": (simulate, "[model]\nn_nodes = 4\nrho = 0\n\n" + snapshot,
+                     "rho must lie in (0, 1]"),
         "bad snapshot section": (simulate, model + "[snapshot.x]\nblock_matrix = 0.5\n",
                                  "bad snapshot section name 'snapshot.x'"),
         "no snapshot section": (simulate, model, "config needs at least one [snapshot.N] section"),
         "zero window": ((*embed, "--window-seconds", 0), None, "window_seconds must be positive"),
         "empty range": ((*embed, "--window-seconds", 1, "--start", 2, "--end", 1), None,
                         "empty time range"),
+        "forgetting above 1": ((*separate, "--forgetting", 1.5), None,
+                               "forgetting factor must lie in (0, 1]"),
+        "zero smoothing window": ((*separate, "--scheme", "window", "--window", 0), None,
+                                  "window must be at least 1"),
+        # the archive opens, and reading the member fails its CRC check
+        "corrupt series member": (("embed", "--input", series, "--method", "uase", "--dim", 1),
+                                  None, f"{series / 'snapshots.npz'}: unreadable series file: "
+                                  "Bad CRC-32 for file 'indices_0.npy'"),
     }[case]
     if text is not None:
         cfg.write_text(text)
+    if case == "corrupt series member":
+        shutil.copytree(sim120 / "series", series)
+        npz = series / "snapshots.npz"
+        with zipfile.ZipFile(npz) as zf:
+            member = zf.getinfo("indices_0.npy")
+        raw = bytearray(npz.read_bytes())
+        # the member's last data byte, after its local header, name and extra field
+        at = member.header_offset + 30 + len(member.filename) + int.from_bytes(
+            raw[member.header_offset + 28 : member.header_offset + 30], "little")
+        raw[at + member.compress_size - 1] ^= 0xFF
+        npz.write_bytes(bytes(raw))
     out = tmp_path / "out"
     assert run(*words, "--out", out) == 2
     err = capsys.readouterr().err

@@ -11,6 +11,7 @@ from scipy.stats import multivariate_normal
 
 from dynembed.cluster import (
     GmmModel,
+    _kmeans_pp_centers,
     _log_densities,
     _m_step,
     assign,
@@ -20,7 +21,7 @@ from dynembed.cluster import (
     pool_spherical,
 )
 from dynembed.embedders import Embedding
-from dynembed.linalg import spherical_coordinates
+from dynembed.linalg import Pcg64, spherical_coordinates
 
 
 def test_single_component_matches_analytic_mle():
@@ -166,6 +167,21 @@ def test_too_few_points_rejected():
         fit_gmm_bic(np.zeros((4, 3)), [2], restarts=1)
     with pytest.raises(ValueError):
         fit_gmm(np.zeros((1, 2)), 2)
+    with pytest.raises(ValueError, match="empty component-count grid"):
+        fit_gmm_bic(np.zeros((40, 2)), [], restarts=1)
+
+
+def test_fewer_distinct_points_than_components():
+    # two distinct rows, three components: once both rows are centers every
+    # squared distance is zero, and the third center is drawn uniformly
+    points = np.repeat([[0.0, 0.0], [1.0, 2.0]], 10, axis=0)
+    centers = _kmeans_pp_centers(points, 3, Pcg64(0))
+    assert {tuple(c) for c in centers[:2]} == {(0.0, 0.0), (1.0, 2.0)}
+    assert tuple(centers[2]) in {(0.0, 0.0), (1.0, 2.0)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = fit_gmm(points, 3, seed=0)
+    assert model.weights.shape == (3,) and np.isfinite(model.loglik)
 
 
 def test_non_convergence_flagged():

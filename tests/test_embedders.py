@@ -230,8 +230,11 @@ class TestOmnibus:
             blocks = omnibus_blocks(snaps)
             np.testing.assert_array_equal(unpadded(blocks), expected)
             np.testing.assert_array_equal(unpadded(blocks), omnibus_matrix(snaps))
-            # each distinct block is held once
+            # each shared block is held once
             assert all(blocks[t][s] is blocks[s][t] for s in range(3) for t in range(3))
+        # the diagonal blocks are the series' own patterns
+        blocks = omnibus_blocks(series)
+        assert all(blocks[s][s] is series.patterns[s] for s in range(3))
 
     def test_matrix_scatter_holds_no_entry_sized_index(self):
         # a block of rows at a time: measured 0.04 bytes an entry beside the
@@ -316,8 +319,9 @@ class TestOmnibus:
         np.testing.assert_allclose(product(x), omnibus_matrix(series) @ x, rtol=0, atol=1e-12)
 
     def test_dense_route_holds_each_distinct_block_once(self, monkeypatch):
-        # T = 3: six n x n blocks, where the whole matrix held nine, beside
-        # the scatter's bound per entry above
+        # T = 3: three n x n shared blocks, where the distinct blocks were
+        # six and the whole matrix nine, beside the scatter's bound per
+        # entry above; each diagonal block is the snapshot's pattern
         n, t_count = 300, 3
         series = sample_dsbm(DsbmSpec([[[0.2]], [[0.3]], [[0.25]]], n), seed=2)
         tracemalloc.start()
@@ -326,7 +330,7 @@ class TestOmnibus:
                                     lambda apply: tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        blocks = t_count * (t_count + 1) // 2 * n * n * 8
+        blocks = t_count * (t_count - 1) // 2 * n * n * 8
         assert peak < blocks + 4 * sum(p.cols.size for p in series.patterns)
 
     @pytest.mark.parametrize("slack, dense", [(0, True), (-1, False)])

@@ -409,6 +409,14 @@ class TestProcrustes:
         with pytest.raises(ValueError):
             procrustes(np.zeros((3, 2)), np.zeros((4, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.ones((3, 2))
+        a[1, 0] = bad
+        for pair in ((a, np.ones((3, 2))), (np.ones((3, 2)), a)):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                procrustes(*pair)
+
 
 def angles_to_unit_vector(theta):
     # oracle: inverse of the forward map on the unit sphere, built from the

@@ -56,6 +56,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="block probabilities must be finite"):
             DsbmSpec(block_matrices=[np.array([[0.5, np.nan], [np.nan, 0.5]])], n_nodes=4)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(block_matrices=[]), "need at least one block matrix"),
+        (dict(block_matrices=[np.eye(2) * 0.5, np.eye(3) * 0.5]),
+         "all block matrices must be K x K with the same K"),
+        (dict(memberships=np.zeros((2, 3), dtype=int)), r"memberships must be \(1, 3\), got \(2, 3\)"),
+        (dict(degree_weights=np.ones(2)), "degree_weights must have one entry per node"),
+    ], ids=["no block matrix", "unequal K", "membership shape", "weight count"])
+    def test_malformed_spec_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            DsbmSpec(**{"block_matrices": [np.eye(2) * 0.5], "n_nodes": 3, **fields})
+
     def test_default_memberships_equal_blocks(self):
         spec = DsbmSpec(block_matrices=[np.eye(4) * 0.5], n_nodes=100)
         counts = np.bincount(spec.memberships[0])

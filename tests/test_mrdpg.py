@@ -319,3 +319,32 @@ class TestModelFromDsbm:
                 sequences=np.array([[1]]),
                 probabilities=np.array([1.0]),
             )
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kernels=[np.full((1, 2), 0.5)]), "kernels must be square"),
+        (dict(kernels=[np.array([[0.1, 0.2], [0.3, 0.1]])]), "kernels must be symmetric"),
+        (dict(kernels=[np.array([[1.5]])]), r"kernel values must lie in \[0, 1\]"),
+        (dict(sequences=np.array([0])), "sequences must be a 2-d array"),
+        (dict(sequences=np.array([[0, 0]])), "sequences must have one column per kernel"),
+        (dict(probabilities=np.array([0.5, 0.5])), "need one probability per sequence"),
+        (dict(sequences=np.array([[0], [0]]), probabilities=np.array([1.0, 0.0])),
+         "sequence probabilities must be positive"),
+    ], ids=["non-square", "asymmetric", "out of range", "1-d sequences", "column count",
+            "probability count", "zero probability"])
+    def test_malformed_model_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteModel(**{"kernels": [np.array([[0.5]])], "sequences": np.array([[0]]),
+                           "probabilities": np.array([1.0]), **fields})
+
+    def test_refused_arguments(self):
+        with pytest.raises(ValueError, match="degenerate model: all kernel values are zero"):
+            latent_structure(constant_model(0.0, 2))
+        structure = latent_structure(constant_model(0.3, 2))
+        with pytest.raises(ValueError, match="unknown regime 'medium'"):
+            theoretical_error_covariance(structure, 0, 0, regime="medium")
+        for state in (-1, 1):
+            with pytest.raises(ValueError, match="state out of range"):
+                theoretical_error_covariance(structure, 1, state)
+        for d in (0, 3):
+            with pytest.raises(ValueError, match=f"d={d} out of range"):
+                noise_free_embedding([np.full((2, 2), 0.5)], d)

@@ -711,6 +711,9 @@ def test_empty_rows_hold_no_entry(case, tmp_path):
         for part in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
         np.testing.assert_array_equal(pattern.toarray(), dense)
+        # added into the first n rows of a taller array, which keep the rest
+        np.testing.assert_array_equal(pattern.add_to(np.ones((n + 2, n))),
+                                      np.vstack([dense + 1, np.ones((2, n))]))
         np.testing.assert_array_equal(pattern.upper(), np.sort(pairs[:, 0] * n + pairs[:, 1]))
         for shape in ((n,), (n, 3)):
             x = rng.standard_normal(shape)
@@ -720,13 +723,36 @@ def test_empty_rows_hold_no_entry(case, tmp_path):
         # an integer vector is taken as floats, as by the scipy product
         np.testing.assert_allclose(pattern @ np.arange(n), want @ np.arange(n), rtol=0, atol=1e-14)
         b = weights + weights.T
-        np.testing.assert_array_equal(unpadded(omnibus_blocks([pattern, other])), np.block(
+        blocks = omnibus_blocks([pattern, other])
+        assert blocks[0][0] is pattern
+        np.testing.assert_array_equal(unpadded(blocks), np.block(
             [[dense, 0.5 * dense + 0.5 * b], [0.5 * dense + 0.5 * b, b]]))
     GraphSeries([zero_one]).save(tmp_path)
     back = GraphSeries.load(tmp_path).patterns[0]
     for part in ("indptr", "cols"):
         np.testing.assert_array_equal(getattr(back, part), getattr(zero_one, part))
     assert back.data is None
+
+
+@pytest.mark.parametrize("case", ["no snapshot", "label count", "time count",
+                                  "column order", "label order"])
+def test_malformed_series_arguments_refused(case, tmp_path):
+    events = tmp_path / "events.txt"
+    write_events(events, ["1 a b", "2 b c"])
+    empty = sp.csr_matrix((3, 3))
+    call, message = {
+        "no snapshot": (lambda: as_patterns([]), "need at least one snapshot"),
+        "label count": (lambda: GraphSeries([empty], node_labels=["a", "b"]),
+                        "node_labels length must match snapshot side"),
+        "time count": (lambda: GraphSeries([empty], times=[0, 1]),
+                       "times length must match number of snapshots"),
+        "column order": (lambda: ingest_edge_list(events, window_seconds=1, column_order="u_time_v"),
+                         "unknown column_order 'u_time_v'"),
+        "label order": (lambda: ingest_edge_list(events, window_seconds=1, label_order="random"),
+                        "unknown label_order 'random'"),
+    }[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestTransientMemory:
